@@ -53,9 +53,6 @@ class GeneratorSet:
         except KeyError:
             raise StructureError(f"unknown generator {name!r} in {self.names}") from None
 
-    def is_central(self, name):
-        return self.central[self.index(name)]
-
 
 def word_of(mono):
     """Monomial (exponent tuple) -> sorted word (tuple of generator indices)."""
@@ -72,8 +69,21 @@ def monomial_of(word, dim):
     return tuple(m)
 
 
-class Element:
-    """Finite combination of PBW-ordered monomials with Series coefficients."""
+def _mono_str(names, m, full):
+    """Render a monomial; ``full`` writes every exponent (the JSON key form)."""
+    return "*".join(
+        f"{n}^{e}" if full or e != 1 else n for n, e in zip(names, m) if e
+    ) or "1"
+
+
+class LinComb:
+    """Finite linear combination ``{key: Series}`` over one generator set and
+    one coefficient ring (``space``, ``order``, ``floor``); zero coefficients
+    are never stored.
+
+    Here a key is a tuple of generator indices: a tensor over the Lie-algebra
+    basis (``(i,)`` a vector, ``(i, j)`` rank 2).  Subclasses fix other key
+    shapes and how a key renders."""
 
     __slots__ = ("gens", "space", "order", "floor", "terms")
 
@@ -82,35 +92,14 @@ class Element:
         self.space = space
         self.order = order
         self.floor = floor
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, gens, space, order, floor):
-        return cls(gens, space, {}, order, floor)
-
-    @classmethod
-    def unit(cls, gens, space, order, floor, coeff=1):
-        c = Series.const(space, coeff, order, floor)
-        return cls(gens, space, {(0,) * gens.dim: c}, order, floor)
-
-    @classmethod
-    def generator(cls, gens, space, name, order, floor, coeff=None):
-        m = [0] * gens.dim
-        m[gens.index(name)] = 1
-        c = coeff if coeff is not None else Series.one(space, order, floor)
-        return cls(gens, space, {tuple(m): c}, order, floor)
-
-    @classmethod
-    def monomial(cls, gens, space, exps_by_name, order, floor, coeff=None):
-        m = [0] * gens.dim
-        for name, e in exps_by_name.items():
-            m[gens.index(name)] = e
-        c = coeff if coeff is not None else Series.one(space, order, floor)
-        return cls(gens, space, {tuple(m): c}, order, floor)
-
-    # -- basic algebra (no rewriting) -------------------------------------
+    def _with(self, terms):
+        """Same class and ring over ``terms``, which hold no zero coefficient."""
+        new = object.__new__(type(self))
+        new.gens, new.space, new.order, new.floor = self.gens, self.space, self.order, self.floor
+        new.terms = terms
+        return new
 
     def _compatible(self, other):
         if self.gens.names != other.gens.names:
@@ -125,7 +114,7 @@ class Element:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, Element):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.gens.names == other.gens.names
@@ -133,59 +122,89 @@ class Element:
             and self.terms == other.terms
         )
 
-    def __neg__(self):
-        return Element(self.gens, self.space, {m: -c for m, c in self.terms.items()},
-                       self.order, self.floor)
+    def add_terms(self, items):
+        """``self`` plus every ``(key, coeff)`` pair of ``items``."""
+        terms = dict(self.terms)
+        for k, c in items:
+            s = terms.get(k)
+            s = c if s is None else s + c
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+        return self._with(terms)
 
     def __add__(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Element(self.gens, self.space, terms, self.order, self.floor)
+        return self.add_terms(other.terms.items())
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         """Multiply by a scalar Series / Fraction / int."""
-        if isinstance(c, (int, Fraction)):
-            return Element(self.gens, self.space, {m: v * c for m, v in self.terms.items()},
-                           self.order, self.floor)
-        return Element(self.gens, self.space, {m: v * c for m, v in self.terms.items()},
-                       self.order, self.floor)
+        return self._with({k: p for k, v in self.terms.items() if (p := v * c)})
 
-    def map_coeffs(self, fn):
-        return Element(self.gens, self.space, {m: fn(c) for m, c in self.terms.items()},
-                       self.order, self.floor)
+    def map_coeffs(self, fn, space=None, order=None, floor=None, gens=None):
+        """Apply ``fn`` to every coefficient; the result lives over the given
+        generator set and ring (by default this one's)."""
+        new = self._with({k: d for k, c in self.terms.items() if (d := fn(c))})
+        new.gens = self.gens if gens is None else gens
+        new.space = self.space if space is None else space
+        new.order = self.order if order is None else order
+        new.floor = self.floor if floor is None else floor
+        return new
 
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
+    def _render_key(self, k, full):
+        return " (x) ".join(self.gens.names[i] for i in k)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{n}^{e}" if e != 1 else n for n, e in zip(self.gens.names, m) if e
-            ) or "1"
-            parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({c})*{self._render_key(k, False)}" for k, c in sorted(self.terms.items())
+        )
 
     __repr__ = __str__
 
     def to_json(self):
-        out = {}
-        for m, c in sorted(self.terms.items()):
-            key = "*".join(f"{n}^{e}" for n, e in zip(self.gens.names, m) if e) or "1"
-            out[key] = c.to_json()
-        return out
+        return {self._render_key(k, True): c.to_json() for k, c in sorted(self.terms.items())}
+
+
+class Element(LinComb):
+    """Finite combination of PBW-ordered monomials (exponent tuples) with
+    Series coefficients."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, gens, space, order, floor):
+        return cls(gens, space, {}, order, floor)
+
+    @classmethod
+    def unit(cls, gens, space, order, floor, coeff=1):
+        c = Series.const(space, coeff, order, floor)
+        return cls(gens, space, {(0,) * gens.dim: c}, order, floor)
+
+    @classmethod
+    def generator(cls, gens, space, name, order, floor, coeff=None):
+        return cls.monomial(gens, space, {name: 1}, order, floor, coeff)
+
+    @classmethod
+    def monomial(cls, gens, space, exps_by_name, order, floor, coeff=None):
+        m = [0] * gens.dim
+        for name, e in exps_by_name.items():
+            m[gens.index(name)] = e
+        c = coeff if coeff is not None else Series.one(space, order, floor)
+        return cls(gens, space, {tuple(m): c}, order, floor)
+
+    def _render_key(self, m, full):
+        return _mono_str(self.gens.names, m, full)
 
 
 class RewriteTable:
@@ -200,7 +219,7 @@ class RewriteTable:
         for i in range(gens.dim):
             for j in range(i):
                 if gens.central[i] or gens.central[j]:
-                    self.rules.setdefault((i, j), self._zero())
+                    self.rules.setdefault((i, j), self.zero())
                 if (i, j) not in self.rules:
                     raise StructureError(
                         f"missing rewrite rule for ({gens.names[i]}, {gens.names[j]})"
@@ -209,11 +228,8 @@ class RewriteTable:
         self._steps = 0
         self._budget = step_budget()
 
-    def _zero(self):
-        return Element.zero(self.gens, self.space, self.order, self.floor)
-
     def zero(self):
-        return self._zero()
+        return Element.zero(self.gens, self.space, self.order, self.floor)
 
     def one(self, coeff=1):
         return Element.unit(self.gens, self.space, self.order, self.floor, coeff)
@@ -292,16 +308,6 @@ class RewriteTable:
             res = res.scale(coeff)
         return res
 
-    def nf_raw(self, pieces):
-        """Normal form of a sum of (word, Series-coefficient) pieces."""
-        self._steps = 0
-        self._budget = step_budget()
-        acc = self._zero()
-        for word, c in pieces:
-            if c:
-                acc = acc + self._nf_word(tuple(word)).scale(c)
-        return acc
-
     def check(self, x: Element):
         if x.gens.names != self.gens.names or x.space.symbols != self.space.symbols:
             raise StructureError("element does not belong to this table's algebra")
@@ -326,13 +332,6 @@ def mul(x: Element, y: Element, table: RewriteTable) -> Element:
 
 def commutator(x: Element, y: Element, table: RewriteTable) -> Element:
     return mul(x, y, table) - mul(y, x, table)
-
-
-def power(x: Element, n: int, table: RewriteTable) -> Element:
-    out = table.one()
-    for _ in range(n):
-        out = mul(out, x, table)
-    return out
 
 
 def _coeff_min_wdeg(x: Element):
@@ -377,26 +376,23 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
     with optional simultaneous parameter substitution on coefficients.
 
     Works on Element and TensorElement alike."""
-    if isinstance(x, TensorElement):
-        terms = {}
-        zero_t = TensorElement.zero(x.rank, table_target.gens, table_target.space,
-                                    table_target.order, table_target.floor)
-        acc = zero_t
-        for monos, c in x.terms.items():
-            c2 = _map_coeff(c, param_sub, table_target)
-            if not c2:
-                continue
-            slot_elts = [
-                _substitute_monomial(m, x.gens, images, table_target) for m in monos
-            ]
-            acc = acc + TensorElement.outer(slot_elts).scale(c2)
-        return acc
-    acc = table_target.zero()
-    for m, c in x.terms.items():
+    tensor = isinstance(x, TensorElement)
+
+    def image(key):
+        if tensor:
+            return TensorElement.outer(
+                [_substitute_monomial(m, x.gens, images, table_target) for m in key])
+        return _substitute_monomial(key, x.gens, images, table_target)
+
+    if tensor:
+        acc = TensorElement.zero(x.rank, table_target.gens, table_target.space,
+                                 table_target.order, table_target.floor)
+    else:
+        acc = table_target.zero()
+    for key, c in x.terms.items():
         c2 = _map_coeff(c, param_sub, table_target)
-        if not c2:
-            continue
-        acc = acc + _substitute_monomial(m, x.gens, images, table_target).scale(c2)
+        if c2:
+            acc = acc + image(key).scale(c2)
     return acc
 
 
@@ -424,21 +420,22 @@ def _substitute_monomial(m, gens, images, table_target):
 # tensor-slot arithmetic
 # ---------------------------------------------------------------------------
 
-class TensorElement:
+class TensorElement(LinComb):
     """Rank-2 or rank-3 tensor over the algebra: monomial tuples -> Series.
 
     Slot-wise PBW ordering; the tensor product algebra is the ordinary
     (unbraided) one."""
 
-    __slots__ = ("rank", "gens", "space", "order", "floor", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank, gens, space, terms, order, floor):
         self.rank = rank
-        self.gens = gens
-        self.space = space
-        self.order = order
-        self.floor = floor
-        self.terms = {ms: c for ms, c in terms.items() if c}
+        super().__init__(gens, space, terms, order, floor)
+
+    def _with(self, terms):
+        new = super()._with(terms)
+        new.rank = self.rank
+        return new
 
     @classmethod
     def zero(cls, rank, gens, space, order, floor):
@@ -448,18 +445,10 @@ class TensorElement:
     def outer(cls, factors):
         """Tensor product of Elements (one per slot)."""
         f0 = factors[0]
-        acc = {(): Series.one(f0.space, f0.order, f0.floor)}
-        for f in factors:
-            nxt = {}
-            for ms, c in acc.items():
-                for m, c2 in f.terms.items():
-                    v = c * c2
-                    if v:
-                        key = ms + (m,)
-                        s = nxt.get(key)
-                        nxt[key] = v if s is None else s + v
-            acc = nxt
-        return cls(len(factors), f0.gens, f0.space, acc, f0.order, f0.floor)
+        terms = {(m,): c for m, c in f0.terms.items()}
+        for f in factors[1:]:
+            terms = {ms + (m,): c * c2 for ms, c in terms.items() for m, c2 in f.terms.items()}
+        return cls(len(factors), f0.gens, f0.space, terms, f0.order, f0.floor)
 
     def _compatible(self, other):
         if self.rank != other.rank:
@@ -467,65 +456,9 @@ class TensorElement:
         if self.gens.names != other.gens.names or self.space.symbols != other.space.symbols:
             raise StructureError("tensor algebra mismatch")
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __neg__(self):
-        return TensorElement(self.rank, self.gens, self.space,
-                             {ms: -c for ms, c in self.terms.items()}, self.order, self.floor)
-
-    def __add__(self, other):
-        self._compatible(other)
-        terms = dict(self.terms)
-        for ms, c in other.terms.items():
-            s = terms.get(ms)
-            s = c if s is None else s + c
-            if s:
-                terms[ms] = s
-            else:
-                terms.pop(ms, None)
-        return TensorElement(self.rank, self.gens, self.space, terms, self.order, self.floor)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return TensorElement(self.rank, self.gens, self.space,
-                             {ms: v * c for ms, v in self.terms.items()},
-                             self.order, self.floor)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for ms, c in sorted(self.terms.items()):
-            slots = " (x) ".join(
-                "*".join(f"{n}^{e}" if e != 1 else n
-                         for n, e in zip(self.gens.names, m) if e) or "1"
-                for m in ms
-            )
-            parts.append(f"({c})*[{slots}]")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        out = {}
-        for ms, c in sorted(self.terms.items()):
-            key = " (x) ".join(
-                "*".join(f"{n}^{e}" for n, e in zip(self.gens.names, m) if e) or "1"
-                for m in ms
-            )
-            out[key] = c.to_json()
-        return out
+    def _render_key(self, ms, full):
+        slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
+        return slots if full else f"[{slots}]"
 
 
 def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
@@ -547,16 +480,6 @@ def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
     return acc
 
 
-def element_to_tensor(x: Element, rank, slot):
-    """Embed an Element into slot ``slot`` of a rank-``rank`` tensor (1 elsewhere)."""
-    unit = (0,) * x.gens.dim
-    terms = {}
-    for m, c in x.terms.items():
-        key = tuple(m if s == slot else unit for s in range(rank))
-        terms[key] = c
-    return TensorElement(rank, x.gens, x.space, terms, x.order, x.floor)
-
-
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
     acc = TensorElement.zero(2, x.gens, x.space, x.order, x.floor)
@@ -572,53 +495,29 @@ def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
 def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3."""
     acc = TensorElement.zero(t.rank + 1, t.gens, t.space, t.order, t.floor)
+    one = Series.one(t.space, t.order, t.floor)
     for ms, c in t.terms.items():
-        elt = Element(t.gens, t.space,
-                      {ms[slot]: Series.one(t.space, t.order, t.floor)},
-                      t.order, t.floor)
-        dt = apply_coproduct(elt, delta, table)
-        for ms2, c2 in dt.terms.items():
-            key = ms[:slot] + ms2 + ms[slot + 1:]
-            v = c * c2
-            if not v:
-                continue
-            s = acc.terms.get(key)
-            acc.terms[key] = v if s is None else s + v
-    acc.terms = {k: v for k, v in acc.terms.items() if v}
+        dt = apply_coproduct(Element(t.gens, t.space, {ms[slot]: one}, t.order, t.floor),
+                             delta, table)
+        acc = acc.add_terms((ms[:slot] + ms2 + ms[slot + 1:], c * c2)
+                            for ms2, c2 in dt.terms.items())
     return acc
 
 
 def counit_collapse(t: TensorElement, slot, counit_values):
     """Apply the counit to one slot; returns an Element (rank 2) or rank-2
     tensor (rank 3).  ``counit_values``: generator name -> Fraction."""
-    unit_like = {}
+    if t.rank == 2:
+        acc = Element.zero(t.gens, t.space, t.order, t.floor)
+    else:
+        acc = TensorElement.zero(t.rank - 1, t.gens, t.space, t.order, t.floor)
+    pieces = []
     for ms, c in t.terms.items():
-        m = ms[slot]
         val = Fraction(1)
-        for name, e in zip(t.gens.names, m):
+        for name, e in zip(t.gens.names, ms[slot]):
             if e:
                 val *= Fraction(counit_values[name]) ** e
-        if not val:
-            continue
-        key = ms[:slot] + ms[slot + 1:]
-        v = c * val
-        s = unit_like.get(key)
-        unit_like[key] = v if s is None else s + v
-    unit_like = {k: v for k, v in unit_like.items() if v}
-    if t.rank == 2:
-        return Element(t.gens, t.space, {k[0]: v for k, v in unit_like.items()},
-                       t.order, t.floor)
-    return TensorElement(t.rank - 1, t.gens, t.space, unit_like, t.order, t.floor)
-
-
-def multiply_slots(t: TensorElement, table: RewriteTable) -> Element:
-    """Multiplication map m: collapse all slots into one product."""
-    acc = table.zero()
-    table._steps = 0
-    table._budget = step_budget()
-    for ms, c in t.terms.items():
-        word = ()
-        for m in ms:
-            word = word + word_of(m)
-        acc = acc + table._nf_word(word).scale(c)
-    return acc
+        if val:
+            key = ms[:slot] + ms[slot + 1:]
+            pieces.append((key[0] if t.rank == 2 else key, c * val))
+    return acc.add_terms(pieces)

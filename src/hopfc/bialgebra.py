@@ -1,33 +1,18 @@
 """Classical layer: Lie brackets, classical r-matrices, cocommutators and
-their consistency checks (cocycle, co-Jacobi, Schouten bracket)."""
+their consistency checks (cocycle, co-Jacobi, Schouten bracket).
+
+Vectors and tensors over the Lie-algebra basis are ``LinComb``s keyed by
+tuples of generator indices: ``(k,)`` for a vector, ``(i, j, k)`` for rank 3."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GeneratorSet
+from .algebra import GeneratorSet, LinComb
 from .errors import StructureError
 from .series import Series
-
-# linear combinations of generators are dicts  generator index -> Series
-
-
-def _vec_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vec_scale(u, c):
-    return {k: v * c for k, v in u.items() if v * c}
 
 
 @dataclass
@@ -38,170 +23,100 @@ class LieStructure:
     space: object          # ParamSpace for coefficients (params of r etc.)
     order: int
     floor: int
-    brackets: dict         # (i, j) with i < j -> dict gen index -> Series
+    brackets: dict         # (i, j) with i < j -> vector LinComb
 
     def scalar(self, c):
         return Series.const(self.space, c, self.order, self.floor)
 
+    def zero(self, cls=LinComb):
+        return cls(self.gens, self.space, {}, self.order, self.floor)
+
     def bracket_basis(self, i, j):
         """[X_i, X_j] as a vector; antisymmetry handled here."""
-        if i == j:
-            return {}
         if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+            return self.brackets.get((i, j)) or self.zero()
+        if i > j:
+            return -(self.brackets.get((j, i)) or self.zero())
+        return self.zero()
 
     def bracket(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, ck in self.bracket_basis(i, j).items():
-                    out = _vec_add(out, {k: ci * cj * ck})
+        out = self.zero()
+        for (i,), ci in u.terms.items():
+            for (j,), cj in v.terms.items():
+                out = out + self.bracket_basis(i, j).scale(ci * cj)
         return out
 
     def check_jacobi(self):
         residuals = []
         n = self.gens.dim
         for a, b, c in itertools.combinations(range(n), 3):
-            u, v, w = ({a: self.scalar(1)}, {b: self.scalar(1)}, {c: self.scalar(1)})
-            r = _vec_add(
-                _vec_add(self.bracket(self.bracket(u, v), w),
-                         self.bracket(self.bracket(v, w), u)),
-                self.bracket(self.bracket(w, u), v),
-            )
+            u, v, w = (self.zero().add_terms([((k,), self.scalar(1))]) for k in (a, b, c))
+            r = (self.bracket(self.bracket(u, v), w)
+                 + self.bracket(self.bracket(v, w), u)
+                 + self.bracket(self.bracket(w, u), v))
             if r:
                 residuals.append((a, b, c, r))
         return residuals
 
 
-@dataclass
-class WedgeTensor:
+class WedgeTensor(LinComb):
     """Antisymmetric rank-2 tensor in the wedge basis X_i ^ X_j with i < j,
     convention X ^ Y = X (x) Y - Y (x) X."""
 
-    gens: GeneratorSet
-    space: object
-    order: int
-    floor: int
-    entries: dict = field(default_factory=dict)   # (i, j) i < j -> Series
+    __slots__ = ()
 
-    def __post_init__(self):
-        clean = {}
-        for (i, j), c in self.entries.items():
-            if i >= j:
-                raise StructureError("wedge entries must use i < j")
-            if c:
-                clean[(i, j)] = c
-        self.entries = clean
+    def __init__(self, gens, space, terms, order, floor):
+        if any(i >= j for i, j in terms):
+            raise StructureError("wedge entries must use i < j")
+        super().__init__(gens, space, terms, order, floor)
+
+    def add_wedges(self, items):
+        """``self`` plus c * X_i ^ X_j for every ``((i, j), c)`` of ``items``."""
+        return self.add_terms(((i, j), c) if i < j else ((j, i), -c)
+                              for (i, j), c in items if i != j)
 
     @classmethod
-    def from_tensor(cls, gens, space, order, floor, tensor):
-        """Antisymmetrize a plain tensor dict (i, j) -> Series into wedge form."""
-        entries = {}
-        for (i, j), c in tensor.items():
-            if i == j:
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            sign = 1 if i < j else -1
-            half = c * Fraction(sign, 2)
-            s = entries.get((a, b))
-            entries[(a, b)] = half if s is None else s + half
-        return cls(gens, space, order, floor, entries)
+    def from_tensor(cls, t: LinComb):
+        """Antisymmetrize a rank-2 tensor: X_i (x) X_j -> X_i ^ X_j / 2."""
+        half = Fraction(1, 2)
+        return cls(t.gens, t.space, {}, t.order, t.floor).add_wedges(
+            (k, c * half) for k, c in t.terms.items())
 
-    def to_tensor(self):
-        out = {}
-        for (i, j), c in self.entries.items():
-            out[(i, j)] = out.get((i, j), Series.zero(self.space, self.order, self.floor)) + c
-            out[(j, i)] = out.get((j, i), Series.zero(self.space, self.order, self.floor)) - c
-        return {k: v for k, v in out.items() if v}
+    def to_tensor(self) -> LinComb:
+        return LinComb(self.gens, self.space,
+                       {k: v for (i, j), c in self.terms.items()
+                        for k, v in (((i, j), c), ((j, i), -c))},
+                       self.order, self.floor)
 
-    def __add__(self, other):
-        entries = dict(self.entries)
-        for k, c in other.entries.items():
-            s = entries.get(k)
-            s = c if s is None else s + c
-            if s:
-                entries[k] = s
-            else:
-                entries.pop(k, None)
-        return WedgeTensor(self.gens, self.space, self.order, self.floor, entries)
-
-    def __neg__(self):
-        return WedgeTensor(self.gens, self.space, self.order, self.floor,
-                           {k: -c for k, c in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return WedgeTensor(self.gens, self.space, self.order, self.floor,
-                           {k: v * c for k, v in self.entries.items()})
-
-    def is_zero(self):
-        return not self.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, WedgeTensor) and self.entries == other.entries
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join(
-            f"({c})*{self.gens.names[i]}^{self.gens.names[j]}"
-            for (i, j), c in sorted(self.entries.items())
-        )
-
-    __repr__ = __str__
+    def _render_key(self, k, full):
+        i, j = k
+        return f"{self.gens.names[i]}^{self.gens.names[j]}"
 
 
-def cocommutator_from_r(L: LieStructure, r: WedgeTensor):
-    """delta(X) = [X (x) 1 + 1 (x) X, r], per generator, in wedge form."""
-    out = {}
-    rt = r.to_tensor()
-    for x in range(L.gens.dim):
-        tensor = {}
-        for (a, b), c in rt.items():
-            for k, ck in L.bracket_basis(x, a).items():
-                key = (k, b)
-                v = c * ck
-                s = tensor.get(key)
-                tensor[key] = v if s is None else s + v
-            for k, ck in L.bracket_basis(x, b).items():
-                key = (a, k)
-                v = c * ck
-                s = tensor.get(key)
-                tensor[key] = v if s is None else s + v
-        out[x] = WedgeTensor.from_tensor(L.gens, L.space, L.order, L.floor, tensor)
-    return out
+def _ad_terms(L: LieStructure, x, t: LinComb):
+    """ad_x on a tensor by the Leibniz rule, as (key, coeff) pairs."""
+    for key, c in t.terms.items():
+        for s, a in enumerate(key):
+            for (k,), ck in L.bracket_basis(x, a).terms.items():
+                yield key[:s] + (k,) + key[s + 1:], c * ck
 
 
 def _ad_on_wedge(L: LieStructure, x, w: WedgeTensor) -> WedgeTensor:
     """ad_x acting on a wedge tensor via the Leibniz extension."""
-    tensor = {}
-    for (a, b), c in w.to_tensor().items():
-        for k, ck in L.bracket_basis(x, a).items():
-            key = (k, b)
-            v = c * ck
-            s = tensor.get(key)
-            tensor[key] = v if s is None else s + v
-        for k, ck in L.bracket_basis(x, b).items():
-            key = (a, k)
-            v = c * ck
-            s = tensor.get(key)
-            tensor[key] = v if s is None else s + v
-    return WedgeTensor.from_tensor(L.gens, L.space, L.order, L.floor, tensor)
+    return WedgeTensor.from_tensor(L.zero().add_terms(_ad_terms(L, x, w.to_tensor())))
+
+
+def cocommutator_from_r(L: LieStructure, r: WedgeTensor):
+    """delta(X) = [X (x) 1 + 1 (x) X, r], per generator, in wedge form."""
+    return {x: _ad_on_wedge(L, x, r) for x in range(L.gens.dim)}
 
 
 def check_cocycle(L: LieStructure, delta):
     """delta([X,Y]) = ad_X delta(Y) - ad_Y delta(X), all generator pairs."""
     residuals = []
-    zero = WedgeTensor(L.gens, L.space, L.order, L.floor, {})
     for x, y in itertools.combinations(range(L.gens.dim), 2):
-        lhs = zero
-        for k, ck in L.bracket_basis(x, y).items():
+        lhs = L.zero(WedgeTensor)
+        for (k,), ck in L.bracket_basis(x, y).terms.items():
             lhs = lhs + delta[k].scale(ck)
         rhs = _ad_on_wedge(L, x, delta[y]) - _ad_on_wedge(L, y, delta[x])
         r = lhs - rhs
@@ -214,63 +129,38 @@ def check_cojacobi(L: LieStructure, delta):
     """Circular sum of (delta (x) id) delta(X) vanishes for every X."""
     residuals = []
     for x in range(L.gens.dim):
-        acc = {}
-        for (a, b), c in delta[x].to_tensor().items():
-            for (p, q), c2 in delta[a].to_tensor().items():
-                for key in [(p, q, b), (b, p, q), (q, b, p)]:
-                    v = c * c2
-                    s = acc.get(key)
-                    acc[key] = v if s is None else s + v
-        acc = {k: v for k, v in acc.items() if v}
+        acc = L.zero().add_terms(
+            (key, c * c2)
+            for (a, b), c in delta[x].to_tensor().terms.items()
+            for (p, q), c2 in delta[a].to_tensor().terms.items()
+            for key in ((p, q, b), (b, p, q), (q, b, p)))
         if acc:
             residuals.append((L.gens.names[x], acc))
     return residuals
 
 
-def schouten_bracket(L: LieStructure, r: WedgeTensor):
-    """[[r, r]] as a rank-3 tensor dict (i, j, k) -> Series."""
-    rt = r.to_tensor()
-    acc = {}
+def schouten_bracket(L: LieStructure, r: WedgeTensor) -> LinComb:
+    """[[r, r]] as a rank-3 tensor."""
+    rt = r.to_tensor().terms
 
-    def add(key, v):
-        if not v:
-            return
-        s = acc.get(key)
-        acc[key] = v if s is None else s + v
+    def terms():
+        for (a, b), c1 in rt.items():
+            for (cc, d), c2 in rt.items():
+                v = c1 * c2
+                # [r12, r13] = [X_a, X_c] (x) X_b (x) X_d
+                for (k,), ck in L.bracket_basis(a, cc).terms.items():
+                    yield (k, b, d), v * ck
+                # [r12, r23] = X_a (x) [X_b, X_c] (x) X_d
+                for (k,), ck in L.bracket_basis(b, cc).terms.items():
+                    yield (a, k, d), v * ck
+                # [r13, r23] = X_a (x) X_c (x) [X_b, X_d]
+                for (k,), ck in L.bracket_basis(b, d).terms.items():
+                    yield (a, cc, k), v * ck
 
-    for (a, b), c1 in rt.items():
-        for (cc, d), c2 in rt.items():
-            v = c1 * c2
-            # [r12, r13] = [X_a, X_c] (x) X_b (x) X_d
-            for k, ck in L.bracket_basis(a, cc).items():
-                add((k, b, d), v * ck)
-            # [r12, r23] = X_a (x) [X_b, X_c] (x) X_d
-            for k, ck in L.bracket_basis(b, cc).items():
-                add((a, k, d), v * ck)
-            # [r13, r23] = X_a (x) X_c (x) [X_b, X_d]
-            for k, ck in L.bracket_basis(b, d).items():
-                add((a, cc, k), v * ck)
-    return {k: v for k, v in acc.items() if v}
+    return L.zero().add_terms(terms())
 
 
-def is_ad_invariant(L: LieStructure, tensor3):
+def is_ad_invariant(L: LieStructure, tensor3: LinComb):
     """Check a rank-3 tensor commutes with every ad-action."""
-    for x in range(L.gens.dim):
-        acc = {}
-
-        def add(key, v):
-            if not v:
-                return
-            s = acc.get(key)
-            acc[key] = v if s is None else s + v
-
-        for (a, b, c), v in tensor3.items():
-            for k, ck in L.bracket_basis(x, a).items():
-                add((k, b, c), v * ck)
-            for k, ck in L.bracket_basis(x, b).items():
-                add((a, k, c), v * ck)
-            for k, ck in L.bracket_basis(x, c).items():
-                add((a, b, k), v * ck)
-        if any(acc.values()):
-            return False
-    return True
+    return not any(L.zero().add_terms(_ad_terms(L, x, tensor3))
+                   for x in range(L.gens.dim))

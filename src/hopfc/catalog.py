@@ -22,6 +22,7 @@ from functools import lru_cache
 from .algebra import (
     Element,
     GeneratorSet,
+    LinComb,
     RewriteTable,
     TensorElement,
     generator_function,
@@ -447,17 +448,10 @@ def classical_r(name) -> WedgeTensor:
         raise LookupError_(name, sorted(_R_SPECS))
     syms, terms = _R_SPECS[name]
     space = ParamSpace.make(*syms)
-    entries = {}
-    for c, sym, x, y in terms:
-        i, j = GL2.index(x), GL2.index(y)
-        coeff = Series.symbol(space, sym, EXACT_ORDER, EXACT_FLOOR, coeff=c)
-        if i < j:
-            key, v = (i, j), coeff
-        else:
-            key, v = (j, i), -coeff
-        s = entries.get(key)
-        entries[key] = v if s is None else s + v
-    return WedgeTensor(GL2, space, EXACT_ORDER, EXACT_FLOOR, entries)
+    r = WedgeTensor(GL2, space, {}, EXACT_ORDER, EXACT_FLOOR)
+    return r.add_wedges(((GL2.index(x), GL2.index(y)),
+                         Series.symbol(space, sym, EXACT_ORDER, EXACT_FLOOR, coeff=c))
+                        for c, sym, x, y in terms)
 
 
 _GL2_BRACKETS = {
@@ -474,30 +468,22 @@ _H4_BRACKETS = {
     (2, 3): {3: -1},       # [N, Am] = -Am
 }
 
-#: presentation name -> family key for the classical layer
-LIE_FAMILY = {
-    "gl2.II.standard": "gl2.II.standard",
-    "gl2.II.nonstandard": "gl2.II.nonstandard",
-    "gl2.Iplus.standard": "gl2.Iplus.standard",
-    "gl2.Iplus.nonstandard": "gl2.Iplus.nonstandard",
-}
-
-
 @lru_cache(maxsize=None)
 def lie_structure(name) -> LieStructure:
     """Classical Lie structure underlying a catalog family, with coefficients
     in that family's original parameter space."""
-    if name in LIE_FAMILY:
-        space = classical_r(LIE_FAMILY[name]).space
+    if name in _R_SPECS:
+        space = classical_r(name).space
         gens, raw = GL2, _GL2_BRACKETS
     elif name in ("gl2.classical",):
         space, gens, raw = ParamSpace.make(), GL2, _GL2_BRACKETS
     elif name in ("h4.classical",):
         space, gens, raw = ParamSpace.make(), H4, _H4_BRACKETS
     else:
-        raise LookupError_(name, sorted(LIE_FAMILY) + ["gl2.classical", "h4.classical"])
+        raise LookupError_(name, sorted(_R_SPECS) + ["gl2.classical", "h4.classical"])
     brackets = {
-        k: {g: Series.const(space, c, EXACT_ORDER, EXACT_FLOOR) for g, c in vec.items()}
+        k: LinComb(gens, space, {(g,): Series.const(space, c, EXACT_ORDER, EXACT_FLOOR)
+                                 for g, c in vec.items()}, EXACT_ORDER, EXACT_FLOOR)
         for k, vec in raw.items()
     }
     return LieStructure(gens, space, EXACT_ORDER, EXACT_FLOOR, brackets)
@@ -518,8 +504,8 @@ _LIE_INV = (
 )
 
 
-def lie_scaling(name):
-    """(forward, inverse) Lie-level scaling for any gl(2) source family."""
+def lie_scaling():
+    """(forward, inverse) Lie-level scaling, shared by every gl(2) source family."""
     return _LIE_FWD, _LIE_INV
 
 

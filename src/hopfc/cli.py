@@ -102,8 +102,12 @@ def cmd_contract(args):
     checks = []
     ok = True
     force = _parse_force(args.force_exponent)
-    for name in args.cases:
-        case = catalog.get_case(name)
+    cases = [catalog.get_case(name) for name in args.cases]
+    params = {p for case in cases for p in case.param_map}
+    for k in force:
+        if k not in params:
+            raise LookupError_(k, params, what="--force-exponent parameter")
+    for name, case in zip(args.cases, cases):
         sol = solve_min_exponents(case)
         minima_ok = sol.r_min == {g: case.expected_exponents.get(g) for g in sol.r_min}
         checks.append({
@@ -213,10 +217,11 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, formats=True):
         sp.add_argument("--order", type=int, default=catalog.DEFAULT_ORDER,
                         help="series truncation order N (default 4)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="write the report to this path")
 
     v = sub.add_parser("verify", help="run the full axiom suite on catalog algebras")
@@ -251,7 +256,7 @@ def build_parser():
 
     d = sub.add_parser("dump", help="dump a catalog presentation as JSON")
     d.add_argument("name")
-    common(d)
+    common(d, formats=False)
     d.set_defaults(func=cmd_dump)
     return p
 

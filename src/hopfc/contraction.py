@@ -12,14 +12,12 @@ from .algebra import (
     Element,
     GeneratorSet,
     RewriteTable,
-    TensorElement,
     apply_coproduct,
     commutator,
-    mul,
     substitute_generators,
 )
-from .bialgebra import LieStructure, WedgeTensor
-from .errors import DivergenceError, StructureError
+from .bialgebra import WedgeTensor
+from .errors import StructureError
 from .hopf import HopfPresentation
 from .series import (
     DEFAULT_FLOOR,
@@ -112,20 +110,15 @@ def transform_wedge(w: WedgeTensor, lie_inverse, new_gens, space, sigma) -> Wedg
     """Push a wedge tensor through the (inverse) generator scaling and a
     parameter substitution; wedge cancellation happens here, before any
     valuation is read off."""
-    tensor = {}
-    for (i, j), c in w.entries.items():
-        c2 = c.substitute(sigma, order=EXACT_ORDER, floor=EXACT_FLOOR, space=space)
-        for f1, e1, k1 in lie_inverse[i]:
-            for f2, e2, k2 in lie_inverse[j]:
-                if k1 == k2:
-                    continue
-                v = c2 * Series.term(space, {EPS: e1 + e2} if e1 + e2 else {},
-                                     f1 * f2, EXACT_ORDER, EXACT_FLOOR)
-                for key, s in (((k1, k2), 1), ((k2, k1), -1)):
-                    t = tensor.get(key)
-                    vv = v * s
-                    tensor[key] = vv if t is None else t + vv
-    return WedgeTensor.from_tensor(new_gens, space, EXACT_ORDER, EXACT_FLOOR, tensor)
+    def terms():
+        for (i, j), c in w.terms.items():
+            c2 = c.substitute(sigma, order=EXACT_ORDER, floor=EXACT_FLOOR, space=space)
+            for f1, e1, k1 in lie_inverse[i]:
+                for f2, e2, k2 in lie_inverse[j]:
+                    yield (k1, k2), c2 * Series.term(space, {EPS: e1 + e2} if e1 + e2 else {},
+                                                     f1 * f2, EXACT_ORDER, EXACT_FLOOR)
+
+    return WedgeTensor(new_gens, space, {}, EXACT_ORDER, EXACT_FLOOR).add_wedges(terms())
 
 
 def _min_exponents_from(wedges, space, group_syms):
@@ -135,7 +128,7 @@ def _min_exponents_from(wedges, space, group_syms):
     sym_i = {s: space.index(s) for syms in group_syms.values() for s in syms}
     mins = {g: None for g in group_syms}
     for w in wedges:
-        for c in w.entries.values():
+        for c in w.terms.values():
             for exps in c.terms:
                 v = exps[eps_i]
                 for g, syms in group_syms.items():
@@ -154,14 +147,12 @@ def solve_min_exponents(case: ContractionCase, order=4):
 
     r = catalog.classical_r(case.lie_r_name)
     L = catalog.lie_structure(case.source)
-    lie_fwd, lie_inv = catalog.lie_scaling(case.source)
+    lie_fwd, lie_inv = catalog.lie_scaling()
     new_gens = case.scaling.new_gens
 
     # workspace: old params + new params + eps
-    specs = [(s, r.space.weights[i], r.space.invertible[i])
-             for i, s in enumerate(r.space.symbols)]
     new_syms = sorted({img.target for img in case.lie_param_map.values() if img.target})
-    space = ParamSpace.make(*specs, *[(s, 1, False) for s in new_syms], EPS)
+    space = r.space.union(ParamSpace.make(*new_syms, EPS))
 
     group_syms = {}
     for old, g in case.lie_groups.items():
@@ -179,7 +170,7 @@ def solve_min_exponents(case: ContractionCase, order=4):
     delta = cocommutator_from_r(L, r)
     d_wedges = []
     for y in range(new_gens.dim):
-        acc = WedgeTensor(new_gens, space, EXACT_ORDER, EXACT_FLOOR, {})
+        acc = WedgeTensor(new_gens, space, {}, EXACT_ORDER, EXACT_FLOOR)
         for f, e, oldg in lie_fwd[y]:
             piece = transform_wedge(delta[oldg], lie_inv, new_gens, space, sigma0)
             scale = Series.term(space, {EPS: e} if e else {}, f, EXACT_ORDER, EXACT_FLOOR)
@@ -197,12 +188,10 @@ def solve_min_exponents(case: ContractionCase, order=4):
             exps[old] = r_min[g]
     sigma = _lie_sigma(space, case.lie_param_map, exponents=exps)
     r_lim = transform_wedge(r, lie_inv, new_gens, space, sigma)
-    entries = {}
-    for k, c in r_lim.entries.items():
-        lim = c.limit_zero(EPS, context=f"contracted r entry {k}")
-        if lim:
-            entries[k] = lim
-    r_contracted = WedgeTensor(new_gens, space.without(EPS), EXACT_ORDER, EXACT_FLOOR, entries)
+    r_contracted = WedgeTensor(
+        new_gens, space.without(EPS),
+        {k: c.limit_zero(EPS, context=f"contracted r entry {k}") for k, c in r_lim.terms.items()},
+        EXACT_ORDER, EXACT_FLOOR)
 
     return ExponentSolution(r_min, d_min, coboundary, r_contracted)
 
@@ -211,53 +200,16 @@ def solve_min_exponents(case: ContractionCase, order=4):
 # quantum contraction
 # ---------------------------------------------------------------------------
 
-def _eps_slice(c: Series, context):
-    """eps -> 0 limit keeping the ambient space; divergence raises."""
-    i = c.space.index(EPS)
-    bad = sorted(e for e in c.terms if e[i] < 0)
-    if bad:
-        raise DivergenceError([c._render_term(e, c.terms[e]) for e in bad], context=context)
-    return Series(c.space, {e: v for e, v in c.terms.items() if e[i] == 0},
-                  c.order, c.floor)
-
-
-def _mono_series(space, coeff, mono):
-    return Series.term(space, mono, coeff, EXACT_ORDER, EXACT_FLOOR)
-
-
 def _combo_element(table, combo, sigma):
     """Linear combination [(Fraction, coeff-monomial, gen name)] -> Element,
     with the parameter substitution applied to the coefficients."""
     acc = table.zero()
     for f, mono, gname in combo:
-        c = _mono_series(table.space, f, mono)
+        c = Series.term(table.space, mono, f, EXACT_ORDER, EXACT_FLOOR)
         if sigma:
             c = c.substitute(sigma, order=EXACT_ORDER, floor=EXACT_FLOOR, space=table.space)
         acc = acc + table.gen(gname, coeff=c)
     return acc
-
-
-def _embed_table(table: RewriteTable, space) -> RewriteTable:
-    rules = {
-        k: Element(r.gens, space,
-                   {m: c.embed(space, EXACT_ORDER, EXACT_FLOOR) for m, c in r.terms.items()},
-                   EXACT_ORDER, EXACT_FLOOR)
-        for k, r in table.rules.items()
-    }
-    return RewriteTable(table.gens, space, EXACT_ORDER, EXACT_FLOOR, rules)
-
-
-def _embed_tensor(t: TensorElement, space) -> TensorElement:
-    return TensorElement(t.rank, t.gens, space,
-                         {ms: c.embed(space, EXACT_ORDER, EXACT_FLOOR)
-                          for ms, c in t.terms.items()},
-                         EXACT_ORDER, EXACT_FLOOR)
-
-
-def _embed_element(x: Element, space) -> Element:
-    return Element(x.gens, space,
-                   {m: c.embed(space, EXACT_ORDER, EXACT_FLOOR) for m, c in x.terms.items()},
-                   EXACT_ORDER, EXACT_FLOOR)
 
 
 #: bootstrap order for target rewrite-rule construction: rules among the
@@ -274,24 +226,14 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
 
     src = catalog.get(case.source, order)
     tgt_space = case.target_space()
-    specs = [(s, src.space.weights[i], src.space.invertible[i])
-             for i, s in enumerate(src.space.symbols)]
-    specs += [(s, tgt_space.weights[i], tgt_space.invertible[i])
-              for i, s in enumerate(tgt_space.symbols)]
-    ws = ParamSpace.make(*specs, EPS)
+    ws = src.space.union(tgt_space).union(ParamSpace.make(EPS))
+    sigma = _lie_sigma(ws, case.param_map, force_exponents)
 
-    sigma = {}
-    for old, img in case.param_map.items():
-        n = img.eps_exp if force_exponents is None else force_exponents.get(old, img.eps_exp)
-        mono = {}
-        if n:
-            mono[EPS] = n
-        if img.target is not None:
-            mono[img.target] = 1
-        sigma[old] = _mono_series(ws, img.coeff, mono)
+    def embed(c: Series):
+        return c.embed(ws, EXACT_ORDER, EXACT_FLOOR)
 
-    src_table = _embed_table(src.table, ws)
-    src_delta = {n: _embed_tensor(t, ws) for n, t in src.coproduct.items()}
+    src_ws = src.map_coeffs(embed, ws, EXACT_ORDER, EXACT_FLOOR)
+    src_table = src_ws.table
 
     new_gens = case.scaling.new_gens
     scaffold = RewriteTable(
@@ -309,67 +251,45 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         for new, combo in case.scaling.forward.items()
     }
 
-    def contract_element(x: Element, context) -> Element:
+    def contract(x, context):
         y = substitute_generators(x, inverse_images, scaffold, param_sub=sigma)
-        return y.map_coeffs(lambda c, _ctx=context: _eps_slice(c, _ctx))
+        return y.map_coeffs(lambda c: c.zero_slice(EPS, context))
 
     # rewrite rules, in bootstrap order
     for i, j in _pair_sequence(new_gens.dim):
         ni, nj = new_gens.names[i], new_gens.names[j]
         com = commutator(forward_elements[ni], forward_elements[nj], src_table)
-        rule = contract_element(com, f"[{ni},{nj}]")
+        rule = contract(com, f"[{ni},{nj}]")
         if (new_gens.central[i] or new_gens.central[j]) and rule:
             raise StructureError(f"contraction broke centrality: [{ni},{nj}] = {rule}")
         scaffold.set_rule_by_index(i, j, rule)
 
-    # coproducts
-    coproduct = {}
-    for y in new_gens.names:
-        d = apply_coproduct(forward_elements[y], src_delta, src_table)
-        dc = substitute_generators(d, inverse_images, scaffold, param_sub=sigma)
-        coproduct[y] = TensorElement(
-            2, new_gens, ws,
-            {ms: _eps_slice(c, f"Delta({y})") for ms, c in dc.terms.items()},
-            EXACT_ORDER, EXACT_FLOOR,
-        )
+    coproduct = {
+        y: contract(apply_coproduct(forward_elements[y], src_ws.coproduct, src_table),
+                    f"Delta({y})")
+        for y in new_gens.names
+    }
 
     # Casimir: lim eps^2 ( -C/2 + counterterm )
     casimir = None
     if src.casimir is not None and case.casimir_counterterm is not None:
-        c_src = _embed_element(src.casimir, ws)
-        counterterm = _embed_element(case.casimir_counterterm(src.table), ws)
-        expr = c_src.scale(Fraction(-1, 2)) + counterterm
-        expr = expr.scale(_mono_series(ws, Fraction(1), {EPS: 2}))
-        casimir = contract_element(expr, "casimir limit")
+        counterterm = case.casimir_counterterm(src.table).map_coeffs(
+            embed, ws, EXACT_ORDER, EXACT_FLOOR)
+        expr = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
+        expr = expr.scale(Series.term(ws, {EPS: 2}, 1, EXACT_ORDER, EXACT_FLOOR))
+        casimir = contract(expr, "casimir limit")
 
-    # assemble at the requested order over the target space
-    def finalize(c: Series):
-        return c.restrict(tgt_space, order=order, floor=DEFAULT_FLOOR)
-
-    rules = {
-        k: Element(new_gens, tgt_space, {m: finalize(c) for m, c in r.terms.items()},
-                   order, DEFAULT_FLOOR)
-        for k, r in scaffold.rules.items()
-    }
-    table = RewriteTable(new_gens, tgt_space, order, DEFAULT_FLOOR, rules)
-    delta = {
-        n: TensorElement(2, new_gens, tgt_space,
-                         {ms: finalize(c) for ms, c in t.terms.items()},
-                         order, DEFAULT_FLOOR)
-        for n, t in coproduct.items()
-    }
-    cas = None
-    if casimir is not None:
-        cas = Element(new_gens, tgt_space,
-                      {m: finalize(c) for m, c in casimir.terms.items()},
-                      order, DEFAULT_FLOOR)
-    return HopfPresentation(
+    contracted = HopfPresentation(
         name=f"{case.source} --({case.name})--> {case.target}",
-        table=table,
-        coproduct=delta,
+        table=scaffold,
+        coproduct=coproduct,
         counit={n: Fraction(0) for n in new_gens.names},
-        casimir=cas,
+        casimir=casimir,
     )
+    # assemble at the requested order over the target space
+    return contracted.map_coeffs(
+        lambda c: c.restrict(tgt_space, order=order, floor=DEFAULT_FLOOR),
+        tgt_space, order, DEFAULT_FLOOR)
 
 
 def contract_casimir(case: ContractionCase, order=4) -> Element:
@@ -393,38 +313,22 @@ class MatchReport:
                 "residuals": [str(r) for r in self.residuals]}
 
 
-def _align(c: Series, space):
-    return c.embed(space, EXACT_ORDER, EXACT_FLOOR)
-
-
-def match_presentation(got: HopfPresentation, want: HopfPresentation, order=None) -> MatchReport:
+def match_presentation(got: HopfPresentation, want: HopfPresentation) -> MatchReport:
     """Term-for-term comparison of rewrite rules, coproducts, and Casimirs."""
     residuals = []
     if got.gens.names != want.gens.names:
         return MatchReport(False, [f"generator mismatch: {got.gens.names} vs {want.gens.names}"])
     space = got.space.union(want.space)
-
-    def diff(a, b):
-        out = {}
-        for m, c in a.items():
-            out[m] = _align(c, space)
-        for m, c in b.items():
-            d = out.get(m)
-            cc = _align(c, space)
-            d = -cc if d is None else d - cc
-            if d:
-                out[m] = d
-            else:
-                out.pop(m, None)
-        return out
+    got, want = (H.map_coeffs(lambda c: c.embed(space, EXACT_ORDER, EXACT_FLOOR),
+                              space, EXACT_ORDER, EXACT_FLOOR) for H in (got, want))
 
     for k in sorted(got.table.rules):
-        r = diff(got.table.rules[k].terms, want.table.rules[k].terms)
+        r = (got.table.rules[k] - want.table.rules[k]).terms
         if r:
             i, j = k
             residuals.append(f"rule [{got.gens.names[i]},{got.gens.names[j]}]: {r}")
     for n in got.gens.names:
-        r = diff(got.coproduct[n].terms, want.coproduct[n].terms)
+        r = (got.coproduct[n] - want.coproduct[n]).terms
         if r:
             residuals.append(f"coproduct({n}): {r}")
         if Fraction(got.counit[n]) != Fraction(want.counit[n]):
@@ -432,7 +336,7 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation, order=None
     if (got.casimir is None) != (want.casimir is None):
         residuals.append("casimir present on one side only")
     elif got.casimir is not None:
-        r = diff(got.casimir.terms, want.casimir.terms)
+        r = (got.casimir - want.casimir).terms
         if r:
             residuals.append(f"casimir: {r}")
     return MatchReport(not residuals, residuals)
@@ -494,30 +398,14 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
 def classical_limit(H: HopfPresentation, rename=None) -> HopfPresentation:
     """All deformation parameters -> 0, optionally renaming generators."""
     names = tuple(rename.get(n, n) if rename else n for n in H.gens.names)
-    gens = GeneratorSet(names, H.gens.central)
     space = ParamSpace.make()
 
     def limit(c: Series):
-        out = c
         for s in H.space.symbols:
-            out = out.zero_slice(s)
-        return out.restrict(space, order=H.order, floor=H.table.floor)
+            c = c.zero_slice(s)
+        return c.restrict(space, order=H.order, floor=H.table.floor)
 
-    rules = {
-        k: Element(gens, space, {m: limit(c) for m, c in r.terms.items()},
-                   H.order, H.table.floor)
-        for k, r in H.table.rules.items()
-    }
-    table = RewriteTable(gens, space, H.order, H.table.floor, rules)
-    delta = {
-        names[i]: TensorElement(2, gens, space,
-                                {ms: limit(c) for ms, c in H.coproduct[n].terms.items()},
-                                H.order, H.table.floor)
-        for i, n in enumerate(H.gens.names)
-    }
-    cas = None
-    if H.casimir is not None:
-        cas = Element(gens, space, {m: limit(c) for m, c in H.casimir.terms.items()},
-                      H.order, H.table.floor)
-    counit = {names[i]: H.counit[n] for i, n in enumerate(H.gens.names)}
-    return HopfPresentation(f"{H.name} [classical limit]", table, delta, counit, cas)
+    lim = H.map_coeffs(limit, space, H.order, H.table.floor,
+                       gens=GeneratorSet(names, H.gens.central))
+    lim.name = f"{H.name} [classical limit]"
+    return lim

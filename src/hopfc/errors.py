@@ -46,9 +46,10 @@ class SynthesisFailureError(HopfcError):
 
 
 class LookupError_(HopfcError):
-    """Unknown catalog name; carries the list of valid names."""
+    """Unknown catalog name (or other named input, per ``what``); carries the
+    list of valid names."""
 
-    def __init__(self, name, valid):
+    def __init__(self, name, valid, what="catalog name"):
         self.name = name
         self.valid = sorted(valid)
-        super().__init__(f"unknown catalog name {name!r}; valid names: {self.valid}")
+        super().__init__(f"unknown {what} {name!r}; valid names: {self.valid}")

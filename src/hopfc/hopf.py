@@ -16,9 +16,7 @@ from .algebra import (
     commutator,
     coproduct_on_slot,
     counit_collapse,
-    element_to_tensor,
     mul,
-    multiply_slots,
     tensor_mul,
 )
 from .errors import StructureError, SynthesisFailureError
@@ -60,6 +58,25 @@ class HopfPresentation:
 
     def delta(self, x: Element) -> TensorElement:
         return apply_coproduct(x, self.coproduct, self.table)
+
+    def map_coeffs(self, fn, space, order, floor, gens=None) -> HopfPresentation:
+        """This presentation with ``fn`` applied to every coefficient of its
+        rewrite rules, coproducts and Casimir, over the ring (space, order,
+        floor).  ``gens`` renames the generators position by position."""
+        gens = self.gens if gens is None else gens
+
+        def conv(x):
+            return x.map_coeffs(fn, space, order, floor, gens)
+
+        rules = {k: conv(r) for k, r in self.table.rules.items()}
+        pairs = list(zip(self.gens.names, gens.names))
+        return HopfPresentation(
+            self.name,
+            RewriteTable(gens, space, order, floor, rules),
+            {new: conv(self.coproduct[old]) for old, new in pairs},
+            {new: self.counit[old] for old, new in pairs},
+            None if self.casimir is None else conv(self.casimir),
+        )
 
 
 @dataclass

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bialgebra import WedgeTensor
-from .errors import DivergenceError, LookupError_, StructureError
+from .errors import LookupError_, StructureError
 from .series import (
     DEFAULT_FLOOR,
     EXACT_FLOOR,
@@ -150,20 +150,12 @@ def triangularity_residual(r4):
 
 def rmat_limit(r4, name):
     """Zero-slice of one parameter in every entry; negative powers raise."""
-    out = []
-    for i, row in enumerate(r4):
-        new_row = []
-        for j, c in enumerate(row):
-            k = c.space.index(name)
-            bad = [e for e in c.terms if e[k] < 0]
-            if bad:
-                raise DivergenceError(
-                    [c._render_term(e, c.terms[e]) for e in sorted(bad)],
-                    context=f"entry ({i},{j}) under {name} -> 0",
-                )
-            new_row.append(c.zero_slice(name))
-        out.append(new_row)
-    return out
+    space = r4[0][0].space
+    if not space.has(name):
+        raise LookupError_(name, space.symbols, what="parameter")
+    return [[c.zero_slice(name, context=f"entry ({i},{j}) under {name} -> 0")
+             for j, c in enumerate(row)]
+            for i, row in enumerate(r4)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +186,7 @@ def exp_wedge_rep(r: WedgeTensor, order, rep=None):
     space = r.space
     floor = DEFAULT_FLOOR
     x = mat_zero(space, 4, order, floor)
-    for (i, j), c in r.entries.items():
+    for (i, j), c in r.terms.items():
         ni, nj = r.gens.names[i], r.gens.names[j]
         a = _rep_matrix(ni, space, order, floor)
         b = _rep_matrix(nj, space, order, floor)

@@ -76,9 +76,6 @@ class ParamSpace:
     def has(self, name) -> bool:
         return name in self._index
 
-    def weight_of(self, name) -> int:
-        return self.weights[self.index(name)]
-
     def wdeg(self, exps) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
 
@@ -198,12 +195,6 @@ class Series:
         if not self.terms:
             return None
         return min(self.space.wdeg(e) for e in self.terms)
-
-    def min_exp(self, name):
-        i = self.space.index(name)
-        if not self.terms:
-            return None
-        return min(e[i] for e in self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -338,27 +329,20 @@ class Series:
             out = out + term
         return out
 
-    def limit_zero(self, name=EPS, context=""):
-        """The ``name`` -> 0 limit: negative powers raise DivergenceError,
-        positive powers vanish, the zero slice survives in the reduced space."""
+    def zero_slice(self, name, context=""):
+        """Set ``name`` to zero, keeping the space: positive powers vanish,
+        negative powers raise DivergenceError (tagged with ``context``)."""
         i = self.space.index(name)
-        bad = {e: c for e, c in self.terms.items() if e[i] < 0}
+        bad = sorted(e for e in self.terms if e[i] < 0)
         if bad:
-            raise DivergenceError(
-                [self._render_term(e, c) for e, c in sorted(bad.items())], context=context
-            )
-        space = self.space.without(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                out[e[:i] + e[i + 1 :]] = c
-        return Series(space, out, self.order, self.floor)
-
-    def zero_slice(self, name):
-        """Set a (non-invertible) parameter to zero, keeping the space."""
-        i = self.space.index(name)
+            raise DivergenceError([self._render_term(e, self.terms[e]) for e in bad],
+                                  context=context)
         out = {e: c for e, c in self.terms.items() if e[i] == 0}
         return Series(self.space, out, self.order, self.floor)
+
+    def limit_zero(self, name=EPS, context=""):
+        """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
+        return self.zero_slice(name, context).restrict(self.space.without(name))
 
     # -- rendering ---------------------------------------------------------
 

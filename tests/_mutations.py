@@ -87,8 +87,8 @@ def oscillator_coproduct_legs_swapped():
 def cocommutator_perturbed():
     L = catalog.lie_structure("gl2.II.standard")
     delta = dict(cocommutator_from_r(L, catalog.classical_r("gl2.II.standard")))
-    bump = WedgeTensor(L.gens, L.space, L.order, L.floor, {
-        (0, 1): Series.symbol(L.space, "a", EXACT_ORDER, EXACT_FLOOR)})
+    bump = WedgeTensor(L.gens, L.space, {
+        (0, 1): Series.symbol(L.space, "a", EXACT_ORDER, EXACT_FLOOR)}, L.order, L.floor)
     i = catalog.GL2.index("Jm")
     delta[i] = delta[i] + bump
     return bool(check_cocycle(L, delta)) or bool(check_cojacobi(L, delta))

@@ -78,7 +78,7 @@ def test_acceptance_3_minimal_exponents():
     sp = sol.r_contracted.space
     want = {(1, 2): Series.symbol(sp, "alpha_plus", EXACT_ORDER, EXACT_FLOOR,
                                   coeff=F(-1))}
-    ok = ok and sol.r_min == {"n": 1} and sol.r_contracted.entries == want
+    ok = ok and sol.r_min == {"n": 1} and sol.r_contracted.terms == want
     # decorrelating the parameters forces exponent 3 term by term
     ind = dataclasses.replace(
         catalog.get_case("Iplus.nonstandard"),

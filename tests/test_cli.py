@@ -59,6 +59,13 @@ def test_forced_exponent_divergence(capsys):
     assert "divergen" in capsys.readouterr().err
 
 
+def test_force_exponent_unknown_key(capsys):
+    assert main(["contract", "Iplus.nonstandard", "--order", "2",
+                 "--force-exponent", "zzz=1"]) == 2
+    err = capsys.readouterr().err
+    assert "'zzz'" in err and "['a_plus', 'lam']" in err
+
+
 def test_bad_force_syntax():
     assert main(["contract", "Iplus.standard", "--force-exponent", "a"]) == 2
 
@@ -87,6 +94,12 @@ def test_rmatrix_limit_then_triangularity():
                  "--triangularity", "--order", "3"]) == 0
 
 
+def test_rmatrix_limit_unknown_symbol(capsys):
+    assert main(["rmatrix", "gl2.II.nonstandard", "--order", "2", "--limit", "zz"]) == 2
+    err = capsys.readouterr().err
+    assert "'zz'" in err and "['b', 'b_plus']" in err
+
+
 def test_rmatrix_unknown():
     assert main(["rmatrix", "bogus"]) == 2
 
@@ -96,6 +109,13 @@ def test_dump_to_file(tmp_path):
     assert main(["dump", "h4.xi", "--order", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["name"] == "h4.xi"
+
+
+def test_dump_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "h4.xi", "--format", "text"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_json_report_deterministic(tmp_path):

@@ -40,7 +40,7 @@ def test_contracted_r_correlated():
     sp = rc.space
     want = {(1, 2): Series.symbol(sp, "alpha_plus", EXACT_ORDER, EXACT_FLOOR,
                                   coeff=F(-1))}
-    assert rc.entries == want
+    assert rc.terms == want
 
 
 def test_contracted_r_two_parameter():
@@ -51,7 +51,7 @@ def test_contracted_r_two_parameter():
         (0, 1): Series.symbol(sp, "beta_plus", EXACT_ORDER, EXACT_FLOOR, coeff=F(-1)),
         (1, 3): Series.symbol(sp, "xi", EXACT_ORDER, EXACT_FLOOR),
     }
-    assert rc.entries == want
+    assert rc.terms == want
 
 
 def test_independent_parameters_need_higher_exponent():
@@ -68,11 +68,11 @@ def test_independent_parameters_need_higher_exponent():
     assert sol.r_min == {"a_plus": 3, "b_plus": 3}
     assert sol.delta_min == {"a_plus": 3, "b_plus": 3}
     assert sol.coboundary
-    assert set(sol.r_contracted.entries) == {(0, 1)}
+    assert set(sol.r_contracted.terms) == {(0, 1)}
 
 
 def test_lie_scaling_round_trip():
-    fwd, inv = catalog.lie_scaling("gl2.II.standard")
+    fwd, inv = catalog.lie_scaling()
     for y in range(4):
         acc = {}
         for f, e, old in fwd[y]:
