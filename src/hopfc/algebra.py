@@ -78,34 +78,29 @@ def _mono_str(names, m, full):
 
 class LinComb:
     """Finite linear combination ``{key: Series}`` over one generator set and
-    one coefficient ring (``space``, ``order``, ``floor``); zero coefficients
-    are never stored.
+    one coefficient ``Ring``; zero coefficients are never stored.
 
     Here a key is a tuple of generator indices: a tensor over the Lie-algebra
     basis (``(i,)`` a vector, ``(i, j)`` rank 2).  Subclasses fix other key
     shapes and how a key renders."""
 
-    __slots__ = ("gens", "space", "order", "floor", "terms")
+    __slots__ = ("gens", "ring", "terms")
 
-    def __init__(self, gens, space, terms, order, floor):
+    def __init__(self, gens, ring, terms):
         self.gens = gens
-        self.space = space
-        self.order = order
-        self.floor = floor
+        self.ring = ring
         self.terms = {k: c for k, c in terms.items() if c}
 
     def _with(self, terms):
         """Same class and ring over ``terms``, which hold no zero coefficient."""
         new = object.__new__(type(self))
-        new.gens, new.space, new.order, new.floor = self.gens, self.space, self.order, self.floor
-        new.terms = terms
+        new.gens, new.ring, new.terms = self.gens, self.ring, terms
         return new
 
     def _compatible(self, other):
         if self.gens.names != other.gens.names:
             raise StructureError("mismatched generator sets")
-        if self.space.symbols != other.space.symbols:
-            raise StructureError("mismatched parameter spaces")
+        self.ring.check_same(other.ring)
 
     def is_zero(self):
         return not self.terms
@@ -118,7 +113,7 @@ class LinComb:
             return NotImplemented
         return (
             self.gens.names == other.gens.names
-            and self.space.symbols == other.space.symbols
+            and self.ring.space.symbols == other.ring.space.symbols
             and self.terms == other.terms
         )
 
@@ -148,14 +143,12 @@ class LinComb:
         """Multiply by a scalar Series / Fraction / int."""
         return self._with({k: p for k, v in self.terms.items() if (p := v * c)})
 
-    def map_coeffs(self, fn, space=None, order=None, floor=None, gens=None):
+    def map_coeffs(self, fn, ring=None, gens=None):
         """Apply ``fn`` to every coefficient; the result lives over the given
-        generator set and ring (by default this one's)."""
+        ring and generator set (by default this one's)."""
         new = self._with({k: d for k, c in self.terms.items() if (d := fn(c))})
+        new.ring = self.ring if ring is None else ring
         new.gens = self.gens if gens is None else gens
-        new.space = self.space if space is None else space
-        new.order = self.order if order is None else order
-        new.floor = self.floor if floor is None else floor
         return new
 
     def _render_key(self, k, full):
@@ -183,25 +176,19 @@ class Element(LinComb):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, gens, space, order, floor):
-        return cls(gens, space, {}, order, floor)
+    def zero(cls, gens, ring):
+        return cls(gens, ring, {})
 
     @classmethod
-    def unit(cls, gens, space, order, floor, coeff=1):
-        c = Series.const(space, coeff, order, floor)
-        return cls(gens, space, {(0,) * gens.dim: c}, order, floor)
+    def generator(cls, gens, ring, name, coeff=None):
+        return cls.monomial(gens, ring, {name: 1}, coeff)
 
     @classmethod
-    def generator(cls, gens, space, name, order, floor, coeff=None):
-        return cls.monomial(gens, space, {name: 1}, order, floor, coeff)
-
-    @classmethod
-    def monomial(cls, gens, space, exps_by_name, order, floor, coeff=None):
+    def monomial(cls, gens, ring, exps_by_name, coeff=None):
         m = [0] * gens.dim
         for name, e in exps_by_name.items():
             m[gens.index(name)] = e
-        c = coeff if coeff is not None else Series.one(space, order, floor)
-        return cls(gens, space, {tuple(m): c}, order, floor)
+        return cls(gens, ring, {tuple(m): ring.one() if coeff is None else coeff})
 
     def _render_key(self, m, full):
         return _mono_str(self.gens.names, m, full)
@@ -210,11 +197,9 @@ class Element(LinComb):
 class RewriteTable:
     """PBW rewrite rules: for positions i > j, ``X_i X_j = X_j X_i + R[i,j]``."""
 
-    def __init__(self, gens, space, order, floor, rules):
+    def __init__(self, gens, ring, rules):
         self.gens = gens
-        self.space = space
-        self.order = order
-        self.floor = floor
+        self.ring = ring
         self.rules = dict(rules)  # (i, j) with i > j -> Element
         for i in range(gens.dim):
             for j in range(i):
@@ -225,23 +210,33 @@ class RewriteTable:
                         f"missing rewrite rule for ({gens.names[i]}, {gens.names[j]})"
                     )
         self._nf_cache = {}
+        self.reset_budget()
+
+    @classmethod
+    def commuting(cls, gens, ring):
+        """A table with every rule zero, to be filled in with ``set_rule``."""
+        zero = Element.zero(gens, ring)
+        return cls(gens, ring, {(i, j): zero for i in range(gens.dim) for j in range(i)})
+
+    def reset_budget(self):
+        """Start one top-level rewrite: up to ``HOPFC_STEP_BUDGET`` steps."""
         self._steps = 0
         self._budget = step_budget()
 
     def zero(self):
-        return Element.zero(self.gens, self.space, self.order, self.floor)
+        return Element.zero(self.gens, self.ring)
 
     def one(self, coeff=1):
-        return Element.unit(self.gens, self.space, self.order, self.floor, coeff)
+        return Element(self.gens, self.ring, {(0,) * self.gens.dim: self.ring.const(coeff)})
 
     def gen(self, name, coeff=None):
-        return Element.generator(self.gens, self.space, name, self.order, self.floor, coeff)
+        return Element.generator(self.gens, self.ring, name, coeff)
 
     def scalar(self, c):
-        return Series.const(self.space, c, self.order, self.floor)
+        return self.ring.const(c)
 
     def sym(self, name, power=1, coeff=1):
-        return Series.symbol(self.space, name, self.order, self.floor, power, coeff)
+        return self.ring.symbol(name, power, coeff)
 
     def set_rule_by_index(self, i, j, rhs: Element):
         """Install/replace the rule for positions i > j (two-phase table
@@ -275,10 +270,7 @@ class RewriteTable:
                 descent = k
                 break
         if descent < 0:
-            m = monomial_of(word, self.gens.dim)
-            res = Element(self.gens, self.space,
-                          {m: Series.one(self.space, self.order, self.floor)},
-                          self.order, self.floor)
+            res = Element(self.gens, self.ring, {monomial_of(word, self.gens.dim): self.ring.one()})
             self._nf_cache[word] = res
             return res
         self._steps += 1
@@ -298,27 +290,25 @@ class RewriteTable:
         self._nf_cache[word] = acc
         return acc
 
-    def nf_word(self, word, coeff=None, reset_budget=True):
+    def nf_word(self, word, coeff=None):
         """Normal form of a raw word, optionally scaled by a coefficient."""
-        if reset_budget:
-            self._steps = 0
-            self._budget = step_budget()
+        self.reset_budget()
         res = self._nf_word(tuple(word))
         if coeff is not None:
             res = res.scale(coeff)
         return res
 
     def check(self, x: Element):
-        if x.gens.names != self.gens.names or x.space.symbols != self.space.symbols:
+        if x.gens.names != self.gens.names:
             raise StructureError("element does not belong to this table's algebra")
+        self.ring.check_same(x.ring)
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
     """Product in the algebra: concatenate words, then normal-form."""
     table.check(x)
     x._compatible(y)
-    table._steps = 0
-    table._budget = step_budget()
+    table.reset_budget()
     acc = table.zero()
     for m1, c1 in x.terms.items():
         w1 = word_of(m1)
@@ -340,26 +330,24 @@ def _coeff_min_wdeg(x: Element):
     return min(vals) if vals else None
 
 
-def generator_function(kind, arg: Element, table: RewriteTable, order=None) -> Element:
+def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     """Taylor expansion of the named function at an algebra-element argument.
 
     The argument must have strictly positive parameter weight in every term
     (so powers truncate) and its terms must commute pairwise."""
     table.check(arg)
-    order = arg.order if order is None else order
     mw = _coeff_min_wdeg(arg)
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"generator-function argument has weight-{mw} term: {arg}")
     items = list(arg.terms.items())
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
-            ta = Element(arg.gens, arg.space, dict([items[a]]), arg.order, arg.floor)
-            tb = Element(arg.gens, arg.space, dict([items[b]]), arg.order, arg.floor)
+            ta, tb = arg._with(dict([items[a]])), arg._with(dict([items[b]]))
             if commutator(ta, tb, table):
                 raise UnsupportedArgumentError(
                     f"non-commuting terms in analytic argument: {ta} vs {tb}"
                 )
-    kmax = 0 if mw is None else order // mw
+    kmax = 0 if mw is None else arg.ring.order // mw
     coeffs = taylor_coeffs(kind, kmax)
     acc = table.zero()
     pw = table.one()
@@ -385,8 +373,7 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
         return _substitute_monomial(key, x.gens, images, table_target)
 
     if tensor:
-        acc = TensorElement.zero(x.rank, table_target.gens, table_target.space,
-                                 table_target.order, table_target.floor)
+        acc = TensorElement.zero(x.rank, table_target.gens, table_target.ring)
     else:
         acc = table_target.zero()
     for key, c in x.terms.items():
@@ -397,12 +384,12 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
 
 
 def _map_coeff(c: Series, param_sub, table_target: RewriteTable):
+    ring = table_target.ring
     if param_sub is None:
-        if c.space.symbols == table_target.space.symbols:
-            return c.truncate(table_target.order, table_target.floor)
-        return c.embed(table_target.space, table_target.order, table_target.floor)
-    return c.substitute(param_sub, order=table_target.order, floor=table_target.floor,
-                        space=table_target.space)
+        if c.space.symbols == ring.space.symbols:
+            return c.truncate(ring)
+        return c.embed(ring)
+    return c.substitute(param_sub, ring)
 
 
 def _substitute_monomial(m, gens, images, table_target):
@@ -428,9 +415,9 @@ class TensorElement(LinComb):
 
     __slots__ = ("rank",)
 
-    def __init__(self, rank, gens, space, terms, order, floor):
+    def __init__(self, rank, gens, ring, terms):
         self.rank = rank
-        super().__init__(gens, space, terms, order, floor)
+        super().__init__(gens, ring, terms)
 
     def _with(self, terms):
         new = super()._with(terms)
@@ -438,8 +425,8 @@ class TensorElement(LinComb):
         return new
 
     @classmethod
-    def zero(cls, rank, gens, space, order, floor):
-        return cls(rank, gens, space, {}, order, floor)
+    def zero(cls, rank, gens, ring):
+        return cls(rank, gens, ring, {})
 
     @classmethod
     def outer(cls, factors):
@@ -448,13 +435,12 @@ class TensorElement(LinComb):
         terms = {(m,): c for m, c in f0.terms.items()}
         for f in factors[1:]:
             terms = {ms + (m,): c * c2 for ms, c in terms.items() for m, c2 in f.terms.items()}
-        return cls(len(factors), f0.gens, f0.space, terms, f0.order, f0.floor)
+        return cls(len(factors), f0.gens, f0.ring, terms)
 
     def _compatible(self, other):
         if self.rank != other.rank:
             raise StructureError("tensor rank mismatch")
-        if self.gens.names != other.gens.names or self.space.symbols != other.space.symbols:
-            raise StructureError("tensor algebra mismatch")
+        super()._compatible(other)
 
     def _render_key(self, ms, full):
         slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
@@ -464,9 +450,8 @@ class TensorElement(LinComb):
 def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
     """Slot-wise product with per-slot normal form."""
     x._compatible(y)
-    acc = TensorElement.zero(x.rank, x.gens, x.space, x.order, x.floor)
-    table._steps = 0
-    table._budget = step_budget()
+    acc = TensorElement.zero(x.rank, x.gens, x.ring)
+    table.reset_budget()
     for ms1, c1 in x.terms.items():
         for ms2, c2 in y.terms.items():
             c = c1 * c2
@@ -482,7 +467,7 @@ def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
-    acc = TensorElement.zero(2, x.gens, x.space, x.order, x.floor)
+    acc = TensorElement.zero(2, x.gens, x.ring)
     for m, c in x.terms.items():
         t = TensorElement.outer([table.one(), table.one()])
         for name, e in zip(x.gens.names, m):
@@ -494,11 +479,10 @@ def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
 
 def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3."""
-    acc = TensorElement.zero(t.rank + 1, t.gens, t.space, t.order, t.floor)
-    one = Series.one(t.space, t.order, t.floor)
+    acc = TensorElement.zero(t.rank + 1, t.gens, t.ring)
+    one = t.ring.one()
     for ms, c in t.terms.items():
-        dt = apply_coproduct(Element(t.gens, t.space, {ms[slot]: one}, t.order, t.floor),
-                             delta, table)
+        dt = apply_coproduct(Element(t.gens, t.ring, {ms[slot]: one}), delta, table)
         acc = acc.add_terms((ms[:slot] + ms2 + ms[slot + 1:], c * c2)
                             for ms2, c2 in dt.terms.items())
     return acc
@@ -508,9 +492,9 @@ def counit_collapse(t: TensorElement, slot, counit_values):
     """Apply the counit to one slot; returns an Element (rank 2) or rank-2
     tensor (rank 3).  ``counit_values``: generator name -> Fraction."""
     if t.rank == 2:
-        acc = Element.zero(t.gens, t.space, t.order, t.floor)
+        acc = Element.zero(t.gens, t.ring)
     else:
-        acc = TensorElement.zero(t.rank - 1, t.gens, t.space, t.order, t.floor)
+        acc = TensorElement.zero(t.rank - 1, t.gens, t.ring)
     pieces = []
     for ms, c in t.terms.items():
         val = Fraction(1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import GeneratorSet, LinComb
 from .errors import StructureError
-from .series import Series
+from .series import Ring
 
 
 @dataclass
@@ -20,16 +20,14 @@ class LieStructure:
     """Lie algebra given by structure constants on an ordered basis."""
 
     gens: GeneratorSet
-    space: object          # ParamSpace for coefficients (params of r etc.)
-    order: int
-    floor: int
+    ring: Ring             # coefficients (the parameters of r etc.)
     brackets: dict         # (i, j) with i < j -> vector LinComb
 
     def scalar(self, c):
-        return Series.const(self.space, c, self.order, self.floor)
+        return self.ring.const(c)
 
     def zero(self, cls=LinComb):
-        return cls(self.gens, self.space, {}, self.order, self.floor)
+        return cls(self.gens, self.ring, {})
 
     def bracket_basis(self, i, j):
         """[X_i, X_j] as a vector; antisymmetry handled here."""
@@ -65,10 +63,10 @@ class WedgeTensor(LinComb):
 
     __slots__ = ()
 
-    def __init__(self, gens, space, terms, order, floor):
+    def __init__(self, gens, ring, terms):
         if any(i >= j for i, j in terms):
             raise StructureError("wedge entries must use i < j")
-        super().__init__(gens, space, terms, order, floor)
+        super().__init__(gens, ring, terms)
 
     def add_wedges(self, items):
         """``self`` plus c * X_i ^ X_j for every ``((i, j), c)`` of ``items``."""
@@ -79,14 +77,13 @@ class WedgeTensor(LinComb):
     def from_tensor(cls, t: LinComb):
         """Antisymmetrize a rank-2 tensor: X_i (x) X_j -> X_i ^ X_j / 2."""
         half = Fraction(1, 2)
-        return cls(t.gens, t.space, {}, t.order, t.floor).add_wedges(
+        return cls(t.gens, t.ring, {}).add_wedges(
             (k, c * half) for k, c in t.terms.items())
 
     def to_tensor(self) -> LinComb:
-        return LinComb(self.gens, self.space,
+        return LinComb(self.gens, self.ring,
                        {k: v for (i, j), c in self.terms.items()
-                        for k, v in (((i, j), c), ((j, i), -c))},
-                       self.order, self.floor)
+                        for k, v in (((i, j), c), ((j, i), -c))})
 
     def _render_key(self, k, full):
         i, j = k

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    Element,
     GeneratorSet,
     LinComb,
     RewriteTable,
@@ -32,14 +31,7 @@ from .bialgebra import LieStructure, WedgeTensor
 from .contraction import ContractionCase, ParamImage, ScalingMap
 from .errors import LookupError_
 from .hopf import HopfPresentation
-from .series import (
-    DEFAULT_FLOOR,
-    EPS,
-    EXACT_FLOOR,
-    EXACT_ORDER,
-    ParamSpace,
-    Series,
-)
+from .series import EPS, ParamSpace, Ring, analytic_series
 
 F = Fraction
 
@@ -56,12 +48,6 @@ H4 = GeneratorSet.make(("M", "Ap", "N", "Am"), central=("M",))
 # presentation helpers
 # ---------------------------------------------------------------------------
 
-def _zero_table(gens, space, order):
-    zero = Element.zero(gens, space, order, DEFAULT_FLOOR)
-    rules = {(i, j): zero for i in range(gens.dim) for j in range(i)}
-    return RewriteTable(gens, space, order, DEFAULT_FLOOR, rules)
-
-
 def _outer(x, y):
     return TensorElement.outer([x, y])
 
@@ -71,10 +57,10 @@ def _primitive(table, name):
     return _outer(x, one) + _outer(one, x)
 
 
-def _gf(table, kind, gen_name, sym=None, sym_coeff=1, order=None):
+def _gf(table, kind, gen_name, sym=None, sym_coeff=1):
     """generator_function(kind, c * sym * X) with a symbol coefficient."""
     coeff = table.sym(sym, coeff=sym_coeff) if sym else table.scalar(sym_coeff)
-    return generator_function(kind, table.gen(gen_name, coeff=coeff), table, order)
+    return generator_function(kind, table.gen(gen_name, coeff=coeff), table)
 
 
 def _counit_zero(gens):
@@ -86,8 +72,7 @@ def _counit_zero(gens):
 # ---------------------------------------------------------------------------
 
 def _gl2_classical(order):
-    space = ParamSpace.make()
-    t = _zero_table(GL2, space, order)
+    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make(), order))
     t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
     t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
     t.set_rule("Jp", "Jm", t.gen("J3"))
@@ -102,8 +87,7 @@ def _gl2_classical(order):
 
 def _gl2_II_standard(order):
     # two-parameter standard family: primitive J3 and I, sinh-deformed [Jp,Jm]
-    space = ParamSpace.make("a", "b")
-    t = _zero_table(GL2, space, order)
+    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make("a", "b"), order))
     t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
     t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
     t.set_rule("Jp", "Jm", mul(t.gen("J3"), _gf(t, "sinh_over_arg", "J3", "a"), t))
@@ -119,7 +103,6 @@ def _gl2_II_standard(order):
         "Jp": _outer(leg(1, -1), t.gen("Jp")) + _outer(t.gen("Jp"), leg(-1, -1)),
         "Jm": _outer(leg(1, 1), t.gen("Jm")) + _outer(t.gen("Jm"), leg(-1, 1)),
     }
-    from .series import analytic_series
     cosh_a = analytic_series("cosh", t.sym("a"))
     sinh_a_over_a = analytic_series("sinh_over_arg", t.sym("a"))
     s = mul(t.gen("J3"), _gf(t, "sinh_over_arg", "J3", "a", F(1, 2)), t)
@@ -133,8 +116,7 @@ def _gl2_II_standard(order):
 
 def _gl2_II_nonstandard(order):
     # twist family: classical relations and Casimir, deformed coproduct
-    space = ParamSpace.make("b", "b_plus")
-    t = _zero_table(GL2, space, order)
+    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make("b", "b_plus"), order))
     t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
     t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
     t.set_rule("Jp", "Jm", t.gen("J3"))
@@ -166,8 +148,7 @@ def _gl2_II_nonstandard(order):
 def _gl2_Iplus_standard(order):
     # standard + non-standard superposition, in (a, kappa) coordinates with
     # a_plus = kappa * a; PBW basis uses the shifted generator J3p
-    space = ParamSpace.make("a", ("kappa", 0, False))
-    t = _zero_table(GL2P, space, order)
+    t = RewriteTable.commuting(GL2P, Ring(ParamSpace.make("a", ("kappa", 0, False)), order))
     t.set_rule("J3p", "Jp", t.gen("Jp", coeff=t.scalar(2)))
     kap = t.sym("kappa")
     half_sinh = mul(t.gen("J3p"), _gf(t, "sinh_over_arg", "J3p", "a", F(1, 2)), t)
@@ -175,7 +156,6 @@ def _gl2_Iplus_standard(order):
                t.gen("Jm", coeff=t.scalar(-2))
                - half_sinh.scale(kap)
                - t.gen("Jp", coeff=kap * kap))
-    from .series import analytic_series
     em1_a = analytic_series("expm1_over_arg", t.sym("a"))   # (e^a - 1)/a
     e_half_m = _gf(t, "exp", "J3p", "a", F(-1, 2))
     e_half_p = _gf(t, "exp", "J3p", "a", F(1, 2))
@@ -202,8 +182,7 @@ def _gl2_Iplus_standard(order):
 
 def _gl2_Iplus_nonstandard(order):
     # triangular family in (a_plus, lam) coordinates with b_plus = lam * a_plus
-    space = ParamSpace.make("a_plus", ("lam", 0, False))
-    t = _zero_table(GL2, space, order)
+    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make("a_plus", ("lam", 0, False)), order))
     t.set_rule("J3", "Jp",
                mul(t.gen("Jp"), _gf(t, "expm1_over_arg", "Jp", "a_plus"), t).scale(2))
     lam = t.sym("lam")
@@ -239,8 +218,8 @@ def _gl2_Iplus_nonstandard(order):
 # oscillator-side presentations
 # ---------------------------------------------------------------------------
 
-def _h4_table_classical(space, order):
-    t = _zero_table(H4, space, order)
+def _h4_table_classical(ring):
+    t = RewriteTable.commuting(H4, ring)
     t.set_rule("N", "Ap", t.gen("Ap"))
     t.set_rule("N", "Am", -t.gen("Am"))
     t.set_rule("Am", "Ap", t.gen("M"))
@@ -256,16 +235,14 @@ def _h4_classical_casimir(t):
 
 
 def _h4_classical(order):
-    space = ParamSpace.make()
-    t = _h4_table_classical(space, order)
+    t = _h4_table_classical(Ring(ParamSpace.make(), order))
     delta = {n: _primitive(t, n) for n in H4.names}
     return HopfPresentation("h4.classical", t, delta, _counit_zero(H4),
                             _h4_classical_casimir(t))
 
 
 def _h4_xi_theta(order):
-    space = ParamSpace.make("xi", "theta")
-    t = _zero_table(H4, space, order)
+    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi", "theta"), order))
     t.set_rule("N", "Ap", t.gen("Ap"))
     t.set_rule("N", "Am", -t.gen("Am"))
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
@@ -293,8 +270,7 @@ def _h4_xi_theta(order):
 
 
 def _h4_xi(order):
-    space = ParamSpace.make("xi",)
-    t = _zero_table(H4, space, order)
+    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi",), order))
     t.set_rule("N", "Ap", t.gen("Ap"))
     t.set_rule("N", "Am", -t.gen("Am"))
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
@@ -316,8 +292,7 @@ def _h4_xi(order):
 
 
 def _h4_betaplus_theta(order):
-    space = ParamSpace.make("theta", "beta_plus")
-    t = _h4_table_classical(space, order)
+    t = _h4_table_classical(Ring(ParamSpace.make("theta", "beta_plus"), order))
     bp = t.sym("beta_plus")
     one = t.one()
     e_p = _gf(t, "exp", "M", "theta")
@@ -337,8 +312,7 @@ def _h4_betaplus_theta(order):
 
 def _h4_betaplus_xi(order):
     # (xi, mu) coordinates with beta_plus = mu * xi
-    space = ParamSpace.make("xi", ("mu", 0, False))
-    t = _zero_table(H4, space, order)
+    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi", ("mu", 0, False)), order))
     t.set_rule("N", "Ap", t.gen("Ap"))
     mu = t.sym("mu")
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
@@ -366,8 +340,7 @@ def _h4_betaplus_xi(order):
 
 
 def _h4_alphaplus(order):
-    space = ParamSpace.make("alpha_plus",)
-    t = _zero_table(H4, space, order)
+    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("alpha_plus",), order))
     t.set_rule("N", "Ap",
                mul(t.gen("Ap"), _gf(t, "expm1_over_arg", "Ap", "alpha_plus"), t))
     t.set_rule("N", "Am", -t.gen("Am"))
@@ -447,11 +420,9 @@ def classical_r(name) -> WedgeTensor:
     if name not in _R_SPECS:
         raise LookupError_(name, sorted(_R_SPECS))
     syms, terms = _R_SPECS[name]
-    space = ParamSpace.make(*syms)
-    r = WedgeTensor(GL2, space, {}, EXACT_ORDER, EXACT_FLOOR)
-    return r.add_wedges(((GL2.index(x), GL2.index(y)),
-                         Series.symbol(space, sym, EXACT_ORDER, EXACT_FLOOR, coeff=c))
-                        for c, sym, x, y in terms)
+    ring = Ring.exact(ParamSpace.make(*syms))
+    return WedgeTensor(GL2, ring, {}).add_wedges(
+        ((GL2.index(x), GL2.index(y)), ring.symbol(sym, coeff=c)) for c, sym, x, y in terms)
 
 
 _GL2_BRACKETS = {
@@ -473,20 +444,19 @@ def lie_structure(name) -> LieStructure:
     """Classical Lie structure underlying a catalog family, with coefficients
     in that family's original parameter space."""
     if name in _R_SPECS:
-        space = classical_r(name).space
+        ring = classical_r(name).ring
         gens, raw = GL2, _GL2_BRACKETS
     elif name in ("gl2.classical",):
-        space, gens, raw = ParamSpace.make(), GL2, _GL2_BRACKETS
+        ring, gens, raw = Ring.exact(ParamSpace.make()), GL2, _GL2_BRACKETS
     elif name in ("h4.classical",):
-        space, gens, raw = ParamSpace.make(), H4, _H4_BRACKETS
+        ring, gens, raw = Ring.exact(ParamSpace.make()), H4, _H4_BRACKETS
     else:
         raise LookupError_(name, sorted(_R_SPECS) + ["gl2.classical", "h4.classical"])
     brackets = {
-        k: LinComb(gens, space, {(g,): Series.const(space, c, EXACT_ORDER, EXACT_FLOOR)
-                                 for g, c in vec.items()}, EXACT_ORDER, EXACT_FLOOR)
+        k: LinComb(gens, ring, {(g,): ring.const(c) for g, c in vec.items()})
         for k, vec in raw.items()
     }
-    return LieStructure(gens, space, EXACT_ORDER, EXACT_FLOOR, brackets)
+    return LieStructure(gens, ring, brackets)
 
 
 #: Lie-level scaling (classical basis): entries (Fraction, eps exponent, index)
@@ -691,7 +661,8 @@ def dump(name, order=DEFAULT_ORDER):
         "central": [n for n, c in zip(gens.names, gens.central) if c],
         "parameters": [
             {"name": s, "weight": w, "invertible": iv}
-            for s, w, iv in zip(H.space.symbols, H.space.weights, H.space.invertible)
+            for s, w, iv in zip(H.ring.space.symbols, H.ring.space.weights,
+                                H.ring.space.invertible)
         ],
         "relations": relations,
         "coproducts": {n: H.coproduct[n].to_json() for n in gens.names},

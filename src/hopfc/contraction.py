@@ -5,7 +5,7 @@ contraction by the eps -> 0 limit, and Casimir-limit prescriptions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -19,14 +19,7 @@ from .algebra import (
 from .bialgebra import WedgeTensor
 from .errors import StructureError
 from .hopf import HopfPresentation
-from .series import (
-    DEFAULT_FLOOR,
-    EPS,
-    EXACT_FLOOR,
-    EXACT_ORDER,
-    ParamSpace,
-    Series,
-)
+from .series import EPS, ParamSpace, Ring, Series
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,7 @@ class ExponentSolution:
 # Lie-level transformation and the minimal-exponent solver
 # ---------------------------------------------------------------------------
 
-def _lie_sigma(space, param_map, exponents=None):
+def _lie_sigma(ring, param_map, exponents=None):
     """Parameter substitution old symbol -> c * eps^n * new, as Series."""
     sigma = {}
     for old, img in param_map.items():
@@ -102,23 +95,22 @@ def _lie_sigma(space, param_map, exponents=None):
             mono[EPS] = n
         if img.target is not None:
             mono[img.target] = 1
-        sigma[old] = Series.term(space, mono, img.coeff, EXACT_ORDER, EXACT_FLOOR)
+        sigma[old] = ring.term(mono, img.coeff)
     return sigma
 
 
-def transform_wedge(w: WedgeTensor, lie_inverse, new_gens, space, sigma) -> WedgeTensor:
+def transform_wedge(w: WedgeTensor, lie_inverse, new_gens, ring, sigma) -> WedgeTensor:
     """Push a wedge tensor through the (inverse) generator scaling and a
-    parameter substitution; wedge cancellation happens here, before any
-    valuation is read off."""
+    parameter substitution into ``ring``; wedge cancellation happens here,
+    before any valuation is read off."""
     def terms():
         for (i, j), c in w.terms.items():
-            c2 = c.substitute(sigma, order=EXACT_ORDER, floor=EXACT_FLOOR, space=space)
+            c2 = c.substitute(sigma, ring)
             for f1, e1, k1 in lie_inverse[i]:
                 for f2, e2, k2 in lie_inverse[j]:
-                    yield (k1, k2), c2 * Series.term(space, {EPS: e1 + e2} if e1 + e2 else {},
-                                                     f1 * f2, EXACT_ORDER, EXACT_FLOOR)
+                    yield (k1, k2), c2 * ring.term({EPS: e1 + e2} if e1 + e2 else {}, f1 * f2)
 
-    return WedgeTensor(new_gens, space, {}, EXACT_ORDER, EXACT_FLOOR).add_wedges(terms())
+    return WedgeTensor(new_gens, ring, {}).add_wedges(terms())
 
 
 def _min_exponents_from(wedges, space, group_syms):
@@ -140,7 +132,7 @@ def _min_exponents_from(wedges, space, group_syms):
     return mins
 
 
-def solve_min_exponents(case: ContractionCase, order=4):
+def solve_min_exponents(case: ContractionCase):
     """Minimal eps exponents for the classical r-matrix and the cocommutator,
     plus the coboundary verdict and the contracted r at the minima."""
     from . import catalog
@@ -152,7 +144,8 @@ def solve_min_exponents(case: ContractionCase, order=4):
 
     # workspace: old params + new params + eps
     new_syms = sorted({img.target for img in case.lie_param_map.values() if img.target})
-    space = r.space.union(ParamSpace.make(*new_syms, EPS))
+    space = r.ring.space.union(ParamSpace.make(*new_syms, EPS))
+    ring = Ring.exact(space)
 
     group_syms = {}
     for old, g in case.lie_groups.items():
@@ -160,21 +153,20 @@ def solve_min_exponents(case: ContractionCase, order=4):
         if tgt:
             group_syms.setdefault(g, set()).add(tgt)
 
-    sigma0 = _lie_sigma(space, case.lie_param_map,
+    sigma0 = _lie_sigma(ring, case.lie_param_map,
                         exponents={p: 0 for p in case.lie_param_map})
 
-    r_t = transform_wedge(r, lie_inv, new_gens, space, sigma0)
+    r_t = transform_wedge(r, lie_inv, new_gens, ring, sigma0)
     r_min = _min_exponents_from([r_t], space, group_syms)
 
     from .bialgebra import cocommutator_from_r
     delta = cocommutator_from_r(L, r)
     d_wedges = []
     for y in range(new_gens.dim):
-        acc = WedgeTensor(new_gens, space, {}, EXACT_ORDER, EXACT_FLOOR)
+        acc = WedgeTensor(new_gens, ring, {})
         for f, e, oldg in lie_fwd[y]:
-            piece = transform_wedge(delta[oldg], lie_inv, new_gens, space, sigma0)
-            scale = Series.term(space, {EPS: e} if e else {}, f, EXACT_ORDER, EXACT_FLOOR)
-            acc = acc + piece.scale(scale)
+            piece = transform_wedge(delta[oldg], lie_inv, new_gens, ring, sigma0)
+            acc = acc + piece.scale(ring.term({EPS: e} if e else {}, f))
         d_wedges.append(acc)
     d_min = _min_exponents_from(d_wedges, space, group_syms)
 
@@ -186,12 +178,11 @@ def solve_min_exponents(case: ContractionCase, order=4):
     for old, g in case.lie_groups.items():
         if r_min.get(g) is not None:
             exps[old] = r_min[g]
-    sigma = _lie_sigma(space, case.lie_param_map, exponents=exps)
-    r_lim = transform_wedge(r, lie_inv, new_gens, space, sigma)
+    sigma = _lie_sigma(ring, case.lie_param_map, exponents=exps)
+    r_lim = transform_wedge(r, lie_inv, new_gens, ring, sigma)
     r_contracted = WedgeTensor(
-        new_gens, space.without(EPS),
-        {k: c.limit_zero(EPS, context=f"contracted r entry {k}") for k, c in r_lim.terms.items()},
-        EXACT_ORDER, EXACT_FLOOR)
+        new_gens, replace(ring, space=space.without(EPS)),
+        {k: c.limit_zero(EPS, context=f"contracted r entry {k}") for k, c in r_lim.terms.items()})
 
     return ExponentSolution(r_min, d_min, coboundary, r_contracted)
 
@@ -205,9 +196,9 @@ def _combo_element(table, combo, sigma):
     with the parameter substitution applied to the coefficients."""
     acc = table.zero()
     for f, mono, gname in combo:
-        c = Series.term(table.space, mono, f, EXACT_ORDER, EXACT_FLOOR)
+        c = table.ring.term(mono, f)
         if sigma:
-            c = c.substitute(sigma, order=EXACT_ORDER, floor=EXACT_FLOOR, space=table.space)
+            c = c.substitute(sigma, table.ring)
         acc = acc + table.gen(gname, coeff=c)
     return acc
 
@@ -226,21 +217,17 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
 
     src = catalog.get(case.source, order)
     tgt_space = case.target_space()
-    ws = src.space.union(tgt_space).union(ParamSpace.make(EPS))
+    ws = Ring.exact(src.ring.space.union(tgt_space).union(ParamSpace.make(EPS)))
     sigma = _lie_sigma(ws, case.param_map, force_exponents)
 
     def embed(c: Series):
-        return c.embed(ws, EXACT_ORDER, EXACT_FLOOR)
+        return c.embed(ws)
 
-    src_ws = src.map_coeffs(embed, ws, EXACT_ORDER, EXACT_FLOOR)
+    src_ws = src.map_coeffs(embed, ws)
     src_table = src_ws.table
 
     new_gens = case.scaling.new_gens
-    scaffold = RewriteTable(
-        new_gens, ws, EXACT_ORDER, EXACT_FLOOR,
-        {(i, j): Element.zero(new_gens, ws, EXACT_ORDER, EXACT_FLOOR)
-         for i in range(new_gens.dim) for j in range(i)},
-    )
+    scaffold = RewriteTable.commuting(new_gens, ws)
 
     inverse_images = {
         old: _combo_element(scaffold, combo, sigma)
@@ -273,10 +260,9 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
     # Casimir: lim eps^2 ( -C/2 + counterterm )
     casimir = None
     if src.casimir is not None and case.casimir_counterterm is not None:
-        counterterm = case.casimir_counterterm(src.table).map_coeffs(
-            embed, ws, EXACT_ORDER, EXACT_FLOOR)
+        counterterm = case.casimir_counterterm(src.table).map_coeffs(embed, ws)
         expr = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
-        expr = expr.scale(Series.term(ws, {EPS: 2}, 1, EXACT_ORDER, EXACT_FLOOR))
+        expr = expr.scale(ws.term({EPS: 2}))
         casimir = contract(expr, "casimir limit")
 
     contracted = HopfPresentation(
@@ -287,9 +273,8 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         casimir=casimir,
     )
     # assemble at the requested order over the target space
-    return contracted.map_coeffs(
-        lambda c: c.restrict(tgt_space, order=order, floor=DEFAULT_FLOOR),
-        tgt_space, order, DEFAULT_FLOOR)
+    tgt = Ring(tgt_space, order)
+    return contracted.map_coeffs(lambda c: c.restrict(tgt), tgt)
 
 
 def contract_casimir(case: ContractionCase, order=4) -> Element:
@@ -318,17 +303,16 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation) -> MatchRe
     residuals = []
     if got.gens.names != want.gens.names:
         return MatchReport(False, [f"generator mismatch: {got.gens.names} vs {want.gens.names}"])
-    space = got.space.union(want.space)
-    got, want = (H.map_coeffs(lambda c: c.embed(space, EXACT_ORDER, EXACT_FLOOR),
-                              space, EXACT_ORDER, EXACT_FLOOR) for H in (got, want))
+    ring = Ring.exact(got.ring.space.union(want.ring.space))
+    got, want = (H.map_coeffs(lambda c: c.embed(ring), ring) for H in (got, want))
 
     for k in sorted(got.table.rules):
-        r = (got.table.rules[k] - want.table.rules[k]).terms
+        r = got.table.rules[k] - want.table.rules[k]
         if r:
             i, j = k
             residuals.append(f"rule [{got.gens.names[i]},{got.gens.names[j]}]: {r}")
     for n in got.gens.names:
-        r = (got.coproduct[n] - want.coproduct[n]).terms
+        r = got.coproduct[n] - want.coproduct[n]
         if r:
             residuals.append(f"coproduct({n}): {r}")
         if Fraction(got.counit[n]) != Fraction(want.counit[n]):
@@ -336,7 +320,7 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation) -> MatchRe
     if (got.casimir is None) != (want.casimir is None):
         residuals.append("casimir present on one side only")
     elif got.casimir is not None:
-        r = (got.casimir - want.casimir).terms
+        r = got.casimir - want.casimir
         if r:
             residuals.append(f"casimir: {r}")
     return MatchReport(not residuals, residuals)
@@ -350,7 +334,7 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
     parameter weight."""
     table = H.table
     gens = H.gens
-    order = H.order
+    order = H.ring.order
 
     # invert order-by-order: old generator as Element over the primed basis
     inverse = {n: table.gen(n) for n in gens.names}
@@ -368,11 +352,7 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
         if check[n] != table.gen(n):
             raise StructureError(f"basis map not invertible at order {order}: {n}")
 
-    new_table = RewriteTable(
-        gens, H.space, order, table.floor,
-        {(i, j): Element.zero(gens, H.space, order, table.floor)
-         for i in range(gens.dim) for j in range(i)},
-    )
+    new_table = RewriteTable.commuting(gens, H.ring)
     for i, j in _pair_sequence(gens.dim):
         ni, nj = gens.names[i], gens.names[j]
         com = commutator(forward[ni], forward[nj], table)
@@ -398,14 +378,13 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
 def classical_limit(H: HopfPresentation, rename=None) -> HopfPresentation:
     """All deformation parameters -> 0, optionally renaming generators."""
     names = tuple(rename.get(n, n) if rename else n for n in H.gens.names)
-    space = ParamSpace.make()
+    ring = replace(H.ring, space=ParamSpace.make())
 
     def limit(c: Series):
-        for s in H.space.symbols:
+        for s in H.ring.space.symbols:
             c = c.zero_slice(s)
-        return c.restrict(space, order=H.order, floor=H.table.floor)
+        return c.restrict(ring)
 
-    lim = H.map_coeffs(limit, space, H.order, H.table.floor,
-                       gens=GeneratorSet(names, H.gens.central))
+    lim = H.map_coeffs(limit, ring, gens=GeneratorSet(names, H.gens.central))
     lim.name = f"{H.name} [classical limit]"
     return lim

@@ -20,7 +20,6 @@ from .algebra import (
     tensor_mul,
 )
 from .errors import StructureError, SynthesisFailureError
-from .series import Series
 
 
 @dataclass
@@ -46,12 +45,8 @@ class HopfPresentation:
         return self.table.gens
 
     @property
-    def space(self):
-        return self.table.space
-
-    @property
-    def order(self):
-        return self.table.order
+    def ring(self):
+        return self.table.ring
 
     def gen(self, name):
         return self.table.gen(name)
@@ -59,20 +54,20 @@ class HopfPresentation:
     def delta(self, x: Element) -> TensorElement:
         return apply_coproduct(x, self.coproduct, self.table)
 
-    def map_coeffs(self, fn, space, order, floor, gens=None) -> HopfPresentation:
+    def map_coeffs(self, fn, ring, gens=None) -> HopfPresentation:
         """This presentation with ``fn`` applied to every coefficient of its
-        rewrite rules, coproducts and Casimir, over the ring (space, order,
-        floor).  ``gens`` renames the generators position by position."""
+        rewrite rules, coproducts and Casimir, over ``ring``.  ``gens``
+        renames the generators position by position."""
         gens = self.gens if gens is None else gens
 
         def conv(x):
-            return x.map_coeffs(fn, space, order, floor, gens)
+            return x.map_coeffs(fn, ring, gens)
 
         rules = {k: conv(r) for k, r in self.table.rules.items()}
         pairs = list(zip(self.gens.names, gens.names))
         return HopfPresentation(
             self.name,
-            RewriteTable(gens, space, order, floor, rules),
+            RewriteTable(gens, ring, rules),
             {new: conv(self.coproduct[old]) for old, new in pairs},
             {new: self.counit[old] for old, new in pairs},
             None if self.casimir is None else conv(self.casimir),
@@ -219,15 +214,10 @@ def antipode_defect(H: HopfPresentation, S, name, side="left") -> Element:
     d = H.coproduct[name]
     slot = 0 if side == "left" else 1
     acc = H.table.zero()
+    one = H.ring.one()
     for ms, c in d.terms.items():
-        factors = list(ms)
-        elt = Element(H.gens, H.space,
-                      {factors[slot]: Series.one(H.space, H.order, H.table.floor)},
-                      H.order, H.table.floor)
-        s_img = apply_antipode(S, elt, H.table)
-        other = Element(H.gens, H.space,
-                        {factors[1 - slot]: Series.one(H.space, H.order, H.table.floor)},
-                        H.order, H.table.floor)
+        s_img = apply_antipode(S, Element(H.gens, H.ring, {ms[slot]: one}), H.table)
+        other = Element(H.gens, H.ring, {ms[1 - slot]: one})
         if side == "left":
             acc = acc + mul(s_img, other, H.table).scale(c)
         else:
@@ -244,13 +234,13 @@ def solve_antipode(H: HopfPresentation):
     Starts from the primitive-coproduct guess S(X) = -X and peels off the
     defect of the left antipode axiom until it vanishes at truncation order."""
     S = {n: -H.gen(n) for n in H.gens.names}
-    for _ in range(H.order + 2):
+    for _ in range(H.ring.order + 2):
         defects = {n: antipode_defect(H, S, n, "left") for n in H.gens.names}
         if all(d.is_zero() for d in defects.values()):
             return S
         S = {n: S[n] - defects[n] for n in H.gens.names}
     raise SynthesisFailureError(
-        f"antipode synthesis did not converge for {H.name} at order {H.order}"
+        f"antipode synthesis did not converge for {H.name} at order {H.ring.order}"
     )
 
 
@@ -286,4 +276,4 @@ def verify_all(H: HopfPresentation, checks=None) -> VerificationReport:
     t0 = time.perf_counter()
     wanted = set(checks) if checks else None
     entries = [fn(H) for key, fn in ALL_CHECKS if wanted is None or key in wanted]
-    return VerificationReport(H.name, H.order, entries, time.perf_counter() - t0)
+    return VerificationReport(H.name, H.ring.order, entries, time.perf_counter() - t0)

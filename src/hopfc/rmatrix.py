@@ -9,14 +9,7 @@ from functools import lru_cache
 
 from .bialgebra import WedgeTensor
 from .errors import LookupError_, StructureError
-from .series import (
-    DEFAULT_FLOOR,
-    EXACT_FLOOR,
-    EXACT_ORDER,
-    ParamSpace,
-    Series,
-    analytic_series,
-)
+from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series
 
 F = Fraction
 
@@ -25,14 +18,14 @@ F = Fraction
 # matrices of Series
 # ---------------------------------------------------------------------------
 
-def mat_zero(space, n, order, floor):
-    z = Series.zero(space, order, floor)
+def mat_zero(ring, n):
+    z = ring.zero()
     return [[z for _ in range(n)] for _ in range(n)]
 
 
-def mat_identity(space, n, order, floor):
-    m = mat_zero(space, n, order, floor)
-    one = Series.one(space, order, floor)
+def mat_identity(ring, n):
+    m = mat_zero(ring, n)
+    one = ring.one()
     for i in range(n):
         m[i][i] = one
     return m
@@ -91,16 +84,10 @@ def kron(a, b):
 # QYBE and triangularity
 # ---------------------------------------------------------------------------
 
-def _space_of(r4):
-    return r4[0][0].space, r4[0][0].order, r4[0][0].floor
-
-
 def _embed_slots(r4, slots):
     """Embed a 4x4 (2x2 (x) 2x2) matrix into the 8x8 triple tensor product,
     acting on the two slots named in ``slots``."""
-    space, order, floor = _space_of(r4)
-    zero = Series.zero(space, order, floor)
-    out = [[zero for _ in range(8)] for _ in range(8)]
+    out = mat_zero(r4[0][0].ring, 8)
     a, b = slots
     free = [s for s in range(3) if s not in slots][0]
 
@@ -144,8 +131,7 @@ def flip_slots(r4):
 
 def triangularity_residual(r4):
     """R21 R - identity (zero iff the matrix is triangular)."""
-    space, order, floor = _space_of(r4)
-    return mat_sub(mat_mul(flip_slots(r4), r4), mat_identity(space, 4, order, floor))
+    return mat_sub(mat_mul(flip_slots(r4), r4), mat_identity(r4[0][0].ring, 4))
 
 
 def rmat_limit(r4, name):
@@ -171,33 +157,28 @@ FUNDAMENTAL_REP = {
 }
 
 
-def _rep_matrix(name, space, order, floor):
-    raw = FUNDAMENTAL_REP[name]
-    return [[Series.const(space, raw[i][j], order, floor) for j in range(2)]
-            for i in range(2)]
+def _rep_matrix(name, ring):
+    return [[ring.const(c) for c in row] for row in FUNDAMENTAL_REP[name]]
 
 
-def exp_wedge_rep(r: WedgeTensor, order, rep=None):
+def exp_wedge_rep(r: WedgeTensor, order):
     """Evaluate a classical r-matrix in rep (x) rep and exponentiate.
 
     Entries of rho(r) carry parameter weight >= 1, so the exponential series
     terminates at the truncation order."""
-    rep = FUNDAMENTAL_REP if rep is None else rep
-    space = r.space
-    floor = DEFAULT_FLOOR
-    x = mat_zero(space, 4, order, floor)
+    ring = Ring(r.ring.space, order)
+    x = mat_zero(ring, 4)
     for (i, j), c in r.terms.items():
-        ni, nj = r.gens.names[i], r.gens.names[j]
-        a = _rep_matrix(ni, space, order, floor)
-        b = _rep_matrix(nj, space, order, floor)
-        c = c.truncate(order, floor)
+        a = _rep_matrix(r.gens.names[i], ring)
+        b = _rep_matrix(r.gens.names[j], ring)
+        c = c.truncate(ring)
         x = mat_add(x, mat_scale(mat_sub(kron(a, b), kron(b, a)), c))
     for row in x:
         for c in row:
             if c and (c.min_wdeg() or 0) <= 0:
                 raise StructureError("exp argument has a weight-0 entry")
-    out = mat_identity(space, 4, order, floor)
-    pw = mat_identity(space, 4, order, floor)
+    out = mat_identity(ring, 4)
+    pw = mat_identity(ring, 4)
     fact = F(1)
     for k in range(1, order + 1):
         pw = mat_mul(pw, x)
@@ -210,15 +191,13 @@ def exp_wedge_rep(r: WedgeTensor, order, rep=None):
 # the two printed matrices
 # ---------------------------------------------------------------------------
 
-def _build_family_I(order, floor=DEFAULT_FLOOR):
+def _build_family_I(order):
     """Series mode in (a, a_plus): q = e^a, h = (a_plus/2)(e^a - 1)/a."""
-    space = ParamSpace.make("a", "a_plus")
-    one = Series.one(space, order, floor)
-    zero = Series.zero(space, order, floor)
-    a = Series.symbol(space, "a", order, floor)
+    ring = Ring(ParamSpace.make("a", "a_plus"), order)
+    one, zero = ring.one(), ring.zero()
+    a = ring.symbol("a")
     q = analytic_series("exp", a)
-    h = Series.symbol(space, "a_plus", order, floor, coeff=F(1, 2)) \
-        * analytic_series("expm1_over_arg", a)
+    h = ring.symbol("a_plus", coeff=F(1, 2)) * analytic_series("expm1_over_arg", a)
     return [
         [one, h, -(q * h), h * h],
         [zero, q, one - q * q, q * h],
@@ -230,11 +209,9 @@ def _build_family_I(order, floor=DEFAULT_FLOOR):
 def _build_family_I_exact():
     """Exact mode: Q and h as independent polynomial symbols; the QYBE check
     becomes an exact polynomial identity."""
-    space = ParamSpace.make(("Q", 1, False), ("h", 1, False))
-    one = Series.one(space, EXACT_ORDER, EXACT_FLOOR)
-    zero = Series.zero(space, EXACT_ORDER, EXACT_FLOOR)
-    q = Series.symbol(space, "Q", EXACT_ORDER, EXACT_FLOOR)
-    h = Series.symbol(space, "h", EXACT_ORDER, EXACT_FLOOR)
+    ring = Ring.exact(ParamSpace.make(("Q", 1, False), ("h", 1, False)))
+    one, zero = ring.one(), ring.zero()
+    q, h = ring.symbol("Q"), ring.symbol("h")
     return [
         [one, h, -(q * h), h * h],
         [zero, q, one - q * q, q * h],
@@ -243,16 +220,14 @@ def _build_family_I_exact():
     ]
 
 
-def _build_family_II(order, floor=DEFAULT_FLOOR):
+def _build_family_II(order):
     """Series mode in (b, b_plus): p = (b_plus/2)(e^b - 1)/b."""
-    space = ParamSpace.make("b", "b_plus")
-    one = Series.one(space, order, floor)
-    zero = Series.zero(space, order, floor)
-    b = Series.symbol(space, "b", order, floor)
+    ring = Ring(ParamSpace.make("b", "b_plus"), order)
+    one, zero = ring.one(), ring.zero()
+    b = ring.symbol("b")
     eb = analytic_series("exp", b)
     emb = analytic_series("exp", -b)
-    p = Series.symbol(space, "b_plus", order, floor, coeff=F(1, 2)) \
-        * analytic_series("expm1_over_arg", b)
+    p = ring.symbol("b_plus", coeff=F(1, 2)) * analytic_series("expm1_over_arg", b)
     return [
         [one, -(emb * p), p, -(emb * p * p)],
         [zero, emb, zero, emb * p],
@@ -264,12 +239,11 @@ def _build_family_II(order, floor=DEFAULT_FLOOR):
 def _build_family_II_exact():
     """Exact mode: B = e^b invertible, p polynomial; floor -4 covers the
     B^{-3} reached by triple products."""
-    space = ParamSpace.make(("B", 0, True), ("p", 1, False))
-    one = Series.one(space, EXACT_ORDER, DEFAULT_FLOOR)
-    zero = Series.zero(space, EXACT_ORDER, DEFAULT_FLOOR)
-    b = Series.symbol(space, "B", EXACT_ORDER, DEFAULT_FLOOR)
+    ring = Ring.exact(ParamSpace.make(("B", 0, True), ("p", 1, False)), floor=DEFAULT_FLOOR)
+    one, zero = ring.one(), ring.zero()
+    b = ring.symbol("B")
     bm = b ** -1
-    p = Series.symbol(space, "p", EXACT_ORDER, DEFAULT_FLOOR)
+    p = ring.symbol("p")
     return [
         [one, -(bm * p), p, -(bm * p * p)],
         [zero, bm, zero, bm * p],

@@ -1,16 +1,16 @@
 """Truncated multivariate formal series with exact rational coefficients.
 
 Everything downstream (structure constants, coproduct legs, R-matrix
-entries) has coefficients in this ring.  A series lives in a ``ParamSpace``
-that fixes the symbol list, a nonnegative integer weight per symbol used
-for truncation, and an invertibility flag allowing bounded negative
-exponents (used by the contraction parameter ``eps``).
+entries) has coefficients in one ``Ring``: a ``ParamSpace`` that fixes the
+symbol list, a nonnegative integer weight per symbol used for truncation,
+and an invertibility flag allowing bounded negative exponents (used by the
+contraction parameter ``eps``); a truncation order; and an exponent floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
 #: default lower exponent bound for invertible symbols
 DEFAULT_FLOOR = -4
 
-#: "no truncation" order / floor used internally by the contraction engine
+#: order / floor of the untruncated ``Ring.exact``
 EXACT_ORDER = 10**9
 EXACT_FLOOR = -(10**9)
 
@@ -104,18 +104,70 @@ class ParamSpace:
         return ParamSpace(tuple(syms), tuple(wts), tuple(inv))
 
 
+@dataclass(frozen=True)
+class Ring:
+    """The coefficient ring: series over ``space`` truncated above weighted
+    degree ``order``, with exponents of invertible symbols bounded below by
+    ``floor``.  Series and linear combinations combine only over equal
+    rings."""
+
+    space: ParamSpace
+    order: int
+    floor: int = DEFAULT_FLOOR
+
+    @classmethod
+    def exact(cls, space, floor=EXACT_FLOOR):
+        """The untruncated ring over ``space``."""
+        return cls(space, EXACT_ORDER, floor)
+
+    def check_same(self, other):
+        """The one compatibility rule: operands live in equal rings."""
+        if self is not other and self != other:
+            raise StructureError(f"mismatched rings {self} vs {other}")
+
+    def check_exponents(self, exps):
+        """Reject exponents below the floor on an invertible symbol, or
+        negative on any other."""
+        for e, iv in zip(exps, self.space.invertible):
+            if iv:
+                if e < self.floor:
+                    raise FloorUnderflowError([exps])
+            elif e < 0:
+                raise StructureError(f"negative exponent on non-invertible symbol: {exps}")
+
+    # -- constructors ------------------------------------------------------
+
+    def zero(self):
+        return Series(self, {})
+
+    def const(self, c):
+        return Series(self, {(0,) * self.space.dim: _frac(c)})
+
+    def one(self):
+        return self.const(1)
+
+    def term(self, exps_by_name, c=1):
+        exps = [0] * self.space.dim
+        for name, e in exps_by_name.items():
+            exps[self.space.index(name)] = e
+        return Series(self, {tuple(exps): _frac(c)})
+
+    def symbol(self, name, power=1, coeff=1):
+        return self.term({name: power}, coeff)
+
+
 class Series:
-    """Truncated series: map from exponent vectors to nonzero ``Fraction``s.
+    """Truncated series: map from exponent vectors to nonzero ``Fraction``s,
+    over one ``Ring``.
 
     Terms above the truncation order (total weighted degree) are silently
     dropped; exponents below the floor on invertible symbols raise."""
 
-    __slots__ = ("space", "order", "floor", "terms")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, space, terms, order, floor=DEFAULT_FLOOR):
-        self.space = space
-        self.order = order
-        self.floor = floor
+    def __init__(self, ring, terms):
+        self.ring = ring
+        space, order = ring.space, ring.order
         clean = {}
         for exps, c in terms.items():
             c = _frac(c)
@@ -123,55 +175,21 @@ class Series:
                 continue
             if len(exps) != space.dim:
                 raise StructureError(f"exponent vector {exps} does not fit {space.symbols}")
-            self._check_floor(space, exps, floor)
+            ring.check_exponents(exps)
             if space.wdeg(exps) > order:
                 continue
             clean[exps] = c
         self.terms = clean
 
-    @staticmethod
-    def _check_floor(space, exps, floor):
-        for e, iv in zip(exps, space.invertible):
-            if iv:
-                if e < floor:
-                    raise FloorUnderflowError([exps])
-            elif e < 0:
-                raise StructureError(f"negative exponent on non-invertible symbol: {exps}")
+    @property
+    def space(self):
+        return self.ring.space
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, space, order, floor=DEFAULT_FLOOR):
-        return cls(space, {}, order, floor)
-
-    @classmethod
-    def const(cls, space, c, order, floor=DEFAULT_FLOOR):
-        return cls(space, {(0,) * space.dim: _frac(c)}, order, floor)
-
-    @classmethod
-    def one(cls, space, order, floor=DEFAULT_FLOOR):
-        return cls.const(space, 1, order, floor)
-
-    @classmethod
-    def term(cls, space, exps_by_name, c, order, floor=DEFAULT_FLOOR):
-        exps = [0] * space.dim
-        for name, e in exps_by_name.items():
-            exps[space.index(name)] = e
-        return cls(space, {tuple(exps): _frac(c)}, order, floor)
-
-    @classmethod
-    def symbol(cls, space, name, order, floor=DEFAULT_FLOOR, power=1, coeff=1):
-        return cls.term(space, {name: power}, coeff, order, floor)
+    @property
+    def order(self):
+        return self.ring.order
 
     # -- helpers -----------------------------------------------------------
-
-    def _compatible(self, other):
-        if self.space.symbols != other.space.symbols:
-            raise StructureError(
-                f"mismatched spaces {self.space.symbols} vs {other.space.symbols}"
-            )
-        if self.order != other.order or self.floor != other.floor:
-            raise StructureError("mismatched truncation order / floor")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -199,12 +217,12 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return Series(self.space, {e: -c for e, c in self.terms.items()}, self.order, self.floor)
+        return Series(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series.const(self.space, other, self.order, self.floor)
-        self._compatible(other)
+            other = self.ring.const(other)
+        self.ring.check_same(other.ring)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, Fraction(0)) + c
@@ -212,46 +230,45 @@ class Series:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Series(self.space, terms, self.order, self.floor)
+        return Series(self.ring, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series.const(self.space, other, self.order, self.floor)
+            other = self.ring.const(other)
         return self + (-other)
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if not c:
-                return Series.zero(self.space, self.order, self.floor)
-            return Series(
-                self.space, {e: c * v for e, v in self.terms.items()}, self.order, self.floor
-            )
-        self._compatible(other)
-        space, order, floor = self.space, self.order, self.floor
+                return ring.zero()
+            return Series(ring, {e: c * v for e, v in self.terms.items()})
+        ring.check_same(other.ring)
+        wdeg, order, check = ring.space.wdeg, ring.order, ring.check_exponents
         out = {}
         for e1, c1 in self.terms.items():
-            w1 = space.wdeg(e1)
+            w1 = wdeg(e1)
             for e2, c2 in other.terms.items():
-                if w1 + space.wdeg(e2) > order:
+                if w1 + wdeg(e2) > order:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                Series._check_floor(space, e, floor)
+                check(e)
                 s = out.get(e, Fraction(0)) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Series(space, out, order, floor)
+        return Series(ring, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert_monomial(-n)
-        result = Series.one(self.space, self.order, self.floor)
+        result = self.ring.one()
         for _ in range(n):
             result = result * self
         return result
@@ -262,19 +279,19 @@ class Series:
             raise StructureError("can only invert single-term series")
         ((e, c),) = self.terms.items()
         inv = tuple(-x * n for x in e)
-        return Series(self.space, {inv: Fraction(1) / c**n}, self.order, self.floor)
+        return Series(self.ring, {inv: Fraction(1) / c**n})
 
     # -- structural operations --------------------------------------------
 
-    def truncate(self, order=None, floor=None):
-        order = self.order if order is None else order
-        floor = self.floor if floor is None else floor
-        return Series(self.space, self.terms, order, floor)
+    def truncate(self, ring):
+        """The same terms over ``ring``, a ring on this series' symbols."""
+        if ring.space.symbols != self.space.symbols:
+            raise StructureError(f"cannot truncate {self.space.symbols} into {ring.space.symbols}")
+        return Series(ring, self.terms)
 
-    def embed(self, space, order=None, floor=None):
-        """Re-express in a superspace (matched by symbol name)."""
-        order = self.order if order is None else order
-        floor = self.floor if floor is None else floor
+    def embed(self, ring):
+        """Re-express over a ring on a superspace (matched by symbol name)."""
+        space = ring.space
         idx = [space.index(s) for s in self.space.symbols]
         out = {}
         for e, c in self.terms.items():
@@ -282,12 +299,12 @@ class Series:
             for j, v in zip(idx, e):
                 ne[j] = v
             out[tuple(ne)] = c
-        return Series(space, out, order, floor)
+        return Series(ring, out)
 
-    def restrict(self, space, order=None, floor=None):
-        """Project onto a subspace; foreign nonzero exponents are an error."""
-        order = self.order if order is None else order
-        floor = self.floor if floor is None else floor
+    def restrict(self, ring):
+        """Project onto a ring on a subspace; foreign nonzero exponents are an
+        error."""
+        space = ring.space
         pos = {s: i for i, s in enumerate(self.space.symbols)}
         keep = [pos[s] for s in space.symbols]
         drop = [i for i, s in enumerate(self.space.symbols) if not space.has(s)]
@@ -296,33 +313,27 @@ class Series:
             if any(e[i] for i in drop):
                 raise StructureError(f"term {e} carries symbols outside {space.symbols}")
             out[tuple(e[i] for i in keep)] = c
-        return Series(space, out, order, floor)
+        return Series(ring, out)
 
-    def substitute(self, sigma, order=None, floor=None, space=None):
-        """Simultaneous substitution symbol -> Series.
+    def substitute(self, sigma, ring=None):
+        """Simultaneous substitution symbol -> Series, into ``ring``.
 
-        Symbols absent from ``sigma`` map to themselves; the target space is
-        taken from the images (they must agree) unless given explicitly."""
-        if space is None:
-            for img in sigma.values():
-                space = img.space
-                break
-            if space is None:
-                space = self.space
-        order = self.order if order is None else order
-        floor = self.floor if floor is None else floor
-
+        Symbols absent from ``sigma`` map to themselves; the target ring is
+        that of the images (they must agree) unless given explicitly."""
+        if ring is None:
+            ring = next((img.ring for img in sigma.values()), self.ring)
         images = {}
         for name in self.space.symbols:
             if name in sigma:
-                images[name] = sigma[name].embed(space, order=order, floor=floor) \
-                    if sigma[name].space.symbols != space.symbols else sigma[name].truncate(order, floor)
+                img = sigma[name]
+                images[name] = img.embed(ring) if img.space.symbols != ring.space.symbols \
+                    else img.truncate(ring)
             else:
-                images[name] = Series.symbol(space, name, order, floor)
+                images[name] = ring.symbol(name)
 
-        out = Series.zero(space, order, floor)
+        out = ring.zero()
         for e, c in self.terms.items():
-            term = Series.const(space, c, order, floor)
+            term = ring.const(c)
             for name, exp in zip(self.space.symbols, e):
                 if exp:
                     term = term * images[name] ** exp
@@ -330,19 +341,19 @@ class Series:
         return out
 
     def zero_slice(self, name, context=""):
-        """Set ``name`` to zero, keeping the space: positive powers vanish,
+        """Set ``name`` to zero, keeping the ring: positive powers vanish,
         negative powers raise DivergenceError (tagged with ``context``)."""
         i = self.space.index(name)
         bad = sorted(e for e in self.terms if e[i] < 0)
         if bad:
             raise DivergenceError([self._render_term(e, self.terms[e]) for e in bad],
                                   context=context)
-        out = {e: c for e, c in self.terms.items() if e[i] == 0}
-        return Series(self.space, out, self.order, self.floor)
+        return Series(self.ring, {e: c for e, c in self.terms.items() if e[i] == 0})
 
     def limit_zero(self, name=EPS, context=""):
         """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
-        return self.zero_slice(name, context).restrict(self.space.without(name))
+        return self.zero_slice(name, context).restrict(
+            replace(self.ring, space=self.space.without(name)))
 
     # -- rendering ---------------------------------------------------------
 
@@ -413,19 +424,19 @@ def taylor_coeffs(kind, n):
     raise StructureError(f"unknown analytic kind {kind!r}")
 
 
-def analytic_series(kind, arg: Series, order=None) -> Series:
+def analytic_series(kind, arg: Series) -> Series:
     """Taylor expansion of the named function composed with a scalar series.
 
     Every term of ``arg`` must have strictly positive weighted degree so the
     composition truncates."""
-    order = arg.order if order is None else order
+    ring = arg.ring
     mw = arg.min_wdeg()
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
-    kmax = order if mw is None else order // mw
+    kmax = ring.order if mw is None else ring.order // mw
     coeffs = taylor_coeffs(kind, kmax)
-    out = Series.zero(arg.space, order, arg.floor)
-    power = Series.one(arg.space, order, arg.floor)
+    out = ring.zero()
+    power = ring.one()
     for k in range(kmax + 1):
         if coeffs[k]:
             out = out + power * coeffs[k]

@@ -11,7 +11,7 @@ from hopfc.bialgebra import WedgeTensor, check_cocycle, check_cojacobi, cocommut
 from hopfc.contraction import ParamImage, change_of_basis, contract_hopf, match_presentation
 from hopfc.errors import DivergenceError
 from hopfc.hopf import verify_all
-from hopfc.series import EXACT_FLOOR, EXACT_ORDER, Series
+from hopfc.series import Ring
 
 
 def _fresh(name, order=3):
@@ -87,8 +87,8 @@ def oscillator_coproduct_legs_swapped():
 def cocommutator_perturbed():
     L = catalog.lie_structure("gl2.II.standard")
     delta = dict(cocommutator_from_r(L, catalog.classical_r("gl2.II.standard")))
-    bump = WedgeTensor(L.gens, L.space, {
-        (0, 1): Series.symbol(L.space, "a", EXACT_ORDER, EXACT_FLOOR)}, L.order, L.floor)
+    bump = WedgeTensor(L.gens, L.ring, {
+        (0, 1): Ring.exact(L.ring.space).symbol("a")})
     i = catalog.GL2.index("Jm")
     delta[i] = delta[i] + bump
     return bool(check_cocycle(L, delta)) or bool(check_cojacobi(L, delta))

@@ -18,7 +18,7 @@ from hopfc.contraction import (
 )
 from hopfc.errors import DivergenceError
 from hopfc.hopf import verify_all
-from hopfc.series import EXACT_FLOOR, EXACT_ORDER, Series
+from hopfc.series import Ring
 
 
 def _report(num, ok, desc):
@@ -75,9 +75,9 @@ def test_acceptance_3_minimal_exponents():
             ok = False
     # correlated one-parameter limit: shared exponent 1, single wedge term
     sol = solve_min_exponents(catalog.get_case("Iplus.nonstandard"))
-    sp = sol.r_contracted.space
-    want = {(1, 2): Series.symbol(sp, "alpha_plus", EXACT_ORDER, EXACT_FLOOR,
-                                  coeff=F(-1))}
+    sp = sol.r_contracted.ring.space
+    want = {(1, 2): Ring.exact(sp).symbol("alpha_plus",
+                                          coeff=F(-1))}
     ok = ok and sol.r_min == {"n": 1} and sol.r_contracted.terms == want
     # decorrelating the parameters forces exponent 3 term by term
     ind = dataclasses.replace(

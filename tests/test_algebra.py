@@ -22,7 +22,7 @@ from hopfc.errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from hopfc.series import DEFAULT_FLOOR, EXACT_FLOOR, EXACT_ORDER, ParamSpace, Series
+from hopfc.series import ParamSpace, Ring
 
 
 def fresh(name, order=4):
@@ -37,7 +37,7 @@ def fresh(name, order=4):
 def test_classical_jm_jp():
     t = fresh("gl2.classical").table
     got = t.nf_word((t.gens.index("Jm"), t.gens.index("Jp")))
-    want = Element.monomial(t.gens, t.space, {"Jp": 1, "Jm": 1}, t.order, t.floor) \
+    want = Element.monomial(t.gens, t.ring, {"Jp": 1, "Jm": 1}) \
         - t.gen("J3")
     assert got == want
 
@@ -45,7 +45,7 @@ def test_classical_jm_jp():
 def test_classical_j3_jp():
     t = fresh("gl2.classical").table
     got = t.nf_word((t.gens.index("J3"), t.gens.index("Jp")))
-    want = Element.monomial(t.gens, t.space, {"Jp": 1, "J3": 1}, t.order, t.floor) \
+    want = Element.monomial(t.gens, t.ring, {"Jp": 1, "J3": 1}) \
         + t.gen("Jp", coeff=t.scalar(2))
     assert got == want
 
@@ -54,10 +54,10 @@ def test_sinh_deformed_jm_jp_at_order_3():
     # Taylor oracle: [Jp, Jm] = sinh(a J3)/a = J3 + a^2 J3^3/6 at N=3
     t = fresh("gl2.II.standard", 3).table
     got = t.nf_word((t.gens.index("Jm"), t.gens.index("Jp")))
-    want = (Element.monomial(t.gens, t.space, {"Jp": 1, "Jm": 1}, 3, t.floor)
+    want = (Element.monomial(t.gens, Ring(t.ring.space, 3), {"Jp": 1, "Jm": 1})
             - t.gen("J3")
-            - Element.monomial(t.gens, t.space, {"J3": 3}, 3, t.floor,
-                               coeff=Series.term(t.space, {"a": 2}, F(1, 6), 3)))
+            - Element.monomial(t.gens, Ring(t.ring.space, 3), {"J3": 3},
+                               coeff=Ring(t.ring.space, 3).term({"a": 2}, F(1, 6))))
     assert got == want
 
 
@@ -73,8 +73,8 @@ def test_oscillator_deformed_commutator():
     t = fresh("h4.xi", 3).table
     got = mul(t.gen("Am"), t.gen("Ap"), t) - mul(t.gen("Ap"), t.gen("Am"), t)
     want = t.gen("M") + Element.monomial(
-        t.gens, t.space, {"M": 3}, 3, t.floor,
-        coeff=Series.term(t.space, {"xi": 2}, F(1, 6), 3))
+        t.gens, Ring(t.ring.space, 3), {"M": 3},
+        coeff=Ring(t.ring.space, 3).term({"xi": 2}, F(1, 6)))
     assert got == want
 
 
@@ -108,8 +108,8 @@ def test_exp_of_generator():
     t = fresh("gl2.Iplus.nonstandard", 2).table
     got = generator_function("exp", t.gen("Jp", coeff=t.sym("a_plus")), t)
     want = (t.one() + t.gen("Jp", coeff=t.sym("a_plus"))
-            + Element.monomial(t.gens, t.space, {"Jp": 2}, 2, t.floor,
-                               coeff=Series.term(t.space, {"a_plus": 2}, F(1, 2), 2)))
+            + Element.monomial(t.gens, Ring(t.ring.space, 2), {"Jp": 2},
+                               coeff=Ring(t.ring.space, 2).term({"a_plus": 2}, F(1, 2))))
     assert got == want
 
 
@@ -120,8 +120,8 @@ def test_expm1_over_arg_of_generator():
               generator_function("expm1_over_arg", t.gen("Jp", coeff=t.sym("a_plus")), t),
               t)
     want = t.gen("Jp") + Element.monomial(
-        t.gens, t.space, {"Jp": 2}, 1, t.floor,
-        coeff=Series.symbol(t.space, "a_plus", 1, t.floor, coeff=F(1, 2)))
+        t.gens, Ring(t.ring.space, 1), {"Jp": 2},
+        coeff=Ring(t.ring.space, 1).symbol("a_plus", coeff=F(1, 2)))
     assert got == want
 
 
@@ -151,8 +151,8 @@ def _scaled_images():
     space = ParamSpace.make("eps")
     h4 = catalog.H4
     t = RewriteTable(
-        h4, space, EXACT_ORDER, EXACT_FLOOR,
-        {(i, j): Element.zero(h4, space, EXACT_ORDER, EXACT_FLOOR)
+        h4, Ring.exact(space),
+        {(i, j): Element.zero(h4, Ring.exact(space))
          for i in range(4) for j in range(i)},
     )
     t.set_rule("N", "Ap", t.gen("Ap"))
@@ -171,11 +171,10 @@ def test_substitute_i_squared():
     t, images = _scaled_images()
     gl2 = catalog.GL2
     space = ParamSpace.make("eps")
-    x = Element.monomial(gl2, space, {"I": 2}, EXACT_ORDER, EXACT_FLOOR)
+    x = Element.monomial(gl2, Ring.exact(space), {"I": 2})
     got = substitute_generators(x, images, t)
-    want = Element.monomial(t.gens, space, {"M": 2}, EXACT_ORDER, EXACT_FLOOR,
-                            coeff=Series.term(space, {"eps": -4}, 1,
-                                              EXACT_ORDER, EXACT_FLOOR))
+    want = Element.monomial(t.gens, Ring.exact(space), {"M": 2},
+                            coeff=Ring.exact(space).term({"eps": -4}, 1))
     assert got == want
 
 
@@ -183,8 +182,8 @@ def test_substitute_j3_plus_i():
     t, images = _scaled_images()
     gl2 = catalog.GL2
     space = ParamSpace.make("eps")
-    x = (Element.generator(gl2, space, "J3", EXACT_ORDER, EXACT_FLOOR)
-         + Element.generator(gl2, space, "I", EXACT_ORDER, EXACT_FLOOR))
+    x = (Element.generator(gl2, Ring.exact(space), "J3")
+         + Element.generator(gl2, Ring.exact(space), "I"))
     got = substitute_generators(x, images, t)
     assert got == t.gen("N", coeff=t.scalar(2))
 

@@ -11,7 +11,7 @@ from hopfc.bialgebra import (
     is_ad_invariant,
     schouten_bracket,
 )
-from hopfc.series import EXACT_FLOOR, EXACT_ORDER, Series
+from hopfc.series import Ring
 
 R_NAMES = ["gl2.Iplus.standard", "gl2.Iplus.nonstandard",
            "gl2.II.standard", "gl2.II.nonstandard"]
@@ -40,7 +40,7 @@ def test_central_generator_cocommutes(name):
 
 def test_zero_r_gives_zero_delta():
     L = catalog.lie_structure("gl2.II.standard")
-    zero = WedgeTensor(L.gens, L.space, {}, L.order, L.floor)
+    zero = WedgeTensor(L.gens, L.ring, {})
     delta = cocommutator_from_r(L, zero)
     assert all(delta[x].is_zero() for x in range(L.gens.dim))
 
@@ -50,11 +50,11 @@ def test_delta_jp_hand_oracle():
     L = catalog.lie_structure("gl2.II.standard")
     r = catalog.classical_r("gl2.II.standard")
     delta = cocommutator_from_r(L, r)
-    sp = r.space
-    want = WedgeTensor(L.gens, sp, {
-        (0, 1): Series.symbol(sp, "b", EXACT_ORDER, EXACT_FLOOR, coeff=F(-1)),
-        (1, 2): Series.symbol(sp, "a", EXACT_ORDER, EXACT_FLOOR, coeff=F(-1)),
-    }, EXACT_ORDER, EXACT_FLOOR)
+    sp = r.ring.space
+    want = WedgeTensor(L.gens, Ring.exact(sp), {
+        (0, 1): Ring.exact(sp).symbol("b", coeff=F(-1)),
+        (1, 2): Ring.exact(sp).symbol("a", coeff=F(-1)),
+    })
     assert delta[catalog.GL2.index("Jp")] == want
 
 
@@ -75,10 +75,10 @@ def test_quasitriangular_families_have_invariant_schouten(name):
 def test_perturbed_delta_breaks_cocycle():
     L = catalog.lie_structure("gl2.II.standard")
     delta = cocommutator_from_r(L, catalog.classical_r("gl2.II.standard"))
-    sp = L.space
-    bump = WedgeTensor(L.gens, sp, {
-        (0, 1): Series.symbol(sp, "a", EXACT_ORDER, EXACT_FLOOR),
-    }, L.order, L.floor)
+    sp = L.ring.space
+    bump = WedgeTensor(L.gens, L.ring, {
+        (0, 1): Ring.exact(sp).symbol("a"),
+    })
     delta = dict(delta)
     delta[catalog.GL2.index("Jm")] = delta[catalog.GL2.index("Jm")] + bump
     assert check_cocycle(L, delta)

@@ -76,3 +76,12 @@ def test_classical_limit_casimirs_are_exact():
         assert m.match, m.residuals
     lim = classical_limit(catalog.get("h4.alphaplus", 3))
     assert match_presentation(lim, catalog.get("h4.classical", 3)).match
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_truncation_consistency(name):
+    # a presentation built at N=6 and truncated to N=4 is the N=4 build
+    r4 = catalog.get(name, 4).ring
+    cut = catalog.get(name, 6).map_coeffs(lambda c: c.truncate(r4), r4)
+    m = match_presentation(cut, catalog.get(name, 4))
+    assert m.match, m.residuals

@@ -15,7 +15,7 @@ from hopfc.contraction import (
     solve_min_exponents,
 )
 from hopfc.errors import DivergenceError
-from hopfc.series import EPS, EXACT_FLOOR, EXACT_ORDER, Series
+from hopfc.series import EPS, Ring
 
 CASE_NAMES = sorted(catalog.CASES)
 
@@ -37,19 +37,19 @@ def test_contracted_r_correlated():
     # the single surviving term N^Ap with the shared exponent n = 1
     sol = solve_min_exponents(catalog.get_case("Iplus.nonstandard"))
     rc = sol.r_contracted
-    sp = rc.space
-    want = {(1, 2): Series.symbol(sp, "alpha_plus", EXACT_ORDER, EXACT_FLOOR,
-                                  coeff=F(-1))}
+    sp = rc.ring.space
+    want = {(1, 2): Ring.exact(sp).symbol("alpha_plus",
+                                          coeff=F(-1))}
     assert rc.terms == want
 
 
 def test_contracted_r_two_parameter():
     sol = solve_min_exponents(catalog.get_case("Iplus.standard"))
     rc = sol.r_contracted
-    sp = rc.space
+    sp = rc.ring.space
     want = {
-        (0, 1): Series.symbol(sp, "beta_plus", EXACT_ORDER, EXACT_FLOOR, coeff=F(-1)),
-        (1, 3): Series.symbol(sp, "xi", EXACT_ORDER, EXACT_FLOOR),
+        (0, 1): Ring.exact(sp).symbol("beta_plus", coeff=F(-1)),
+        (1, 3): Ring.exact(sp).symbol("xi"),
     }
     assert rc.terms == want
 
@@ -122,10 +122,10 @@ def test_coproduct_slot_coefficients_of_contracted_source():
             for n in H.gens.names}
     i_sq = tuple(2 if g == "I" else 0 for g in H.gens.names)
     c1 = terms[(mono["J3"], mono["I"])]
-    assert c1 == Series.symbol(H.space, "b_plus", 3, H.table.floor, coeff=F(-1, 2))
+    assert c1 == Ring(H.ring.space, 3).symbol("b_plus", coeff=F(-1, 2))
     c2 = terms[(mono["Jp"], i_sq)]
-    want2 = (Series.symbol(H.space, "b_plus", 3, H.table.floor)
-             * Series.symbol(H.space, "b_plus", 3, H.table.floor)) * F(-1, 4)
+    want2 = (Ring(H.ring.space, 3).symbol("b_plus")
+             * Ring(H.ring.space, 3).symbol("b_plus")) * F(-1, 4)
     assert c2 == want2
 
 
@@ -193,3 +193,20 @@ def test_classical_limits(name, classical):
     lim = classical_limit(catalog.get(name, 3), rename={"J3p": "J3"})
     m = match_presentation(lim, catalog.get(classical, 3))
     assert m.match, m.residuals
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_contraction_commutes_with_truncation(name):
+    case = catalog.get_case(name)
+    want = contract_hopf(case, 4)
+    cut = contract_hopf(case, 6).map_coeffs(lambda c: c.truncate(want.ring), want.ring)
+    m = match_presentation(cut, want)
+    assert m.match, m.residuals
+
+
+def test_match_residual_is_rendered_like_every_other_residual():
+    H = catalog._BUILDERS["gl2.classical"](4)
+    t = H.table
+    t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(-2)))
+    m = match_presentation(H, catalog.get("gl2.classical", 4))
+    assert m.to_json() == {"verdict": "mismatch", "residuals": ["rule [J3,Jp]: (-4)*Jp"]}

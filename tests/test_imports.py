@@ -1,5 +1,6 @@
-"""Stdlib stand-in for a linter's unused-import rule over the engine sources
-(``__init__.py`` re-exports by design and is skipped)."""
+"""Stdlib stand-ins for a linter's unused-import and unused-parameter rules
+over the engine sources (``__init__.py`` re-exports by design and is skipped
+for imports)."""
 
 import ast
 from pathlib import Path
@@ -26,10 +27,58 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_parameters(source):
+    """(qualified function name, parameter) for every parameter that the
+    function body never reads; ``self`` and ``cls`` are exempt."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                found.extend((name, p) for p in params
+                             if p not in ("self", "cls") and p not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+#: overrides that must keep the signature of the method they override
+#: (``Element`` and ``TensorElement`` read ``full``)
+ALLOWED_UNUSED = {
+    "algebra.py": [("LinComb._render_key", "full")],
+    "bialgebra.py": [("WedgeTensor._render_key", "full")],
+}
+
+ALL_SRC = sorted((Path(__file__).parent.parent / "src" / "hopfc").glob("*.py"))
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == ALLOWED_UNUSED.get(path.name, [])
+
+
 def test_check_flags_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [(1, "os"), (2, "b")]
+
+
+def test_check_flags_an_unused_parameter():
+    source = ("def f(a, b=1, *args, c, **kw):\n    return a + c + len(args)\n"
+              "class C:\n    def m(self, x, y):\n"
+              "        def g(z):\n            return y\n        return g\n")
+    assert unused_parameters(source) == [("C.m", "x"), ("C.m.g", "z"), ("f", "b"), ("f", "kw")]

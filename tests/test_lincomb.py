@@ -11,7 +11,8 @@ from hopfc import catalog
 from hopfc.algebra import coproduct_on_slot, mul
 from hopfc.bialgebra import cocommutator_from_r
 from hopfc.contraction import match_presentation
-from hopfc.series import ParamSpace
+from hopfc.errors import StructureError
+from hopfc.series import ParamSpace, Ring
 
 
 def test_element_rendering():
@@ -65,10 +66,16 @@ def test_wedge_rendering():
 @pytest.mark.parametrize("name", ["gl2.Iplus.standard", "h4.betaplus.xi"])
 def test_map_coeffs_embed_restrict_round_trip(name):
     H = catalog.get(name, 3)
-    big = H.space.union(ParamSpace.make("z", "eps"))
-    up = H.map_coeffs(lambda c: c.embed(big), big, H.order, H.table.floor)
-    assert all(t.space is big for t in up.coproduct.values())
-    back = up.map_coeffs(lambda c: c.restrict(H.space), H.space, H.order, H.table.floor)
+    big = Ring(H.ring.space.union(ParamSpace.make("z", "eps")), H.ring.order, H.ring.floor)
+    up = H.map_coeffs(lambda c: c.embed(big), big)
+    assert all(t.ring is big for t in up.coproduct.values())
+    back = up.map_coeffs(lambda c: c.restrict(H.ring), H.ring)
     m = match_presentation(back, H)
     assert m.match, m.residuals
     assert back.casimir == H.casimir
+
+
+def test_add_across_truncation_orders_raises():
+    # the two coefficient rings differ only in their order
+    with pytest.raises(StructureError):
+        catalog.get("gl2.classical", 3).gen("Jp") + catalog.get("gl2.classical", 5).gen("Jm")

@@ -2,14 +2,14 @@ import pytest
 
 from hopfc import catalog, rmatrix
 from hopfc.errors import DivergenceError, LookupError_
-from hopfc.series import DEFAULT_FLOOR, ParamSpace
+from hopfc.series import ParamSpace, Ring
 
 NAMES = rmatrix.rmat_names()
 
 
 def test_identity_satisfies_qybe():
     sp = ParamSpace.make("a")
-    R = rmatrix.mat_identity(sp, 4, 3, DEFAULT_FLOOR)
+    R = rmatrix.mat_identity(Ring(sp, 3), 4)
     assert rmatrix.mat_is_zero(rmatrix.qybe_residual(R))
 
 
@@ -40,7 +40,7 @@ def test_exp_of_r_inverse_pair():
     prod = rmatrix.mat_mul(E, Em)
     sp = E[0][0].space
     assert rmatrix.mat_is_zero(
-        rmatrix.mat_sub(prod, rmatrix.mat_identity(sp, 4, 4, DEFAULT_FLOOR)))
+        rmatrix.mat_sub(prod, rmatrix.mat_identity(Ring(sp, 4), 4)))
 
 
 def test_exp_of_triangular_r_is_triangular_solution():

@@ -11,10 +11,8 @@ from hopfc.errors import (
     StructureError,
 )
 from hopfc.series import (
-    DEFAULT_FLOOR,
-    EXACT_FLOOR,
-    EXACT_ORDER,
     ParamSpace,
+    Ring,
     Series,
     analytic_series,
     taylor_coeffs,
@@ -26,7 +24,7 @@ SPE = ParamSpace.make("a", "eps")
 
 
 def sym(space, name, order=4, **kw):
-    return Series.symbol(space, name, order, DEFAULT_FLOOR, **kw)
+    return Ring(space, order).symbol(name, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,7 @@ def test_taylor_x_over_tanh_oracle():
 # ---------------------------------------------------------------------------
 
 def test_additive_cancellation():
-    one = Series.one(SP, 4)
+    one = Ring(SP, 4).one()
     a = sym(SP, "a")
     assert (one + a) + (-a) == one
 
@@ -91,8 +89,8 @@ def test_half_plus_half():
 
 def test_expm1_over_arg_series_plus_negation():
     s = analytic_series("expm1_over_arg", sym(SP, "a", order=2))
-    expected = Series.one(SP, 2) + sym(SP, "a", order=2) * F(1, 2) \
-        + Series.term(SP, {"a": 2}, F(1, 6), 2)
+    expected = Ring(SP, 2).one() + sym(SP, "a", order=2) * F(1, 2) \
+        + Ring(SP, 2).term({"a": 2}, F(1, 6))
     assert s == expected
     assert (s + (-s)).is_zero()
 
@@ -102,25 +100,25 @@ def test_truncated_product():
     s = analytic_series("expm1_over_arg", sym(SP, "a", order=3))
     got = s * sym(SP, "a", order=3)
     want = (sym(SP, "a", order=3)
-            + Series.term(SP, {"a": 2}, F(1, 2), 3)
-            + Series.term(SP, {"a": 3}, F(1, 6), 3))
+            + Ring(SP, 3).term({"a": 2}, F(1, 2))
+            + Ring(SP, 3).term({"a": 3}, F(1, 6)))
     assert got == want
 
 
 def test_eps_valuation_cancellation():
-    e2 = Series.term(SPE, {"eps": 2}, 1, 4)
-    em2 = Series.term(SPE, {"eps": -2}, 1, 4)
-    assert e2 * em2 == Series.one(SPE, 4)
+    e2 = Ring(SPE, 4).term({"eps": 2}, 1)
+    em2 = Ring(SPE, 4).term({"eps": -2}, 1)
+    assert e2 * em2 == Ring(SPE, 4).one()
 
 
 def test_ratio_symbol_numeric_oracle():
     # kappa * a substitutes for the product parameter: with a = 1/3 and the
     # ratio 3/5, the product is exactly 1/5
     space = ParamSpace.make("a", ("kappa", 0, False))
-    s = Series.symbol(space, "kappa", 4, DEFAULT_FLOOR) * Series.symbol(space, "a", 4, DEFAULT_FLOOR)
+    s = Ring(space, 4).symbol("kappa") * Ring(space, 4).symbol("a")
     num = s.substitute({
-        "a": Series.const(space, F(1, 3), 4, DEFAULT_FLOOR),
-        "kappa": Series.const(space, F(3, 5), 4, DEFAULT_FLOOR),
+        "a": Ring(space, 4).const(F(1, 3)),
+        "kappa": Ring(space, 4).const(F(3, 5)),
     })
     assert num.constant_term() == F(1, 5)
 
@@ -136,30 +134,30 @@ def _contraction_space():
 
 def test_substitute_parameter_images():
     sp = _contraction_space()
-    a = Series.symbol(sp, "a", EXACT_ORDER, EXACT_FLOOR)
-    img = Series.term(sp, {"eps": 2, "xi": 1}, F(-1), EXACT_ORDER, EXACT_FLOOR)
+    a = Ring.exact(sp).symbol("a")
+    img = Ring.exact(sp).term({"eps": 2, "xi": 1}, F(-1))
     assert a.substitute({"a": img}) == img
 
-    bp = Series.symbol(sp, "b_plus", EXACT_ORDER, EXACT_FLOOR)
-    img2 = Series.term(sp, {"eps": 3, "beta_plus": 1}, F(2), EXACT_ORDER, EXACT_FLOOR)
+    bp = Ring.exact(sp).symbol("b_plus")
+    img2 = Ring.exact(sp).term({"eps": 3, "beta_plus": 1}, F(2))
     assert bp.substitute({"b_plus": img2}) == img2
 
-    ap = Series.symbol(sp, "a_plus", EXACT_ORDER, EXACT_FLOOR)
-    img3 = Series.term(sp, {"eps": 1, "alpha_plus": 1}, F(1), EXACT_ORDER, EXACT_FLOOR)
+    ap = Ring.exact(sp).symbol("a_plus")
+    img3 = Ring.exact(sp).term({"eps": 1, "alpha_plus": 1}, F(1))
     assert ap.substitute({"a_plus": img3}) == img3
 
 
 def test_limit_zero_drops_positive_powers():
     sp = ParamSpace.make("theta", "xi", "eps")
-    s = Series.symbol(sp, "theta", 4, DEFAULT_FLOOR) \
-        + Series.term(sp, {"eps": 2, "xi": 1}, 1, 4)
+    s = Ring(sp, 4).symbol("theta") \
+        + Ring(sp, 4).term({"eps": 2, "xi": 1}, 1)
     lim = s.limit_zero("eps")
-    assert lim == Series.symbol(lim.space, "theta", 4, DEFAULT_FLOOR)
+    assert lim == Ring(lim.space, 4).symbol("theta")
 
 
 def test_limit_zero_divergence():
     sp = ParamSpace.make("xi", "eps")
-    s = Series.term(sp, {"eps": -2, "xi": 1}, 1, 4)
+    s = Ring(sp, 4).term({"eps": -2, "xi": 1}, 1)
     with pytest.raises(DivergenceError):
         s.limit_zero("eps")
 
@@ -168,9 +166,9 @@ def test_limit_zero_at_solved_exponent():
     # eps^(n-2) * theta with n = 2 survives as theta
     sp = ParamSpace.make("theta", "eps")
     n = 2
-    s = Series.term(sp, {"eps": n - 2, "theta": 1}, 1, 4)
+    s = Ring(sp, 4).term({"eps": n - 2, "theta": 1}, 1)
     lim = s.limit_zero("eps")
-    assert lim == Series.symbol(lim.space, "theta", 4, DEFAULT_FLOOR)
+    assert lim == Ring(lim.space, 4).symbol("theta")
 
 
 # ---------------------------------------------------------------------------
@@ -179,35 +177,35 @@ def test_limit_zero_at_solved_exponent():
 
 def test_floor_underflow():
     sp = ParamSpace.make("eps",)
-    em = Series.term(sp, {"eps": -4}, 1, 4)
+    em = Ring(sp, 4).term({"eps": -4}, 1)
     with pytest.raises(FloorUnderflowError):
-        em * Series.term(sp, {"eps": -1}, 1, 4)
+        em * Ring(sp, 4).term({"eps": -1}, 1)
 
 
 def test_negative_power_of_plain_symbol_rejected():
     with pytest.raises(StructureError):
-        Series.term(SP, {"a": -1}, 1, 4)
+        Ring(SP, 4).term({"a": -1}, 1)
 
 
 def test_restrict_foreign_symbol_rejected():
     sp = ParamSpace.make("a", "b")
-    s = Series.symbol(sp, "b", 4, DEFAULT_FLOOR)
+    s = Ring(sp, 4).symbol("b")
     with pytest.raises(StructureError):
-        s.restrict(ParamSpace.make("a"))
+        s.restrict(Ring(ParamSpace.make("a"), 4))
 
 
 def test_analytic_series_needs_positive_weight():
     sp = ParamSpace.make("a", ("kappa", 0, False))
     with pytest.raises(NonTruncatableError):
-        analytic_series("exp", Series.symbol(sp, "kappa", 4, DEFAULT_FLOOR))
+        analytic_series("exp", Ring(sp, 4).symbol("kappa"))
 
 
 def test_weighted_truncation_uses_weights():
     sp = ParamSpace.make("a", ("kappa", 0, False))
     # kappa^10 has weight 0 and must survive any order
-    s = Series.term(sp, {"kappa": 10}, 1, 2)
+    s = Ring(sp, 2).term({"kappa": 10}, 1)
     assert not s.is_zero()
-    assert Series.term(sp, {"a": 3}, 1, 2).is_zero()
+    assert Ring(sp, 2).term({"a": 3}, 1).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def _series_strategy():
     coeff = st.builds(F, st.integers(-40, 40), st.integers(1, 8))
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
     return st.dictionaries(exps, coeff, max_size=4).map(
-        lambda d: Series(SP, d, 4, DEFAULT_FLOOR)
+        lambda d: Series(Ring(SP, 4), d)
     )
 
 
@@ -230,12 +228,12 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert x + Series.zero(SP, 4) == x
-    assert x * Series.one(SP, 4) == x
+    assert x + Ring(SP, 4).zero() == x
+    assert x * Ring(SP, 4).one() == x
 
 
 @settings(max_examples=40, deadline=None)
 @given(_series_strategy())
 def test_embed_restrict_roundtrip(x):
     big = ParamSpace.make("a", "b", "c")
-    assert x.embed(big).restrict(SP) == x
+    assert x.embed(Ring(big, 4)).restrict(Ring(SP, 4)) == x
