@@ -3,8 +3,8 @@ analytic functions of generator arguments, and tensor-slot arithmetic."""
 
 from __future__ import annotations
 
+import operator
 import os
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -14,9 +14,7 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import Series, taylor_coeffs
-
-sys.setrecursionlimit(100000)
+from .series import taylor_coeffs
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -113,7 +111,7 @@ class LinComb:
             return NotImplemented
         return (
             self.gens.names == other.gens.names
-            and self.ring.space.symbols == other.ring.space.symbols
+            and self.ring == other.ring
             and self.terms == other.terms
         )
 
@@ -359,47 +357,42 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     return acc
 
 
+def monomial_image(m, gens, images, unit, product):
+    """Image of the PBW monomial ``m`` under the extension of the generator
+    map ``images`` (name -> value): the fold of ``product``, from ``unit``,
+    over the generator images in PBW order.  Every Hopf structure map is
+    extended to monomials here."""
+    acc = unit
+    for name, e in zip(gens.names, m):
+        for _ in range(e):
+            acc = product(acc, images[name])
+    return acc
+
+
 def substitute_generators(x, images, table_target: RewriteTable, param_sub=None):
     """Homomorphic substitution generator -> Element over the target algebra,
     with optional simultaneous parameter substitution on coefficients.
 
     Works on Element and TensorElement alike."""
-    tensor = isinstance(x, TensorElement)
-
-    def image(key):
-        if tensor:
-            return TensorElement.outer(
-                [_substitute_monomial(m, x.gens, images, table_target) for m in key])
-        return _substitute_monomial(key, x.gens, images, table_target)
-
-    if tensor:
-        acc = TensorElement.zero(x.rank, table_target.gens, table_target.ring)
-    else:
-        acc = table_target.zero()
-    for key, c in x.terms.items():
-        c2 = _map_coeff(c, param_sub, table_target)
-        if c2:
-            acc = acc + image(key).scale(c2)
-    return acc
-
-
-def _map_coeff(c: Series, param_sub, table_target: RewriteTable):
     ring = table_target.ring
-    if param_sub is None:
-        if c.space.symbols == ring.space.symbols:
-            return c.truncate(ring)
-        return c.embed(ring)
-    return c.substitute(param_sub, ring)
+    same_space = x.ring.space.symbols == ring.space.symbols
+    tensor = isinstance(x, TensorElement)
+    unit = table_target.one()
 
+    def coeff(c):
+        if param_sub is not None:
+            return c.substitute(param_sub, ring)
+        return c.truncate(ring) if same_space else c.embed(ring)
 
-def _substitute_monomial(m, gens, images, table_target):
-    acc = table_target.one()
-    for name, e in zip(gens.names, m):
-        if not e:
-            continue
-        img = images[name]
-        for _ in range(e):
-            acc = mul(acc, img, table_target)
+    def image(m):
+        return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target))
+
+    acc = TensorElement.zero(x.rank, table_target.gens, ring) if tensor else table_target.zero()
+    for key, c in x.terms.items():
+        c2 = coeff(c)
+        if c2:
+            img = TensorElement.outer([image(m) for m in key]) if tensor else image(key)
+            acc = acc + img.scale(c2)
     return acc
 
 
@@ -467,22 +460,20 @@ def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
+    unit = TensorElement.outer([table.one(), table.one()])
     acc = TensorElement.zero(2, x.gens, x.ring)
     for m, c in x.terms.items():
-        t = TensorElement.outer([table.one(), table.one()])
-        for name, e in zip(x.gens.names, m):
-            for _ in range(e):
-                t = tensor_mul(t, delta[name], table)
+        t = monomial_image(m, x.gens, delta, unit, lambda a, b: tensor_mul(a, b, table))
         acc = acc + t.scale(c)
     return acc
 
 
 def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable) -> TensorElement:
     """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3."""
+    unit = TensorElement.outer([table.one(), table.one()])
     acc = TensorElement.zero(t.rank + 1, t.gens, t.ring)
-    one = t.ring.one()
     for ms, c in t.terms.items():
-        dt = apply_coproduct(Element(t.gens, t.ring, {ms[slot]: one}), delta, table)
+        dt = monomial_image(ms[slot], t.gens, delta, unit, lambda a, b: tensor_mul(a, b, table))
         acc = acc.add_terms((ms[:slot] + ms2 + ms[slot + 1:], c * c2)
                             for ms2, c2 in dt.terms.items())
     return acc
@@ -497,10 +488,7 @@ def counit_collapse(t: TensorElement, slot, counit_values):
         acc = TensorElement.zero(t.rank - 1, t.gens, t.ring)
     pieces = []
     for ms, c in t.terms.items():
-        val = Fraction(1)
-        for name, e in zip(t.gens.names, ms[slot]):
-            if e:
-                val *= Fraction(counit_values[name]) ** e
+        val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul)
         if val:
             key = ms[:slot] + ms[slot + 1:]
             pieces.append((key[0] if t.rank == 2 else key, c * val))

@@ -459,24 +459,18 @@ def lie_structure(name) -> LieStructure:
     return LieStructure(gens, ring, brackets)
 
 
-#: Lie-level scaling (classical basis): entries (Fraction, eps exponent, index)
-_LIE_FWD = (
-    ((F(1), 2, 0),),                      # M  = eps^2 I
-    ((F(1), 1, 1),),                      # Ap = eps Jp
-    ((F(1, 2), 0, 2), (F(1, 2), 0, 0)),   # N  = (J3 + I)/2
-    ((F(1), 1, 3),),                      # Am = eps Jm
-)
-_LIE_INV = (
-    ((F(1), -2, 0),),                     # I  = eps^-2 M
-    ((F(1), -1, 1),),                     # Jp = eps^-1 Ap
-    ((F(2), 0, 2), (F(-1), -2, 0)),       # J3 = 2N - eps^-2 M
-    ((F(1), -1, 3),),                     # Jm = eps^-1 Am
-)
-
-
 def lie_scaling():
-    """(forward, inverse) Lie-level scaling, shared by every gl(2) source family."""
-    return _LIE_FWD, _LIE_INV
+    """(forward, inverse) Lie-level scaling, shared by every gl(2) source
+    family: ``_scaling_j3`` in index form, entries (Fraction, eps exponent,
+    generator index)."""
+    scaling = _scaling_j3()
+
+    def index_form(combos, names, other):
+        return tuple(tuple((f, mono.get(EPS, 0), other.index(g)) for f, mono, g in combos[n])
+                     for n in names)
+
+    return (index_form(scaling.forward, H4.names, GL2),
+            index_form(scaling.inverse, GL2.names, H4))
 
 
 # ---------------------------------------------------------------------------

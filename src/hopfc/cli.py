@@ -156,7 +156,6 @@ def cmd_rmatrix(args):
     ok = True
     R = rmatrix.get_rmat(args.name, args.order, exact=args.exact_r)
     for sym in args.limit or []:
-        sym = sym.split("=", 1)[0]
         R = rmatrix.rmat_limit(R, sym)
     run_all = not (args.qybe or args.exp_check or args.triangularity)
 

@@ -203,10 +203,24 @@ def _combo_element(table, combo, sigma):
     return acc
 
 
-#: bootstrap order for target rewrite-rule construction: rules among the
-#: already-ordered generators are computed before they are first needed.
-def _pair_sequence(dim):
-    return [(i, j) for i in range(dim) for j in range(i)]
+def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
+    """Rewrite the structure maps of ``H`` in new generators: ``forward`` maps
+    each new generator to an Element of ``H``, ``inverse`` each old generator
+    to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
+    each before it is first needed, then moves the coproducts and ``casimir``
+    (an Element of ``H`` or None) across; ``post(x, context)`` finishes every
+    moved map.  Returns ``(coproduct, casimir)``."""
+    def move(x, context):
+        return post(substitute_generators(x, inverse, table, param_sub), context)
+
+    names = table.gens.names
+    for i in range(len(names)):
+        for j in range(i):
+            com = commutator(forward[names[i]], forward[names[j]], H.table)
+            table.set_rule_by_index(i, j, move(com, f"[{names[i]},{names[j]}]"))
+    coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})")
+                 for y in names}
+    return coproduct, None if casimir is None else move(casimir, "casimir limit")
 
 
 def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfPresentation:
@@ -224,7 +238,6 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         return c.embed(ws)
 
     src_ws = src.map_coeffs(embed, ws)
-    src_table = src_ws.table
 
     new_gens = case.scaling.new_gens
     scaffold = RewriteTable.commuting(new_gens, ws)
@@ -234,37 +247,22 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         for old, combo in case.scaling.inverse.items()
     }
     forward_elements = {
-        new: _combo_element(src_table, combo, sigma)
+        new: _combo_element(src_ws.table, combo, sigma)
         for new, combo in case.scaling.forward.items()
-    }
-
-    def contract(x, context):
-        y = substitute_generators(x, inverse_images, scaffold, param_sub=sigma)
-        return y.map_coeffs(lambda c: c.zero_slice(EPS, context))
-
-    # rewrite rules, in bootstrap order
-    for i, j in _pair_sequence(new_gens.dim):
-        ni, nj = new_gens.names[i], new_gens.names[j]
-        com = commutator(forward_elements[ni], forward_elements[nj], src_table)
-        rule = contract(com, f"[{ni},{nj}]")
-        if (new_gens.central[i] or new_gens.central[j]) and rule:
-            raise StructureError(f"contraction broke centrality: [{ni},{nj}] = {rule}")
-        scaffold.set_rule_by_index(i, j, rule)
-
-    coproduct = {
-        y: contract(apply_coproduct(forward_elements[y], src_ws.coproduct, src_table),
-                    f"Delta({y})")
-        for y in new_gens.names
     }
 
     # Casimir: lim eps^2 ( -C/2 + counterterm )
     casimir = None
     if src.casimir is not None and case.casimir_counterterm is not None:
         counterterm = case.casimir_counterterm(src.table).map_coeffs(embed, ws)
-        expr = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
-        expr = expr.scale(ws.term({EPS: 2}))
-        casimir = contract(expr, "casimir limit")
+        casimir = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
+        casimir = casimir.scale(ws.term({EPS: 2}))
 
+    def limit(x, context):
+        return x.map_coeffs(lambda c: c.zero_slice(EPS, context))
+
+    coproduct, casimir = _transport(src_ws, forward_elements, inverse_images, scaffold,
+                                    casimir, limit, param_sub=sigma)
     contracted = HopfPresentation(
         name=f"{case.source} --({case.name})--> {case.target}",
         table=scaffold,
@@ -353,19 +351,8 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
             raise StructureError(f"basis map not invertible at order {order}: {n}")
 
     new_table = RewriteTable.commuting(gens, H.ring)
-    for i, j in _pair_sequence(gens.dim):
-        ni, nj = gens.names[i], gens.names[j]
-        com = commutator(forward[ni], forward[nj], table)
-        rule = substitute_generators(com, inverse, new_table)
-        new_table.set_rule_by_index(i, j, rule)
-
-    coproduct = {}
-    for n in gens.names:
-        d = apply_coproduct(forward[n], H.coproduct, table)
-        coproduct[n] = substitute_generators(d, inverse, new_table)
-    casimir = None
-    if H.casimir is not None:
-        casimir = substitute_generators(H.casimir, inverse, new_table)
+    coproduct, casimir = _transport(H, forward, inverse, new_table, H.casimir,
+                                    lambda x, context: x)
     return HopfPresentation(
         name=f"{H.name} [basis change]",
         table=new_table,

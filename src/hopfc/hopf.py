@@ -16,6 +16,7 @@ from .algebra import (
     commutator,
     coproduct_on_slot,
     counit_collapse,
+    monomial_image,
     mul,
     tensor_mul,
 )
@@ -199,13 +200,10 @@ def check_casimir_central(H: HopfPresentation) -> CheckEntry:
 
 def apply_antipode(S, x: Element, table: RewriteTable) -> Element:
     """Extend generator images anti-multiplicatively to an Element."""
+    unit = table.one()
     acc = table.zero()
     for m, c in x.terms.items():
-        piece = table.one()
-        for name, e in reversed(list(zip(x.gens.names, m))):
-            for _ in range(e):
-                piece = mul(piece, S[name], table)
-        acc = acc + piece.scale(c)
+        acc = acc + monomial_image(m, x.gens, S, unit, lambda a, b: mul(b, a, table)).scale(c)
     return acc
 
 

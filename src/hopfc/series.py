@@ -200,10 +200,10 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.space.symbols == other.space.symbols and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space.symbols, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.space.dim, Fraction(0))

@@ -128,3 +128,9 @@ def test_json_report_deterministic(tmp_path):
         r.pop("timing")
         r["config"].pop("out")
     assert ra == rb
+
+
+def test_rmatrix_limit_rejects_a_value(capsys):
+    # --limit takes a symbol, not an assignment: a=5 is no symbol of the matrix
+    assert main(["rmatrix", "gl2.Iplus.standard", "--order", "2", "--limit", "a=5"]) == 2
+    assert "'a=5'" in capsys.readouterr().err

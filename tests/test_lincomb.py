@@ -79,3 +79,16 @@ def test_add_across_truncation_orders_raises():
     # the two coefficient rings differ only in their order
     with pytest.raises(StructureError):
         catalog.get("gl2.classical", 3).gen("Jp") + catalog.get("gl2.classical", 5).gen("Jm")
+
+
+def test_equality_agrees_with_compatibility():
+    # equal terms over rings that differ only in their order are not equal,
+    # just as they cannot be added
+    sp = ParamSpace.make("a")
+    a3, a5 = Ring(sp, 3).symbol("a"), Ring(sp, 5).symbol("a")
+    assert a3 != a5
+    assert a3 == Ring(sp, 3).symbol("a")
+    assert hash(a3) == hash(Ring(sp, 3).symbol("a"))
+    jp3, jp5 = (catalog.get("gl2.classical", n).gen("Jp") for n in (3, 5))
+    assert jp3 != jp5
+    assert jp3 == catalog.get("gl2.classical", 3).gen("Jp")
