@@ -357,16 +357,28 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     return acc
 
 
-def monomial_image(m, gens, images, unit, product):
+def monomial_image(m, gens, images, unit, product, memo):
     """Image of the PBW monomial ``m`` under the extension of the generator
     map ``images`` (name -> value): the fold of ``product``, from ``unit``,
     over the generator images in PBW order.  Every Hopf structure map is
-    extended to monomials here."""
-    acc = unit
-    for name, e in zip(gens.names, m):
-        for _ in range(e):
-            acc = product(acc, images[name])
-    return acc
+    extended to monomials here.
+
+    ``memo`` (monomial -> image) belongs to the caller and must only ever see
+    this one ``images`` map.  The image of ``m`` is that of ``m`` less its
+    last generator, times that generator's image: the fold's own sequence of
+    products, so a memoized image equals an unmemoized one."""
+    chain = []
+    while m not in memo:
+        last = next((i for i in range(len(m) - 1, -1, -1) if m[i]), None)
+        if last is None:
+            memo[m] = unit
+            break
+        chain.append((m, gens.names[last]))
+        m = m[:last] + (m[last] - 1,) + m[last + 1:]
+    img = memo[m]
+    for m, name in reversed(chain):
+        img = memo[m] = product(img, images[name])
+    return img
 
 
 def substitute_generators(x, images, table_target: RewriteTable, param_sub=None):
@@ -378,6 +390,7 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
     same_space = x.ring.space.symbols == ring.space.symbols
     tensor = isinstance(x, TensorElement)
     unit = table_target.one()
+    memo = {}
 
     def coeff(c):
         if param_sub is not None:
@@ -385,7 +398,8 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
         return c.truncate(ring) if same_space else c.embed(ring)
 
     def image(m):
-        return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target))
+        return monomial_image(m, x.gens, images, unit,
+                              lambda a, b: mul(a, b, table_target), memo)
 
     acc = TensorElement.zero(x.rank, table_target.gens, ring) if tensor else table_target.zero()
     for key, c in x.terms.items():
@@ -461,19 +475,25 @@ def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
     unit = TensorElement.outer([table.one(), table.one()])
+    memo = {}
     acc = TensorElement.zero(2, x.gens, x.ring)
     for m, c in x.terms.items():
-        t = monomial_image(m, x.gens, delta, unit, lambda a, b: tensor_mul(a, b, table))
+        t = monomial_image(m, x.gens, delta, unit, lambda a, b: tensor_mul(a, b, table), memo)
         acc = acc + t.scale(c)
     return acc
 
 
-def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable) -> TensorElement:
-    """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3."""
+def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable,
+                      memo=None) -> TensorElement:
+    """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3.
+    ``memo`` may carry coproducts of monomials from earlier calls with the
+    same ``delta``."""
     unit = TensorElement.outer([table.one(), table.one()])
+    memo = {} if memo is None else memo
     acc = TensorElement.zero(t.rank + 1, t.gens, t.ring)
     for ms, c in t.terms.items():
-        dt = monomial_image(ms[slot], t.gens, delta, unit, lambda a, b: tensor_mul(a, b, table))
+        dt = monomial_image(ms[slot], t.gens, delta, unit,
+                            lambda a, b: tensor_mul(a, b, table), memo)
         acc = acc.add_terms((ms[:slot] + ms2 + ms[slot + 1:], c * c2)
                             for ms2, c2 in dt.terms.items())
     return acc
@@ -487,8 +507,9 @@ def counit_collapse(t: TensorElement, slot, counit_values):
     else:
         acc = TensorElement.zero(t.rank - 1, t.gens, t.ring)
     pieces = []
+    memo = {}
     for ms, c in t.terms.items():
-        val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul)
+        val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul, memo)
         if val:
             key = ms[:slot] + ms[slot + 1:]
             pieces.append((key[0] if t.rank == 2 else key, c * val))

@@ -158,10 +158,11 @@ def check_relations_morphism(H: HopfPresentation) -> CheckEntry:
 def check_coassociativity(H: HopfPresentation) -> CheckEntry:
     """(Delta x id) Delta = (id x Delta) Delta on every generator."""
     residuals = []
+    memo = {}
     for n in H.gens.names:
         d = H.coproduct[n]
-        left = coproduct_on_slot(d, 0, H.coproduct, H.table)
-        right = coproduct_on_slot(d, 1, H.coproduct, H.table)
+        left = coproduct_on_slot(d, 0, H.coproduct, H.table, memo)
+        right = coproduct_on_slot(d, 1, H.coproduct, H.table, memo)
         r = left - right
         if r:
             residuals.append(f"coassoc({n}): {r}")
@@ -198,23 +199,27 @@ def check_casimir_central(H: HopfPresentation) -> CheckEntry:
 # antipode
 # ---------------------------------------------------------------------------
 
-def apply_antipode(S, x: Element, table: RewriteTable) -> Element:
-    """Extend generator images anti-multiplicatively to an Element."""
+def apply_antipode(S, x: Element, table: RewriteTable, memo=None) -> Element:
+    """Extend generator images anti-multiplicatively to an Element.  ``memo``
+    may carry images of monomials from earlier calls with the same ``S``."""
     unit = table.one()
+    memo = {} if memo is None else memo
     acc = table.zero()
     for m, c in x.terms.items():
-        acc = acc + monomial_image(m, x.gens, S, unit, lambda a, b: mul(b, a, table)).scale(c)
+        img = monomial_image(m, x.gens, S, unit, lambda a, b: mul(b, a, table), memo)
+        acc = acc + img.scale(c)
     return acc
 
 
-def antipode_defect(H: HopfPresentation, S, name, side="left") -> Element:
-    """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant)."""
+def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Element:
+    """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant).  ``memo`` is
+    passed on to ``apply_antipode``."""
     d = H.coproduct[name]
     slot = 0 if side == "left" else 1
     acc = H.table.zero()
     one = H.ring.one()
     for ms, c in d.terms.items():
-        s_img = apply_antipode(S, Element(H.gens, H.ring, {ms[slot]: one}), H.table)
+        s_img = apply_antipode(S, Element(H.gens, H.ring, {ms[slot]: one}), H.table, memo)
         other = Element(H.gens, H.ring, {ms[1 - slot]: one})
         if side == "left":
             acc = acc + mul(s_img, other, H.table).scale(c)
@@ -226,17 +231,35 @@ def antipode_defect(H: HopfPresentation, S, name, side="left") -> Element:
     return acc
 
 
+def _antipode_round(H: HopfPresentation, S):
+    """One step of the iteration: ``S`` less the left defect of every
+    generator (all computed through one memo), and whether every defect
+    was zero."""
+    memo = {}
+    defects = {n: antipode_defect(H, S, n, "left", memo) for n in H.gens.names}
+    return {n: S[n] - d for n, d in defects.items()}, all(d.is_zero() for d in defects.values())
+
+
 def solve_antipode(H: HopfPresentation):
     """Synthesize S on generators order-by-order in parameter weight.
 
     Starts from the primitive-coproduct guess S(X) = -X and peels off the
-    defect of the left antipode axiom until it vanishes at truncation order."""
-    S = {n: -H.gen(n) for n in H.gens.names}
+    defect of the left antipode axiom.  A warm start runs one round at each
+    lower truncation order of the ring (truncation is a ring map when no
+    exponent is negative), so S enters the full-order loop nearly right;
+    that loop iterates until the defect vanishes at the full order."""
+    names = H.gens.names
+    S = {n: -H.gen(n) for n in names}
+    for ring in H.ring.lower_orders():
+        def cut(c):
+            return c.truncate(ring)
+        Sk, _ = _antipode_round(H.map_coeffs(cut, ring),
+                                {n: S[n].map_coeffs(cut, ring) for n in names})
+        S = {n: Sk[n].map_coeffs(lambda c: c.truncate(H.ring), H.ring) for n in names}
     for _ in range(H.ring.order + 2):
-        defects = {n: antipode_defect(H, S, n, "left") for n in H.gens.names}
-        if all(d.is_zero() for d in defects.values()):
+        S, done = _antipode_round(H, S)
+        if done:
             return S
-        S = {n: S[n] - defects[n] for n in H.gens.names}
     raise SynthesisFailureError(
         f"antipode synthesis did not converge for {H.name} at order {H.ring.order}"
     )
@@ -248,8 +271,9 @@ def check_antipode(H: HopfPresentation) -> CheckEntry:
     except SynthesisFailureError as exc:
         return CheckEntry("antipode", False, [str(exc)])
     residuals = []
+    memo = {}
     for n in H.gens.names:
-        r = antipode_defect(H, S, n, "right")
+        r = antipode_defect(H, S, n, "right", memo)
         if r:
             residuals.append(f"right antipode defect({n}): {r}")
     return CheckEntry("antipode", not residuals, residuals,

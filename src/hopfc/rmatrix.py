@@ -264,7 +264,10 @@ def rmat_names():
 
 @lru_cache(maxsize=None)
 def get_rmat(name, order=4, exact=False):
+    """The named matrix, shared between callers and so handed out as a tuple
+    of row tuples; every ``mat_*`` helper returns fresh lists."""
     if name not in _RMAT_BUILDERS:
         raise LookupError_(name, rmat_names())
     series_builder, exact_builder = _RMAT_BUILDERS[name]
-    return exact_builder() if exact else series_builder(order)
+    rows = exact_builder() if exact else series_builder(order)
+    return tuple(map(tuple, rows))

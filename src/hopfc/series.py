@@ -120,6 +120,16 @@ class Ring:
         """The untruncated ring over ``space``."""
         return cls(space, EXACT_ORDER, floor)
 
+    def lower_orders(self):
+        """The rings of orders 1 .. order - 1 over the same space and floor,
+        lowest first: those onto which truncation is a ring map.  None below
+        the exact ring, or where an invertible symbol of positive weight can
+        lower a product's weighted degree."""
+        if self.order == EXACT_ORDER or any(
+                w and iv for w, iv in zip(self.space.weights, self.space.invertible)):
+            return []
+        return [replace(self, order=k) for k in range(1, self.order)]
+
     def check_same(self, other):
         """The one compatibility rule: operands live in equal rings."""
         if self is not other and self != other:

@@ -91,3 +91,14 @@ def test_limit_of_inverse_power_diverges():
 def test_unknown_matrix_name():
     with pytest.raises(LookupError_):
         rmatrix.get_rmat("nope")
+
+
+def test_shared_matrix_is_immutable():
+    R = rmatrix.get_rmat("gl2.II.nonstandard", 4)
+    with pytest.raises(TypeError):
+        R[1][3] = -R[1][3]
+    with pytest.raises(TypeError):
+        R[1] = R[2]
+    fresh = rmatrix._build_family_II(4)
+    assert rmatrix.get_rmat("gl2.II.nonstandard", 4) == tuple(map(tuple, fresh))
+    assert rmatrix.mat_is_zero(rmatrix.qybe_residual(rmatrix.get_rmat("gl2.II.nonstandard", 4)))
