@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .algebra import (
     GeneratorSet,
@@ -385,9 +386,13 @@ def names():
 
 @lru_cache(maxsize=None)
 def get(name, order=DEFAULT_ORDER) -> HopfPresentation:
+    """The cached presentation, shared by every caller and so sealed."""
     if name not in _BUILDERS:
         raise LookupError_(name, names())
-    return _BUILDERS[name](order)
+    H = _BUILDERS[name](order)
+    H.table.seal()
+    H.coproduct, H.counit = MappingProxyType(H.coproduct), MappingProxyType(H.counit)
+    return H
 
 
 # ---------------------------------------------------------------------------

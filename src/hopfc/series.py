@@ -10,6 +10,7 @@ contraction parameter ``eps``); a truncation order; and an exponent floor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ class ParamSpace:
         return name in self._index
 
     def wdeg(self, exps) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(operator.mul, exps, self.weights))
 
     def without(self, *names) -> "ParamSpace":
         drop = set(names)
@@ -227,7 +228,7 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return Series(self.ring, {e: -c for e, c in self.terms.items()})
+        return _series(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -240,7 +241,7 @@ class Series:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Series(self.ring, terms)
+        return _series(self.ring, terms)
 
     __radd__ = __add__
 
@@ -249,29 +250,38 @@ class Series:
             other = self.ring.const(other)
         return self + (-other)
 
+    def _integral(self):
+        """(d, [(exponents, weighted degree, numerator)]): the terms as
+        integer numerators over ``d``, the lcm of their denominators."""
+        ratios = [c.as_integer_ratio() for c in self.terms.values()]
+        d = math.lcm(*[q for _, q in ratios])
+        wdeg = self.space.wdeg
+        return d, [(e, wdeg(e), n * (d // q)) for e, (n, q) in zip(self.terms, ratios)]
+
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if not c:
                 return ring.zero()
-            return Series(ring, {e: c * v for e, v in self.terms.items()})
+            return _series(ring, {e: c * v for e, v in self.terms.items()})
         ring.check_same(other.ring)
-        wdeg, order, check = ring.space.wdeg, ring.order, ring.check_exponents
+        # exponents of non-invertible symbols are >= 0, and so are their sums
+        check = ring.check_exponents if any(ring.space.invertible) else None
+        d1, left = self._integral()
+        d2, right = other._integral()
         out = {}
-        for e1, c1 in self.terms.items():
-            w1 = wdeg(e1)
-            for e2, c2 in other.terms.items():
-                if w1 + wdeg(e2) > order:
+        for e1, w1, n1 in left:
+            room = ring.order - w1
+            for e2, w2, n2 in right:
+                if w2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                check(e)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Series(ring, out)
+                e = tuple(map(operator.add, e1, e2))
+                if check is not None:
+                    check(e)
+                out[e] = out.get(e, 0) + n1 * n2
+        d = d1 * d2
+        return _series(ring, {e: Fraction(n, d) for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -387,6 +397,14 @@ class Series:
             key = "*".join(f"{s}^{v}" for s, v in zip(self.space.symbols, e) if v) or "1"
             out[key] = f"{c.numerator}/{c.denominator}"
         return out
+
+
+def _series(ring, terms):
+    """A Series over ``ring`` from nonzero, in-range, untruncated terms: every
+    invariant ``Series.__init__`` checks already holds."""
+    s = object.__new__(Series)
+    s.ring, s.terms = ring, terms
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Stdlib stand-ins for a linter's unused-import and unused-parameter rules
 over the engine sources (``__init__.py`` re-exports by design and is skipped
-for imports)."""
+for imports), and a no-floating-point rule: hopfc computes exactly."""
 
 import ast
 from pathlib import Path
@@ -60,6 +60,46 @@ ALLOWED_UNUSED = {
     "bialgebra.py": [("WedgeTensor._render_key", "full")],
 }
 
+#: the only ``math`` functions the exact engine may call
+MATH_ALLOWED = {"factorial", "gcd", "lcm", "ceil", "floor"}
+
+#: wall-clock fields, outside the byte-identical report, may hold floats
+FLOAT_ALLOWED = {
+    "hopf.py": {"VerificationReport.elapsed"},
+}
+
+
+def float_uses(source, allowed=()):
+    """(line, what) for every float or complex literal, ``float(...)`` call,
+    and ``math`` name outside MATH_ALLOWED; annotated assignments whose
+    qualified target is in ``allowed`` are skipped."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix + child.name + ".")
+                continue
+            if (isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
+                    and prefix + child.target.id in allowed):
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, (float, complex)):
+                found.append((child.lineno, f"literal {child.value!r}"))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "float"):
+                found.append((child.lineno, "float()"))
+            elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                  and child.value.id == "math" and child.attr not in MATH_ALLOWED):
+                found.append((child.lineno, f"math.{child.attr}"))
+            elif isinstance(child, ast.ImportFrom) and child.module == "math":
+                found.extend((child.lineno, f"math.{a.name}") for a in child.names
+                             if a.name not in MATH_ALLOWED)
+            visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
 ALL_SRC = sorted((Path(__file__).parent.parent / "src" / "hopfc").glob("*.py"))
 
 
@@ -71,6 +111,20 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == ALLOWED_UNUSED.get(path.name, [])
+
+
+@pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
+def test_no_floating_point(path):
+    assert float_uses(path.read_text(), FLOAT_ALLOWED.get(path.name, ())) == []
+
+
+def test_check_flags_floating_point():
+    source = ("import math\nfrom math import gcd, sqrt\n"
+              "class R:\n    elapsed: float = 0.0\n    other: float = 1e3\n"
+              "def f(x):\n    return float(x) + math.log(x) + math.gcd(x, 2) + 2j\n")
+    assert float_uses(source, {"R.elapsed"}) == [
+        (2, "math.sqrt"), (5, "literal 1000.0"),
+        (7, "float()"), (7, "literal 2j"), (7, "math.log")]
 
 
 def test_check_flags_an_unused_import():

@@ -72,6 +72,30 @@ def test_taylor_x_over_tanh_oracle():
         assert sum(xot[i] * soa[k - i] for i in range(k + 1)) == cosh[k]
 
 
+TAYLOR_KINDS = ("exp", "cosh", "cosh_minus_one", "sinh_over_arg", "expm1_over_arg",
+                "coshm1_over_argsq", "x_over_tanh")
+
+
+@pytest.mark.parametrize("kind", TAYLOR_KINDS)
+def test_taylor_coeffs_against_sympy_series(kind):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = {
+        "exp": sympy.exp(x),
+        "cosh": sympy.cosh(x),
+        "cosh_minus_one": sympy.cosh(x) - 1,
+        "sinh_over_arg": sympy.sinh(x) / x,
+        "expm1_over_arg": (sympy.exp(x) - 1) / x,
+        "coshm1_over_argsq": (sympy.cosh(x) - 1) / x**2,
+        "x_over_tanh": x / sympy.tanh(x),
+    }[kind]
+    n = 12
+    poly = sympy.series(f, x, 0, n + 1).removeO()
+    want = [sympy.Rational(poly.coeff(x, k)) for k in range(n + 1)]
+    got = taylor_coeffs(kind, n)
+    assert [(c.numerator, c.denominator) for c in got] == [(int(c.p), int(c.q)) for c in want]
+
+
 # ---------------------------------------------------------------------------
 # arithmetic, truncation, valuations
 # ---------------------------------------------------------------------------
@@ -237,3 +261,151 @@ def test_ring_axioms(x, y, z):
 def test_embed_restrict_roundtrip(x):
     big = ParamSpace.make("a", "b", "c")
     assert x.embed(Ring(big, 4)).restrict(Ring(SP, 4)) == x
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against a naive pairwise Fraction loop
+# ---------------------------------------------------------------------------
+
+#: a weight-0 ratio symbol, an invertible eps and a weight-2 symbol
+SPK = ParamSpace.make("a", ("kappa", 0, False), "eps", ("b", 2, False))
+#: the same without an invertible symbol
+SPN = ParamSpace.make("a", ("kappa", 0, False), ("b", 2, False))
+
+
+def naive_product(x, y):
+    """The product term pair by term pair: truncate by the summed weights,
+    check the floor on what is kept, add ``Fraction`` products."""
+    ring = x.ring
+    space = ring.space
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            if sum(v * w for v, w in zip(e, space.weights)) > ring.order:
+                continue
+            if any(iv and v < ring.floor for v, iv in zip(e, space.invertible)):
+                raise FloorUnderflowError([e])
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _coeff():
+    small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    huge = st.builds(F, st.integers(-2**140, 2**140), st.integers(1, 2**130))
+    return st.one_of(small, huge, st.just(F(1, 2**130)))
+
+
+@st.composite
+def _operands(draw):
+    """Two series over one ring on SPK or SPN; the second is sometimes the
+    first with some signs flipped, so that products cancel exactly."""
+    space = draw(st.sampled_from([SPK, SPN]))
+    ring = Ring(space, draw(st.integers(0, 5)), draw(st.integers(-4, -1)))
+    lows = [ring.floor if iv else 0 for iv in space.invertible]
+    exps = st.tuples(*(st.integers(lo, 3) for lo in lows))
+    x = Series(ring, draw(st.dictionaries(exps, _coeff(), max_size=6)))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(x.terms), max_size=len(x.terms)))
+        y = Series(ring, {e: -c if f else c for (e, c), f in zip(x.terms.items(), flips)})
+    else:
+        y = Series(ring, draw(st.dictionaries(exps, _coeff(), max_size=6)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_product_matches_naive_pairwise_loop(xy):
+    x, y = xy
+    try:
+        want = naive_product(x, y)
+    except FloorUnderflowError:
+        with pytest.raises(FloorUnderflowError):
+            x * y
+        return
+    got = x * y
+    assert got.terms == want
+    assert got.ring is x.ring
+    assert all(isinstance(c, F) and c for c in got.terms.values())
+
+
+def test_product_cancels_exactly():
+    ring = Ring(SPK, 4)
+    c = F(3, 2**130 + 1)
+    one, a = ring.one(), ring.symbol("a", coeff=c)
+    got = (one + a) * (one - a)
+    assert got.terms == naive_product(one + a, one - a)
+    assert got == one - ring.term({"a": 2}, c * c)
+
+
+def test_product_keeps_terms_at_the_truncation_boundary():
+    ring = Ring(SPK, 4)
+    x = ring.term({"a": 1, "kappa": 5}, F(1, 3)) + ring.term({"b": 1}, 1)
+    y = ring.term({"a": 1}, F(2, 7)) + ring.term({"b": 1, "eps": 1}, 1)
+    got = x * y
+    assert got.terms == naive_product(x, y)
+    # a^2 kappa^5 (weight 2), b a (3) and a kappa^5 eps b (4) stay;
+    # b^2 eps (5) goes
+    assert got.terms == {(2, 5, 0, 0): F(2, 21), (1, 0, 0, 1): F(2, 7),
+                         (1, 5, 1, 1): F(1, 3)}
+    assert (0, 0, 1, 2) not in got.terms
+
+
+def test_product_eps_floor_underflow_is_pinned():
+    ring = Ring(ParamSpace.make("eps"), 4, floor=-4)
+    em3 = ring.term({"eps": -3}, 1)
+    with pytest.raises(FloorUnderflowError):
+        em3 * em3
+
+
+def test_product_of_mismatched_rings_is_refused():
+    with pytest.raises(StructureError):
+        Ring(SP, 3).symbol("a") * Ring(SP, 4).symbol("a")
+    with pytest.raises(StructureError):
+        Ring(SP, 4, floor=-3).symbol("a") * Ring(SP, 4).symbol("a")
+
+
+def test_exact_product_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    ring = Ring.exact(SP)
+    sa, sb = sympy.symbols("a b")
+    big = 2**101 + 7
+    xs = {(0, 0): F(1, big), (1, 0): F(-5, 3 * big), (2, 1): F(2**70, big + 2), (0, 3): F(7)}
+    ys = {(0, 0): F(big, 11), (1, 1): F(1, big * 13), (3, 0): F(-1, 2**103), (0, 1): F(3, 4)}
+
+    def poly(terms):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sa**i * sb**j
+                   for (i, j), c in terms.items())
+
+    got = Series(ring, xs) * Series(ring, ys)
+    want = sympy.Poly(sympy.expand(poly(xs) * poly(ys)), sa, sb)
+    assert {e: (c.numerator, c.denominator) for e, c in got.terms.items()} == {
+        e: (int(c.p), int(c.q)) for e, c in want.terms()}
+    assert max(c.denominator.bit_length() for c in got.terms.values()) > 100
+
+
+def test_product_does_no_per_pair_fraction_arithmetic(monkeypatch):
+    # the kernel multiplies and adds plain int numerators; a Fraction is
+    # only built once per output coefficient
+    ring = Ring.exact(SP)
+    x = Series(ring, {(i, i % 3): F(2 * i + 1, 3**i + 2) for i in range(20)})
+    y = Series(ring, {(i % 4, i): F(2 * i - 27, 5**i + 1) for i in range(20)})
+    calls = []
+
+    def counted(name):
+        op = getattr(F, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return op(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(F, name, counted(name))
+    got = x * y
+    assert calls == []
+    want = naive_product(x, y)
+    # the counters do see a pairwise loop: one multiply and one add per pair
+    assert sorted(set(calls)) == ["__add__", "__mul__"]
+    assert calls.count("__mul__") == calls.count("__add__") == 20 * 20
+    assert got.terms == want
