@@ -7,7 +7,6 @@ import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 
 from .errors import (
     ConfluenceFailureError,
@@ -237,15 +236,9 @@ class RewriteTable:
     def sym(self, name, power=1, coeff=1):
         return self.ring.symbol(name, power, coeff)
 
-    def seal(self):
-        """Refuse rule changes from now on; the normal-form cache stays live."""
-        self.rules = MappingProxyType(self.rules)
-
     def set_rule_by_index(self, i, j, rhs: Element):
         """Install/replace the rule for positions i > j (two-phase table
         construction); invalidates the normal-form cache."""
-        if isinstance(self.rules, MappingProxyType):
-            raise StructureError("rewrite table is sealed")
         if i <= j:
             raise StructureError("rewrite rules require i > j")
         if (self.gens.central[i] or self.gens.central[j]) and rhs:

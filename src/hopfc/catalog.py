@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .algebra import (
     GeneratorSet,
@@ -386,13 +385,9 @@ def names():
 
 @lru_cache(maxsize=None)
 def get(name, order=DEFAULT_ORDER) -> HopfPresentation:
-    """The cached presentation, shared by every caller and so sealed."""
     if name not in _BUILDERS:
         raise LookupError_(name, names())
-    H = _BUILDERS[name](order)
-    H.table.seal()
-    H.coproduct, H.counit = MappingProxyType(H.coproduct), MappingProxyType(H.counit)
-    return H
+    return _BUILDERS[name](order)
 
 
 # ---------------------------------------------------------------------------
