@@ -79,8 +79,8 @@ class LinComb:
     one coefficient ``Ring``; zero coefficients are never stored.
 
     Here a key is a tuple of generator indices: a tensor over the Lie-algebra
-    basis (``(i,)`` a vector, ``(i, j)`` rank 2).  Subclasses fix other key
-    shapes and how a key renders."""
+    basis (``(i,)`` a vector, ``(i, j)`` rank 2).  ``TensorElement`` keys
+    hold PBW monomials instead; subclasses fix how a key renders."""
 
     __slots__ = ("gens", "ring", "terms")
 
@@ -165,11 +165,49 @@ class LinComb:
         return {self._render_key(k, True): c.to_json() for k, c in sorted(self.terms.items())}
 
 
-class Element(LinComb):
-    """Finite combination of PBW-ordered monomials (exponent tuples) with
-    Series coefficients."""
+class TensorElement(LinComb):
+    """Tensor over the algebra: a key holds one PBW monomial (exponent tuple)
+    per slot, and ``rank`` is the number of slots.  Rank 1 is ``Element``.
+
+    Slot-wise PBW ordering; the tensor product algebra is the ordinary
+    (unbraided) one."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank, gens, ring, terms):
+        self.rank = rank
+        super().__init__(gens, ring, terms)
+
+    def _with(self, terms):
+        new = super()._with(terms)
+        new.rank = self.rank
+        return new
+
+    @staticmethod
+    def outer(factors):
+        """Tensor product of tensors of any rank: their keys concatenate."""
+        f0 = factors[0]
+        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
+                       _outer_terms([f.terms for f in factors]))
+
+    def _compatible(self, other):
+        if self.rank != other.rank:
+            raise StructureError("tensor rank mismatch")
+        super()._compatible(other)
+
+    def _render_key(self, ms, full):
+        slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
+        return slots if full else f"[{slots}]"
+
+
+class Element(TensorElement):
+    """An algebra element: the rank-1 tensor, keyed ``(m,)`` by a PBW
+    monomial ``m``, rendered without brackets."""
 
     __slots__ = ()
+
+    def __init__(self, gens, ring, terms):
+        super().__init__(1, gens, ring, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -186,10 +224,27 @@ class Element(LinComb):
         m = [0] * gens.dim
         for name, e in exps_by_name.items():
             m[gens.index(name)] = e
-        return cls(gens, ring, {tuple(m): ring.one() if coeff is None else coeff})
+        return cls(gens, ring, {(tuple(m),): ring.one() if coeff is None else coeff})
 
-    def _render_key(self, m, full):
-        return _mono_str(self.gens.names, m, full)
+    def _render_key(self, ms, full):
+        return _mono_str(self.gens.names, ms[0], full)
+
+
+def _tensor(rank, gens, ring, terms):
+    """The rank-``rank`` tensor over ``terms``, which hold no zero
+    coefficient: an ``Element`` at rank 1."""
+    new = object.__new__(Element if rank == 1 else TensorElement)
+    new.gens, new.ring, new.terms, new.rank = gens, ring, terms, rank
+    return new
+
+
+def _outer_terms(factors):
+    """Tensor product of term dicts: keys concatenate, coefficients multiply,
+    and products truncated to zero are dropped."""
+    terms = factors[0]
+    for f in factors[1:]:
+        terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items() if (p := c * c2)}
+    return terms
 
 
 class RewriteTable:
@@ -225,7 +280,7 @@ class RewriteTable:
         return Element.zero(self.gens, self.ring)
 
     def one(self, coeff=1):
-        return Element(self.gens, self.ring, {(0,) * self.gens.dim: self.ring.const(coeff)})
+        return Element(self.gens, self.ring, {((0,) * self.gens.dim,): self.ring.const(coeff)})
 
     def gen(self, name, coeff=None):
         return Element.generator(self.gens, self.ring, name, coeff)
@@ -268,7 +323,8 @@ class RewriteTable:
                 descent = k
                 break
         if descent < 0:
-            res = Element(self.gens, self.ring, {monomial_of(word, self.gens.dim): self.ring.one()})
+            res = Element(self.gens, self.ring,
+                          {(monomial_of(word, self.gens.dim),): self.ring.one()})
             self._nf_cache[word] = res
             return res
         self._steps += 1
@@ -282,7 +338,7 @@ class RewriteTable:
         rule = self.rules[(i, j)]
         if rule:
             head, tail = word[:k], word[k + 2:]
-            for m, c in rule.terms.items():
+            for (m,), c in rule.terms.items():
                 piece = self._nf_word(head + word_of(m) + tail)
                 acc = acc + piece.scale(c)
         self._nf_cache[word] = acc
@@ -302,20 +358,32 @@ class RewriteTable:
         self.ring.check_same(x.ring)
 
 
-def mul(x: Element, y: Element, table: RewriteTable) -> Element:
-    """Product in the algebra: concatenate words, then normal-form."""
-    table.check(x)
+def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
+    """Slot-wise product of two tensors of one rank: for every term pair,
+    each slot's words concatenate and are normal-formed."""
     x._compatible(y)
     table.reset_budget()
-    acc = table.zero()
-    for m1, c1 in x.terms.items():
-        w1 = word_of(m1)
-        for m2, c2 in y.terms.items():
+    acc = _tensor(x.rank, x.gens, x.ring, {})
+    for ms1, c1 in x.terms.items():
+        words1 = [word_of(m1) for m1 in ms1]
+        for ms2, c2 in y.terms.items():
             c = c1 * c2
             if not c:
                 continue
-            acc = acc + table._nf_word(w1 + word_of(m2)).scale(c)
+            slots = [table._nf_word(w1 + word_of(m2)).terms for w1, m2 in zip(words1, ms2)]
+            acc = acc.add_terms((k, p) for k, v in _outer_terms(slots).items() if (p := v * c))
     return acc
+
+
+def mul(x: Element, y: Element, table: RewriteTable) -> Element:
+    """Product in the algebra: concatenate words, then normal-form."""
+    table.check(x)
+    return _slot_product(x, y, table)
+
+
+def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
+    """Slot-wise product with per-slot normal form."""
+    return _slot_product(x, y, table)
 
 
 def commutator(x: Element, y: Element, table: RewriteTable) -> Element:
@@ -381,14 +449,12 @@ def monomial_image(m, gens, images, unit, product, memo):
     return img
 
 
-def substitute_generators(x, images, table_target: RewriteTable, param_sub=None):
+def substitute_generators(x: TensorElement, images, table_target: RewriteTable, param_sub=None):
     """Homomorphic substitution generator -> Element over the target algebra,
-    with optional simultaneous parameter substitution on coefficients.
-
-    Works on Element and TensorElement alike."""
+    slot by slot, with optional simultaneous parameter substitution on
+    coefficients."""
     ring = table_target.ring
     same_space = x.ring.space.symbols == ring.space.symbols
-    tensor = isinstance(x, TensorElement)
     unit = table_target.one()
     memo = {}
 
@@ -401,96 +467,31 @@ def substitute_generators(x, images, table_target: RewriteTable, param_sub=None)
         return monomial_image(m, x.gens, images, unit,
                               lambda a, b: mul(a, b, table_target), memo)
 
-    acc = TensorElement.zero(x.rank, table_target.gens, ring) if tensor else table_target.zero()
-    for key, c in x.terms.items():
+    acc = _tensor(x.rank, table_target.gens, ring, {})
+    for ms, c in x.terms.items():
         c2 = coeff(c)
         if c2:
-            img = TensorElement.outer([image(m) for m in key]) if tensor else image(key)
-            acc = acc + img.scale(c2)
+            acc = acc + TensorElement.outer([image(m) for m in ms]).scale(c2)
     return acc
 
 
 # ---------------------------------------------------------------------------
-# tensor-slot arithmetic
+# structure maps on one tensor slot
 # ---------------------------------------------------------------------------
-
-class TensorElement(LinComb):
-    """Rank-2 or rank-3 tensor over the algebra: monomial tuples -> Series.
-
-    Slot-wise PBW ordering; the tensor product algebra is the ordinary
-    (unbraided) one."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank, gens, ring, terms):
-        self.rank = rank
-        super().__init__(gens, ring, terms)
-
-    def _with(self, terms):
-        new = super()._with(terms)
-        new.rank = self.rank
-        return new
-
-    @classmethod
-    def zero(cls, rank, gens, ring):
-        return cls(rank, gens, ring, {})
-
-    @classmethod
-    def outer(cls, factors):
-        """Tensor product of Elements (one per slot)."""
-        f0 = factors[0]
-        terms = {(m,): c for m, c in f0.terms.items()}
-        for f in factors[1:]:
-            terms = {ms + (m,): c * c2 for ms, c in terms.items() for m, c2 in f.terms.items()}
-        return cls(len(factors), f0.gens, f0.ring, terms)
-
-    def _compatible(self, other):
-        if self.rank != other.rank:
-            raise StructureError("tensor rank mismatch")
-        super()._compatible(other)
-
-    def _render_key(self, ms, full):
-        slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
-        return slots if full else f"[{slots}]"
-
-
-def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
-    """Slot-wise product with per-slot normal form."""
-    x._compatible(y)
-    acc = TensorElement.zero(x.rank, x.gens, x.ring)
-    table.reset_budget()
-    for ms1, c1 in x.terms.items():
-        for ms2, c2 in y.terms.items():
-            c = c1 * c2
-            if not c:
-                continue
-            slot_elts = [
-                table._nf_word(word_of(m1) + word_of(m2))
-                for m1, m2 in zip(ms1, ms2)
-            ]
-            acc = acc + TensorElement.outer(slot_elts).scale(c)
-    return acc
-
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
-    unit = TensorElement.outer([table.one(), table.one()])
-    memo = {}
-    acc = TensorElement.zero(2, x.gens, x.ring)
-    for m, c in x.terms.items():
-        t = monomial_image(m, x.gens, delta, unit, lambda a, b: tensor_mul(a, b, table), memo)
-        acc = acc + t.scale(c)
-    return acc
+    return coproduct_on_slot(x, 0, delta, table)
 
 
 def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable,
                       memo=None) -> TensorElement:
-    """Apply the coproduct to one slot of a rank-2 tensor, giving rank 3.
+    """Apply the coproduct to one slot of a tensor, raising its rank by one.
     ``memo`` may carry coproducts of monomials from earlier calls with the
     same ``delta``."""
     unit = TensorElement.outer([table.one(), table.one()])
     memo = {} if memo is None else memo
-    acc = TensorElement.zero(t.rank + 1, t.gens, t.ring)
+    acc = _tensor(t.rank + 1, t.gens, t.ring, {})
     for ms, c in t.terms.items():
         dt = monomial_image(ms[slot], t.gens, delta, unit,
                             lambda a, b: tensor_mul(a, b, table), memo)
@@ -500,17 +501,12 @@ def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable,
 
 
 def counit_collapse(t: TensorElement, slot, counit_values):
-    """Apply the counit to one slot; returns an Element (rank 2) or rank-2
-    tensor (rank 3).  ``counit_values``: generator name -> Fraction."""
-    if t.rank == 2:
-        acc = Element.zero(t.gens, t.ring)
-    else:
-        acc = TensorElement.zero(t.rank - 1, t.gens, t.ring)
+    """Apply the counit to one slot of a tensor, lowering its rank by one.
+    ``counit_values``: generator name -> Fraction."""
     pieces = []
     memo = {}
     for ms, c in t.terms.items():
         val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul, memo)
         if val:
-            key = ms[:slot] + ms[slot + 1:]
-            pieces.append((key[0] if t.rank == 2 else key, c * val))
-    return acc.add_terms(pieces)
+            pieces.append((ms[:slot] + ms[slot + 1:], c * val))
+    return _tensor(t.rank - 1, t.gens, t.ring, {}).add_terms(pieces)

@@ -71,25 +71,32 @@ def _counit_zero(gens):
 # gl(2)-side presentations
 # ---------------------------------------------------------------------------
 
-def _gl2_classical(order):
-    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make(), order))
+def _gl2_table_classical(ring):
+    t = RewriteTable.commuting(GL2, ring)
     t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
     t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
     t.set_rule("Jp", "Jm", t.gen("J3"))
-    casimir = (
+    return t
+
+
+def _gl2_classical_casimir(t):
+    return (
         mul(t.gen("J3"), t.gen("J3"), t)
         + mul(t.gen("Jp"), t.gen("Jm"), t).scale(2)
         + mul(t.gen("Jm"), t.gen("Jp"), t).scale(2)
     )
+
+
+def _gl2_classical(order):
+    t = _gl2_table_classical(Ring(ParamSpace.make(), order))
     delta = {n: _primitive(t, n) for n in GL2.names}
-    return HopfPresentation("gl2.classical", t, delta, _counit_zero(GL2), casimir)
+    return HopfPresentation("gl2.classical", t, delta, _counit_zero(GL2),
+                            _gl2_classical_casimir(t))
 
 
 def _gl2_II_standard(order):
     # two-parameter standard family: primitive J3 and I, sinh-deformed [Jp,Jm]
-    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make("a", "b"), order))
-    t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
-    t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
+    t = _gl2_table_classical(Ring(ParamSpace.make("a", "b"), order))
     t.set_rule("Jp", "Jm", mul(t.gen("J3"), _gf(t, "sinh_over_arg", "J3", "a"), t))
 
     def leg(sign, bsign):
@@ -116,10 +123,7 @@ def _gl2_II_standard(order):
 
 def _gl2_II_nonstandard(order):
     # twist family: classical relations and Casimir, deformed coproduct
-    t = RewriteTable.commuting(GL2, Ring(ParamSpace.make("b", "b_plus"), order))
-    t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(2)))
-    t.set_rule("J3", "Jm", t.gen("Jm", coeff=t.scalar(-2)))
-    t.set_rule("Jp", "Jm", t.gen("J3"))
+    t = _gl2_table_classical(Ring(ParamSpace.make("b", "b_plus"), order))
     e_plus = _gf(t, "exp", "I", "b")
     e_minus = _gf(t, "exp", "I", "b", -1)
     one = t.one()
@@ -137,12 +141,8 @@ def _gl2_II_nonstandard(order):
                + _outer(t.gen("J3"), g2).scale(bp)
                + _outer(t.gen("Jp"), g3).scale(bp * bp)),
     }
-    casimir = (
-        mul(t.gen("J3"), t.gen("J3"), t)
-        + mul(t.gen("Jp"), t.gen("Jm"), t).scale(2)
-        + mul(t.gen("Jm"), t.gen("Jp"), t).scale(2)
-    )
-    return HopfPresentation("gl2.II.nonstandard", t, delta, _counit_zero(GL2), casimir)
+    return HopfPresentation("gl2.II.nonstandard", t, delta, _counit_zero(GL2),
+                            _gl2_classical_casimir(t))
 
 
 def _gl2_Iplus_standard(order):
@@ -226,9 +226,10 @@ def _h4_table_classical(ring):
     return t
 
 
-def _h4_classical_casimir(t):
+def _h4_casimir(t, m):
+    """2 N m - Ap Am - Am Ap, with ``m`` the element that [Am, Ap] equals."""
     return (
-        mul(t.gen("N"), t.gen("M"), t).scale(2)
+        mul(t.gen("N"), m, t).scale(2)
         - mul(t.gen("Ap"), t.gen("Am"), t)
         - mul(t.gen("Am"), t.gen("Ap"), t)
     )
@@ -238,13 +239,11 @@ def _h4_classical(order):
     t = _h4_table_classical(Ring(ParamSpace.make(), order))
     delta = {n: _primitive(t, n) for n in H4.names}
     return HopfPresentation("h4.classical", t, delta, _counit_zero(H4),
-                            _h4_classical_casimir(t))
+                            _h4_casimir(t, t.gen("M")))
 
 
 def _h4_xi_theta(order):
-    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi", "theta"), order))
-    t.set_rule("N", "Ap", t.gen("Ap"))
-    t.set_rule("N", "Am", -t.gen("Am"))
+    t = _h4_table_classical(Ring(ParamSpace.make("xi", "theta"), order))
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
     t.set_rule("Am", "Ap", sinh_m)
 
@@ -261,18 +260,11 @@ def _h4_xi_theta(order):
         "Am": (_outer(exp_leg(F(-1, 2), F(1, 2)), t.gen("Am"))
                + _outer(t.gen("Am"), exp_leg(F(1, 2), F(-1, 2)))),
     }
-    casimir = (
-        mul(t.gen("N"), sinh_m, t).scale(2)
-        - mul(t.gen("Ap"), t.gen("Am"), t)
-        - mul(t.gen("Am"), t.gen("Ap"), t)
-    )
-    return HopfPresentation("h4.xi.theta", t, delta, _counit_zero(H4), casimir)
+    return HopfPresentation("h4.xi.theta", t, delta, _counit_zero(H4), _h4_casimir(t, sinh_m))
 
 
 def _h4_xi(order):
-    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi",), order))
-    t.set_rule("N", "Ap", t.gen("Ap"))
-    t.set_rule("N", "Am", -t.gen("Am"))
+    t = _h4_table_classical(Ring(ParamSpace.make("xi",), order))
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
     t.set_rule("Am", "Ap", sinh_m)
     e_p = _gf(t, "exp", "M", "xi", F(1, 2))
@@ -283,12 +275,7 @@ def _h4_xi(order):
         "Ap": _outer(e_p, t.gen("Ap")) + _outer(t.gen("Ap"), e_m),
         "Am": _outer(e_p, t.gen("Am")) + _outer(t.gen("Am"), e_m),
     }
-    casimir = (
-        mul(t.gen("N"), sinh_m, t).scale(2)
-        - mul(t.gen("Ap"), t.gen("Am"), t)
-        - mul(t.gen("Am"), t.gen("Ap"), t)
-    )
-    return HopfPresentation("h4.xi", t, delta, _counit_zero(H4), casimir)
+    return HopfPresentation("h4.xi", t, delta, _counit_zero(H4), _h4_casimir(t, sinh_m))
 
 
 def _h4_betaplus_theta(order):
@@ -307,13 +294,12 @@ def _h4_betaplus_theta(order):
         "N": _primitive(t, "N") + _outer(t.gen("Ap"), g_m).scale(bp),
     }
     return HopfPresentation("h4.betaplus.theta", t, delta, _counit_zero(H4),
-                            _h4_classical_casimir(t))
+                            _h4_casimir(t, t.gen("M")))
 
 
 def _h4_betaplus_xi(order):
     # (xi, mu) coordinates with beta_plus = mu * xi
-    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("xi", ("mu", 0, False)), order))
-    t.set_rule("N", "Ap", t.gen("Ap"))
+    t = _h4_table_classical(Ring(ParamSpace.make("xi", ("mu", 0, False)), order))
     mu = t.sym("mu")
     sinh_m = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi"), t)
     sinh_half = mul(t.gen("M"), _gf(t, "sinh_over_arg", "M", "xi", F(1, 2)), t)
@@ -330,20 +316,15 @@ def _h4_betaplus_xi(order):
               - _outer(e_p - one, t.gen("Ap")).scale(mu)
               - _outer(t.gen("Ap"), e_m - one).scale(mu)),
     }
-    casimir = (
-        mul(t.gen("N"), sinh_m, t).scale(2)
-        - mul(t.gen("Ap"), t.gen("Am"), t)
-        - mul(t.gen("Am"), t.gen("Ap"), t)
-        + mul(t.gen("Ap"), sinh_m - sinh_half, t).scale(mu * 2)
-    )
+    casimir = (_h4_casimir(t, sinh_m)
+               + mul(t.gen("Ap"), sinh_m - sinh_half, t).scale(mu * 2))
     return HopfPresentation("h4.betaplus.xi", t, delta, _counit_zero(H4), casimir)
 
 
 def _h4_alphaplus(order):
-    t = RewriteTable.commuting(H4, Ring(ParamSpace.make("alpha_plus",), order))
+    t = _h4_table_classical(Ring(ParamSpace.make("alpha_plus",), order))
     t.set_rule("N", "Ap",
                mul(t.gen("Ap"), _gf(t, "expm1_over_arg", "Ap", "alpha_plus"), t))
-    t.set_rule("N", "Am", -t.gen("Am"))
     e_p = _gf(t, "exp", "Ap", "alpha_plus")
     t.set_rule("Am", "Ap", mul(t.gen("M"), e_p, t))
     one = t.one()

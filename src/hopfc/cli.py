@@ -151,40 +151,31 @@ def cmd_contract(args):
 
 
 def cmd_rmatrix(args):
+    if args.exp_check:
+        for flag, given in (("--exact-r", args.exact_r), ("--limit", args.limit)):
+            if given:
+                raise ValueError(f"--exp-check compares exp(r) with the truncated series R "
+                                 f"and cannot be combined with {flag}")
     t0 = time.perf_counter()
     checks = []
     ok = True
     R = rmatrix.get_rmat(args.name, args.order, exact=args.exact_r)
     for sym in args.limit or []:
         R = rmatrix.rmat_limit(R, sym)
-    run_all = not (args.qybe or args.exp_check or args.triangularity)
-
-    if args.qybe or run_all:
-        res = rmatrix.qybe_residual(R)
+    selected = (
+        ("qybe", args.qybe or not (args.exp_check or args.triangularity),
+         lambda: rmatrix.qybe_residual(R)),
+        ("exp_check", args.exp_check,
+         lambda: rmatrix.mat_sub(rmatrix.exp_wedge_rep(catalog.classical_r(args.name), args.order), R)),
+        ("triangularity", args.triangularity, lambda: rmatrix.triangularity_residual(R)),
+    )
+    for name, wanted, residual in selected:
+        if not wanted:
+            continue
+        res = residual()
         good = rmatrix.mat_is_zero(res)
         checks.append({
-            "name": "qybe",
-            "verdict": "pass" if good else "fail",
-            "residual": [f"{k}: {v}" for k, v in rmatrix.mat_nonzero_entries(res)[:8]],
-        })
-        ok = ok and good
-    if args.exp_check:
-        r = catalog.classical_r(args.name)
-        E = rmatrix.exp_wedge_rep(r, args.order)
-        series_R = rmatrix.get_rmat(args.name, args.order, exact=False)
-        diff = rmatrix.mat_sub(E, series_R)
-        good = rmatrix.mat_is_zero(diff)
-        checks.append({
-            "name": "exp_check",
-            "verdict": "pass" if good else "fail",
-            "residual": [f"{k}: {v}" for k, v in rmatrix.mat_nonzero_entries(diff)[:8]],
-        })
-        ok = ok and good
-    if args.triangularity:
-        res = rmatrix.triangularity_residual(R)
-        good = rmatrix.mat_is_zero(res)
-        checks.append({
-            "name": "triangularity",
+            "name": name,
             "verdict": "pass" if good else "fail",
             "residual": [f"{k}: {v}" for k, v in rmatrix.mat_nonzero_entries(res)[:8]],
         })

@@ -205,7 +205,7 @@ def apply_antipode(S, x: Element, table: RewriteTable, memo=None) -> Element:
     unit = table.one()
     memo = {} if memo is None else memo
     acc = table.zero()
-    for m, c in x.terms.items():
+    for (m,), c in x.terms.items():
         img = monomial_image(m, x.gens, S, unit, lambda a, b: mul(b, a, table), memo)
         acc = acc + img.scale(c)
     return acc
@@ -219,8 +219,8 @@ def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Ele
     acc = H.table.zero()
     one = H.ring.one()
     for ms, c in d.terms.items():
-        s_img = apply_antipode(S, Element(H.gens, H.ring, {ms[slot]: one}), H.table, memo)
-        other = Element(H.gens, H.ring, {ms[1 - slot]: one})
+        s_img = apply_antipode(S, Element(H.gens, H.ring, {(ms[slot],): one}), H.table, memo)
+        other = Element(H.gens, H.ring, {(ms[1 - slot],): one})
         if side == "left":
             acc = acc + mul(s_img, other, H.table).scale(c)
         else:

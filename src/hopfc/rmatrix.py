@@ -191,65 +191,57 @@ def exp_wedge_rep(r: WedgeTensor, order):
 # the two printed matrices
 # ---------------------------------------------------------------------------
 
-def _build_family_I(order):
-    """Series mode in (a, a_plus): q = e^a, h = (a_plus/2)(e^a - 1)/a."""
-    ring = Ring(ParamSpace.make("a", "a_plus"), order)
+def _family_I(ring, q, h):
+    """The printed family-I matrix in its entries q and h."""
     one, zero = ring.one(), ring.zero()
-    a = ring.symbol("a")
-    q = analytic_series("exp", a)
-    h = ring.symbol("a_plus", coeff=F(1, 2)) * analytic_series("expm1_over_arg", a)
     return [
         [one, h, -(q * h), h * h],
         [zero, q, one - q * q, q * h],
         [zero, zero, q, -h],
         [zero, zero, zero, one],
     ]
+
+
+def _family_II(ring, e, em, p):
+    """The printed family-II matrix in its entries e = e^b, em = e^-b and p."""
+    one, zero = ring.one(), ring.zero()
+    return [
+        [one, -(em * p), p, -(em * p * p)],
+        [zero, em, zero, em * p],
+        [zero, zero, e, -p],
+        [zero, zero, zero, one],
+    ]
+
+
+def _build_family_I(order):
+    """Series mode in (a, a_plus): q = e^a, h = (a_plus/2)(e^a - 1)/a."""
+    ring = Ring(ParamSpace.make("a", "a_plus"), order)
+    a = ring.symbol("a")
+    h = ring.symbol("a_plus", coeff=F(1, 2)) * analytic_series("expm1_over_arg", a)
+    return _family_I(ring, analytic_series("exp", a), h)
 
 
 def _build_family_I_exact():
     """Exact mode: Q and h as independent polynomial symbols; the QYBE check
     becomes an exact polynomial identity."""
     ring = Ring.exact(ParamSpace.make(("Q", 1, False), ("h", 1, False)))
-    one, zero = ring.one(), ring.zero()
-    q, h = ring.symbol("Q"), ring.symbol("h")
-    return [
-        [one, h, -(q * h), h * h],
-        [zero, q, one - q * q, q * h],
-        [zero, zero, q, -h],
-        [zero, zero, zero, one],
-    ]
+    return _family_I(ring, ring.symbol("Q"), ring.symbol("h"))
 
 
 def _build_family_II(order):
     """Series mode in (b, b_plus): p = (b_plus/2)(e^b - 1)/b."""
     ring = Ring(ParamSpace.make("b", "b_plus"), order)
-    one, zero = ring.one(), ring.zero()
     b = ring.symbol("b")
-    eb = analytic_series("exp", b)
-    emb = analytic_series("exp", -b)
     p = ring.symbol("b_plus", coeff=F(1, 2)) * analytic_series("expm1_over_arg", b)
-    return [
-        [one, -(emb * p), p, -(emb * p * p)],
-        [zero, emb, zero, emb * p],
-        [zero, zero, eb, -p],
-        [zero, zero, zero, one],
-    ]
+    return _family_II(ring, analytic_series("exp", b), analytic_series("exp", -b), p)
 
 
 def _build_family_II_exact():
     """Exact mode: B = e^b invertible, p polynomial; floor -4 covers the
     B^{-3} reached by triple products."""
     ring = Ring.exact(ParamSpace.make(("B", 0, True), ("p", 1, False)), floor=DEFAULT_FLOOR)
-    one, zero = ring.one(), ring.zero()
     b = ring.symbol("B")
-    bm = b ** -1
-    p = ring.symbol("p")
-    return [
-        [one, -(bm * p), p, -(bm * p * p)],
-        [zero, bm, zero, bm * p],
-        [zero, zero, b, -p],
-        [zero, zero, zero, one],
-    ]
+    return _family_II(ring, b, b ** -1, ring.symbol("p"))
 
 
 _RMAT_BUILDERS = {

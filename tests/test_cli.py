@@ -84,6 +84,16 @@ def test_rmatrix_exp_check():
                  "--order", "3"]) == 0
 
 
+@pytest.mark.parametrize("flag", [["--exact-r"], ["--limit", "a"]])
+def test_rmatrix_exp_check_refuses_exact_or_sliced_matrix(capsys, flag):
+    # exp(r) is compared with the truncated series R, so an exact or sliced R
+    # asked for alongside it is a usage error, not silently dropped
+    argv = ["rmatrix", "gl2.Iplus.standard", "--exp-check", "--order", "3", *flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--exp-check" in err and flag[0] in err
+
+
 def test_rmatrix_triangularity_fails_on_full_matrix():
     assert main(["rmatrix", "gl2.Iplus.standard", "--triangularity",
                  "--order", "3"]) == 1

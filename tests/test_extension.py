@@ -1,7 +1,8 @@
 """The structure maps are fixed by their values on generators: the coproduct
 and counit extend multiplicatively, the antipode anti-multiplicatively, and a
 generator substitution homomorphically.  Checked on products of two
-generators, in both orders, at order 2."""
+generators, in both orders, and on the rank-3 tensors (Delta x id) Delta(X),
+at order 2."""
 
 import itertools
 
@@ -10,6 +11,7 @@ import pytest
 from hopfc import catalog
 from hopfc.algebra import (
     apply_coproduct,
+    coproduct_on_slot,
     counit_collapse,
     mul,
     substitute_generators,
@@ -60,3 +62,17 @@ def test_identity_substitution(name):
         assert substitute_generators(x1, ident, H.table) == x1
         d = H.delta(x1)
         assert substitute_generators(d, ident, H.table) == d
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rank3_counit_and_substitution(name):
+    # the counit on any one slot of (Delta x id) Delta(X) gives back Delta(X)
+    H = catalog.get(name, 2)
+    ident = {n: H.gen(n) for n in H.gens.names}
+    for n in H.gens.names:
+        d = H.delta(H.gen(n))
+        t = coproduct_on_slot(d, 0, H.coproduct, H.table)
+        assert t.rank == 3
+        for k in range(3):
+            assert counit_collapse(t, k, H.counit) == d, (n, k)
+        assert substitute_generators(t, ident, H.table) == t, n
