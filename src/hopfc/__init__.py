@@ -16,7 +16,7 @@ from .algebra import (
     mul,
 )
 from .hopf import HopfPresentation, VerificationReport, solve_antipode, verify_all
-from .bialgebra import LieStructure, WedgeTensor, cocommutator_from_r
+from .bialgebra import WedgeTensor, cocommutator_from_r
 from .contraction import (
     ContractionCase,
     change_of_basis,

@@ -74,28 +74,45 @@ def _mono_str(names, m, full):
     ) or "1"
 
 
-class LinComb:
+class TensorElement:
     """Finite linear combination ``{key: Series}`` over one generator set and
-    one coefficient ``Ring``; zero coefficients are never stored.
+    one coefficient ``Ring``; zero coefficients are never stored.  A key holds
+    one PBW monomial (exponent tuple) per slot, and ``rank`` is the number of
+    slots.  Rank 1 is ``Element``.
 
-    Here a key is a tuple of generator indices: a tensor over the Lie-algebra
-    basis (``(i,)`` a vector, ``(i, j)`` rank 2).  ``TensorElement`` keys
-    hold PBW monomials instead; subclasses fix how a key renders."""
+    Slot-wise PBW ordering; the tensor product algebra is the ordinary
+    (unbraided) one."""
 
-    __slots__ = ("gens", "ring", "terms")
+    __slots__ = ("rank", "gens", "ring", "terms")
 
-    def __init__(self, gens, ring, terms):
+    def __init__(self, rank, gens, ring, terms):
+        self.rank = rank
         self.gens = gens
         self.ring = ring
         self.terms = {k: c for k, c in terms.items() if c}
 
     def _with(self, terms):
-        """Same class and ring over ``terms``, which hold no zero coefficient."""
+        """Same class, rank and ring over ``terms``, which hold no zero
+        coefficient."""
         new = object.__new__(type(self))
-        new.gens, new.ring, new.terms = self.gens, self.ring, terms
+        new.rank, new.gens, new.ring, new.terms = self.rank, self.gens, self.ring, terms
         return new
 
+    @staticmethod
+    def outer(factors):
+        """Tensor product of tensors of any rank: their keys concatenate."""
+        f0 = factors[0]
+        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
+                       _outer_terms([f.terms for f in factors]))
+
+    def permute(self, perm):
+        """The slots reordered: slot ``s`` of the result is slot ``perm[s]``
+        of this tensor."""
+        return self._with({tuple(ms[p] for p in perm): c for ms, c in self.terms.items()})
+
     def _compatible(self, other):
+        if self.rank != other.rank:
+            raise StructureError("tensor rank mismatch")
         if self.gens.names != other.gens.names:
             raise StructureError("mismatched generator sets")
         self.ring.check_same(other.ring)
@@ -149,8 +166,9 @@ class LinComb:
         new.gens = self.gens if gens is None else gens
         return new
 
-    def _render_key(self, k, full):
-        return " (x) ".join(self.gens.names[i] for i in k)
+    def _render_key(self, ms, full):
+        slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
+        return slots if full else f"[{slots}]"
 
     def __str__(self):
         if not self.terms:
@@ -163,41 +181,6 @@ class LinComb:
 
     def to_json(self):
         return {self._render_key(k, True): c.to_json() for k, c in sorted(self.terms.items())}
-
-
-class TensorElement(LinComb):
-    """Tensor over the algebra: a key holds one PBW monomial (exponent tuple)
-    per slot, and ``rank`` is the number of slots.  Rank 1 is ``Element``.
-
-    Slot-wise PBW ordering; the tensor product algebra is the ordinary
-    (unbraided) one."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank, gens, ring, terms):
-        self.rank = rank
-        super().__init__(gens, ring, terms)
-
-    def _with(self, terms):
-        new = super()._with(terms)
-        new.rank = self.rank
-        return new
-
-    @staticmethod
-    def outer(factors):
-        """Tensor product of tensors of any rank: their keys concatenate."""
-        f0 = factors[0]
-        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
-                       _outer_terms([f.terms for f in factors]))
-
-    def _compatible(self, other):
-        if self.rank != other.rank:
-            raise StructureError("tensor rank mismatch")
-        super()._compatible(other)
-
-    def _render_key(self, ms, full):
-        slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
-        return slots if full else f"[{slots}]"
 
 
 class Element(TensorElement):

@@ -20,14 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    Element,
     GeneratorSet,
-    LinComb,
     RewriteTable,
     TensorElement,
     generator_function,
     mul,
 )
-from .bialgebra import LieStructure, WedgeTensor
 from .contraction import ContractionCase, ParamImage, ScalingMap
 from .errors import LookupError_
 from .hopf import HopfPresentation
@@ -397,61 +396,33 @@ _R_SPECS = {
 
 
 @lru_cache(maxsize=None)
-def classical_r(name) -> WedgeTensor:
+def classical_r(name) -> TensorElement:
+    """The r-matrix of a gl(2) family: c * (X (x) Y - Y (x) X) summed over
+    its wedge terms c * X ^ Y, over the exact ring of its parameters."""
     if name not in _R_SPECS:
         raise LookupError_(name, sorted(_R_SPECS))
     syms, terms = _R_SPECS[name]
     ring = Ring.exact(ParamSpace.make(*syms))
-    return WedgeTensor(GL2, ring, {}).add_wedges(
-        ((GL2.index(x), GL2.index(y)), ring.symbol(sym, coeff=c)) for c, sym, x, y in terms)
+    r = TensorElement(2, GL2, ring, {})
+    for c, sym, x, y in terms:
+        X, Y = (Element.generator(GL2, ring, n) for n in (x, y))
+        r = r + (_outer(X, Y) - _outer(Y, X)).scale(ring.symbol(sym, coeff=c))
+    return r
 
 
-_GL2_BRACKETS = {
-    # over the PBW-ordered basis (I, Jp, J3, Jm)
-    (1, 2): {1: -2},       # [Jp, J3] = -2 Jp
-    (1, 3): {2: 1},        # [Jp, Jm] = J3
-    (2, 3): {3: -2},       # [J3, Jm] = -2 Jm
-}
+_CLASSICAL_TABLES = {"gl2.classical": _gl2_table_classical,
+                     "h4.classical": _h4_table_classical}
 
-_H4_BRACKETS = {
-    # over the PBW-ordered basis (M, Ap, N, Am)
-    (1, 2): {1: -1},       # [Ap, N] = -Ap
-    (1, 3): {0: -1},       # [Ap, Am] = -M
-    (2, 3): {3: -1},       # [N, Am] = -Am
-}
 
 @lru_cache(maxsize=None)
-def lie_structure(name) -> LieStructure:
-    """Classical Lie structure underlying a catalog family, with coefficients
-    in that family's original parameter space."""
+def lie_structure(name) -> RewriteTable:
+    """Classical Lie algebra underlying a catalog family: the classical
+    rewrite table, over the exact ring of the family's r-matrix."""
     if name in _R_SPECS:
-        ring = classical_r(name).ring
-        gens, raw = GL2, _GL2_BRACKETS
-    elif name in ("gl2.classical",):
-        ring, gens, raw = Ring.exact(ParamSpace.make()), GL2, _GL2_BRACKETS
-    elif name in ("h4.classical",):
-        ring, gens, raw = Ring.exact(ParamSpace.make()), H4, _H4_BRACKETS
-    else:
-        raise LookupError_(name, sorted(_R_SPECS) + ["gl2.classical", "h4.classical"])
-    brackets = {
-        k: LinComb(gens, ring, {(g,): ring.const(c) for g, c in vec.items()})
-        for k, vec in raw.items()
-    }
-    return LieStructure(gens, ring, brackets)
-
-
-def lie_scaling():
-    """(forward, inverse) Lie-level scaling, shared by every gl(2) source
-    family: ``_scaling_j3`` in index form, entries (Fraction, eps exponent,
-    generator index)."""
-    scaling = _scaling_j3()
-
-    def index_form(combos, names, other):
-        return tuple(tuple((f, mono.get(EPS, 0), other.index(g)) for f, mono, g in combos[n])
-                     for n in names)
-
-    return (index_form(scaling.forward, H4.names, GL2),
-            index_form(scaling.inverse, GL2.names, H4))
+        return _gl2_table_classical(classical_r(name).ring)
+    if name in _CLASSICAL_TABLES:
+        return _CLASSICAL_TABLES[name](Ring.exact(ParamSpace.make()))
+    raise LookupError_(name, sorted(_R_SPECS) + sorted(_CLASSICAL_TABLES))
 
 
 # ---------------------------------------------------------------------------

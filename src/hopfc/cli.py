@@ -1,8 +1,8 @@
 """Command-line interface: verification, contraction, and R-matrix checks
 with reproducible JSON/text reports.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage/lookup error,
-3 divergence under a forced exponent or limit.
+Exit codes: 0 all checks pass, 1 check failure, 2 usage/lookup error or an
+unwritable --out path, 3 divergence under a forced exponent or limit.
 """
 
 from __future__ import annotations
@@ -33,6 +33,19 @@ def _parse_force(items):
     return out
 
 
+def _write(text, path):
+    """Print ``text``, or write it to ``path``; a path that cannot be written
+    is a usage error."""
+    if not path:
+        print(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(report, args):
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=False)
@@ -45,11 +58,7 @@ def _emit(report, args):
                 lines.append(f"         residual: {r}")
         lines.append(f"  elapsed: {report['timing']:.3f}s")
         text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, args.out)
 
 
 def _report(args, checks, elapsed):
@@ -185,13 +194,7 @@ def cmd_rmatrix(args):
 
 
 def cmd_dump(args):
-    payload = catalog.dump(args.name, args.order)
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(catalog.dump(args.name, args.order), indent=2), args.out)
     return EXIT_PASS
 
 
@@ -235,10 +238,13 @@ def build_parser():
     r.add_argument("name")
     r.add_argument("--exact-r", action="store_true",
                    help="exact polynomial mode instead of truncated series")
-    r.add_argument("--qybe", action="store_true")
+    r.add_argument("--qybe", action="store_true",
+                   help="check the quantum Yang-Baxter equation; the one check run "
+                        "when no check flag is given")
     r.add_argument("--exp-check", action="store_true",
-                   help="compare against exp of the classical r-matrix")
-    r.add_argument("--triangularity", action="store_true")
+                   help="compare against exp of the classical r-matrix (only when given)")
+    r.add_argument("--triangularity", action="store_true",
+                   help="check R21 R = 1 (only when given)")
     r.add_argument("--limit", action="append", metavar="sym",
                    help="take a parameter's zero-slice first (repeatable)")
     common(r)

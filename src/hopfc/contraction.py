@@ -8,10 +8,12 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import bialgebra
 from .algebra import (
     Element,
     GeneratorSet,
     RewriteTable,
+    TensorElement,
     apply_coproduct,
     commutator,
     substitute_generators,
@@ -99,23 +101,16 @@ def _lie_sigma(ring, param_map, exponents=None):
     return sigma
 
 
-def transform_wedge(w: WedgeTensor, lie_inverse, new_gens, ring, sigma) -> WedgeTensor:
-    """Push a wedge tensor through the (inverse) generator scaling and a
-    parameter substitution into ``ring``; wedge cancellation happens here,
-    before any valuation is read off."""
-    def terms():
-        for (i, j), c in w.terms.items():
-            c2 = c.substitute(sigma, ring)
-            for f1, e1, k1 in lie_inverse[i]:
-                for f2, e2, k2 in lie_inverse[j]:
-                    yield (k1, k2), c2 * ring.term({EPS: e1 + e2} if e1 + e2 else {}, f1 * f2)
-
-    return WedgeTensor(new_gens, ring, {}).add_wedges(terms())
+def transform_wedge(w: TensorElement, images, table: RewriteTable, sigma) -> TensorElement:
+    """Push a tensor through the (inverse) generator scaling ``images``
+    (old generator -> Element over ``table``) and the parameter substitution
+    ``sigma``; cancellation happens here, before any valuation is read off."""
+    return substitute_generators(w, images, table, param_sub=sigma)
 
 
 def _min_exponents_from(wedges, space, group_syms):
     """Per group, the minimal integer n making every surviving eps exponent
-    nonnegative.  ``wedges``: iterable of WedgeTensor."""
+    nonnegative.  ``wedges``: iterable of tensors."""
     eps_i = space.index(EPS)
     sym_i = {s: space.index(s) for syms in group_syms.values() for s in syms}
     mins = {g: None for g in group_syms}
@@ -138,14 +133,17 @@ def solve_min_exponents(case: ContractionCase):
     from . import catalog
 
     r = catalog.classical_r(case.lie_r_name)
-    L = catalog.lie_structure(case.source)
-    lie_fwd, lie_inv = catalog.lie_scaling()
-    new_gens = case.scaling.new_gens
+    # r lives over (I, Jp, J3, Jm) for every gl(2) family, so the Lie-level
+    # scaling is the one of the J3 basis
+    scaling = catalog._scaling_j3()
+    new_gens = scaling.new_gens
 
     # workspace: old params + new params + eps
     new_syms = sorted({img.target for img in case.lie_param_map.values() if img.target})
     space = r.ring.space.union(ParamSpace.make(*new_syms, EPS))
     ring = Ring.exact(space)
+    table = RewriteTable.commuting(new_gens, ring)
+    images = {old: _combo_element(table, combo, None) for old, combo in scaling.inverse.items()}
 
     group_syms = {}
     for old, g in case.lie_groups.items():
@@ -156,19 +154,15 @@ def solve_min_exponents(case: ContractionCase):
     sigma0 = _lie_sigma(ring, case.lie_param_map,
                         exponents={p: 0 for p in case.lie_param_map})
 
-    r_t = transform_wedge(r, lie_inv, new_gens, ring, sigma0)
+    r_t = transform_wedge(r, images, table, sigma0)
     r_min = _min_exponents_from([r_t], space, group_syms)
 
-    from .bialgebra import cocommutator_from_r
-    delta = cocommutator_from_r(L, r)
-    d_wedges = []
-    for y in range(new_gens.dim):
-        acc = WedgeTensor(new_gens, ring, {})
-        for f, e, oldg in lie_fwd[y]:
-            piece = transform_wedge(delta[oldg], lie_inv, new_gens, ring, sigma0)
-            acc = acc + piece.scale(ring.term({EPS: e} if e else {}, f))
-        d_wedges.append(acc)
-    d_min = _min_exponents_from(d_wedges, space, group_syms)
+    delta = bialgebra.cocommutator_from_r(catalog.lie_structure(case.lie_r_name), r)
+    moved = {x: transform_wedge(d, images, table, sigma0) for x, d in delta.items()}
+    zero = TensorElement(2, new_gens, ring, {})
+    d_new = [sum((moved[x].scale(ring.term(mono, f)) for f, mono, x in combo), zero)
+             for combo in scaling.forward.values()]
+    d_min = _min_exponents_from(d_new, space, group_syms)
 
     constrained = [g for g in group_syms if r_min[g] is not None or d_min[g] is not None]
     coboundary = all(r_min[g] == d_min[g] for g in constrained)
@@ -179,10 +173,9 @@ def solve_min_exponents(case: ContractionCase):
         if r_min.get(g) is not None:
             exps[old] = r_min[g]
     sigma = _lie_sigma(ring, case.lie_param_map, exponents=exps)
-    r_lim = transform_wedge(r, lie_inv, new_gens, ring, sigma)
-    r_contracted = WedgeTensor(
-        new_gens, replace(ring, space=space.without(EPS)),
-        {k: c.limit_zero(EPS, context=f"contracted r entry {k}") for k, c in r_lim.terms.items()})
+    r_lim = transform_wedge(r, images, table, sigma)
+    r_contracted = WedgeTensor(r_lim.map_coeffs(
+        lambda c: c.limit_zero(EPS, context="contracted r"), replace(ring, space=space.without(EPS))))
 
     return ExponentSolution(r_min, d_min, coboundary, r_contracted)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .bialgebra import WedgeTensor
+from .algebra import TensorElement
 from .errors import LookupError_, StructureError
 from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series
 
@@ -161,18 +161,16 @@ def _rep_matrix(name, ring):
     return [[ring.const(c) for c in row] for row in FUNDAMENTAL_REP[name]]
 
 
-def exp_wedge_rep(r: WedgeTensor, order):
+def exp_wedge_rep(r: TensorElement, order):
     """Evaluate a classical r-matrix in rep (x) rep and exponentiate.
 
     Entries of rho(r) carry parameter weight >= 1, so the exponential series
     terminates at the truncation order."""
     ring = Ring(r.ring.space, order)
     x = mat_zero(ring, 4)
-    for (i, j), c in r.terms.items():
-        a = _rep_matrix(r.gens.names[i], ring)
-        b = _rep_matrix(r.gens.names[j], ring)
-        c = c.truncate(ring)
-        x = mat_add(x, mat_scale(mat_sub(kron(a, b), kron(b, a)), c))
+    for ms, c in r.terms.items():
+        a, b = (_rep_matrix(r.gens.names[m.index(1)], ring) for m in ms)
+        x = mat_add(x, mat_scale(kron(a, b), c.truncate(ring)))
     for row in x:
         for c in row:
             if c and (c.min_wdeg() or 0) <= 0:

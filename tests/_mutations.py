@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 from hopfc import catalog, rmatrix
 from hopfc.algebra import TensorElement, generator_function, mul
-from hopfc.bialgebra import WedgeTensor, check_cocycle, check_cojacobi, cocommutator_from_r
+from hopfc.bialgebra import check_cocycle, check_cojacobi, cocommutator_from_r
 from hopfc.contraction import ParamImage, change_of_basis, contract_hopf, match_presentation
 from hopfc.errors import DivergenceError
 from hopfc.hopf import verify_all
@@ -87,11 +87,19 @@ def oscillator_coproduct_legs_swapped():
 def cocommutator_perturbed():
     L = catalog.lie_structure("gl2.II.standard")
     delta = dict(cocommutator_from_r(L, catalog.classical_r("gl2.II.standard")))
-    bump = WedgeTensor(L.gens, L.ring, {
-        (0, 1): Ring.exact(L.ring.space).symbol("a")})
-    i = catalog.GL2.index("Jm")
-    delta[i] = delta[i] + bump
+    i, jp = L.gen("I"), L.gen("Jp")
+    bump = (TensorElement.outer([i, jp]) - TensorElement.outer([jp, i])).scale(
+        Ring.exact(L.ring.space).symbol("a"))
+    delta["Jm"] = delta["Jm"] + bump
     return bool(check_cocycle(L, delta)) or bool(check_cojacobi(L, delta))
+
+
+def lie_rule_sign():
+    # [J3, Jp] = -2 Jp in a fresh classical table, not the cached one
+    r = catalog.classical_r("gl2.II.standard")
+    t = catalog._gl2_table_classical(r.ring)
+    t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(-2)))
+    return bool(check_cocycle(t, cocommutator_from_r(t, r)))
 
 
 def rmatrix_entry_sign():
@@ -169,6 +177,7 @@ MUTATIONS = [
     ("oscillator_coproduct_leg_inverted", oscillator_coproduct_leg_inverted),
     ("oscillator_coproduct_legs_swapped", oscillator_coproduct_legs_swapped),
     ("cocommutator_perturbed", cocommutator_perturbed),
+    ("lie_rule_sign", lie_rule_sign),
     ("rmatrix_entry_sign", rmatrix_entry_sign),
     ("rmatrix_exact_entry_sign", rmatrix_exact_entry_sign),
     ("parameter_exponent_lowered", parameter_exponent_lowered),

@@ -76,8 +76,9 @@ def test_acceptance_3_minimal_exponents():
     # correlated one-parameter limit: shared exponent 1, single wedge term
     sol = solve_min_exponents(catalog.get_case("Iplus.nonstandard"))
     sp = sol.r_contracted.ring.space
-    want = {(1, 2): Ring.exact(sp).symbol("alpha_plus",
-                                          coeff=F(-1))}
+    ap = Ring.exact(sp).symbol("alpha_plus", coeff=F(-1))
+    e = {n: tuple(int(n == k) for k in catalog.H4.names) for n in ("Ap", "N")}
+    want = {(e["Ap"], e["N"]): ap, (e["N"], e["Ap"]): -ap}
     ok = ok and sol.r_min == {"n": 1} and sol.r_contracted.terms == want
     # decorrelating the parameters forces exponent 3 term by term
     ind = dataclasses.replace(

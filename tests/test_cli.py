@@ -144,3 +144,22 @@ def test_rmatrix_limit_rejects_a_value(capsys):
     # --limit takes a symbol, not an assignment: a=5 is no symbol of the matrix
     assert main(["rmatrix", "gl2.Iplus.standard", "--order", "2", "--limit", "a=5"]) == 2
     assert "'a=5'" in capsys.readouterr().err
+
+
+def test_rmatrix_without_check_flags_runs_qybe_only(capsys):
+    # no check flag means QYBE alone, even for a matrix that fails
+    # --triangularity
+    assert main(["rmatrix", "gl2.Iplus.standard", "--order", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == ["qybe"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "gl2.classical", "--order", "2"],
+                                  ["dump", "gl2.classical", "--order", "2"]],
+                         ids=["verify", "dump"])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hopfc: cannot write") and str(out) in err
+    assert not out.exists()

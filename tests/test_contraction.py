@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from hopfc import catalog
+from hopfc.algebra import RewriteTable, substitute_generators
 from hopfc.contraction import (
     ContractionCase,
     ParamImage,
+    _combo_element,
     change_of_basis,
     classical_limit,
     contract_casimir,
@@ -15,9 +17,21 @@ from hopfc.contraction import (
     solve_min_exponents,
 )
 from hopfc.errors import DivergenceError
-from hopfc.series import EPS, Ring
+from hopfc.series import EPS, ParamSpace, Ring
 
 CASE_NAMES = sorted(catalog.CASES)
+
+
+def wedge_terms(dim, wedges):
+    """Terms of the full tensor sum of c * (X_i (x) X_j - X_j (x) X_i) over
+    ``{(i, j): c}``, with generators given by their PBW position."""
+    def e(k):
+        return tuple(int(k == n) for n in range(dim))
+    terms = {}
+    for (i, j), c in wedges.items():
+        terms[e(i), e(j)] = c
+        terms[e(j), e(i)] = -c
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +54,7 @@ def test_contracted_r_correlated():
     sp = rc.ring.space
     want = {(1, 2): Ring.exact(sp).symbol("alpha_plus",
                                           coeff=F(-1))}
-    assert rc.terms == want
+    assert rc.terms == wedge_terms(4, want)
 
 
 def test_contracted_r_two_parameter():
@@ -51,7 +65,7 @@ def test_contracted_r_two_parameter():
         (0, 1): Ring.exact(sp).symbol("beta_plus", coeff=F(-1)),
         (1, 3): Ring.exact(sp).symbol("xi"),
     }
-    assert rc.terms == want
+    assert rc.terms == wedge_terms(4, want)
 
 
 def test_independent_parameters_need_higher_exponent():
@@ -68,18 +82,23 @@ def test_independent_parameters_need_higher_exponent():
     assert sol.r_min == {"a_plus": 3, "b_plus": 3}
     assert sol.delta_min == {"a_plus": 3, "b_plus": 3}
     assert sol.coboundary
-    assert set(sol.r_contracted.terms) == {(0, 1)}
+    assert set(sol.r_contracted.terms) == set(wedge_terms(4, {(0, 1): 1}))
 
 
-def test_lie_scaling_round_trip():
-    fwd, inv = catalog.lie_scaling()
-    for y in range(4):
-        acc = {}
-        for f, e, old in fwd[y]:
-            for f2, e2, new in inv[old]:
-                key = (new, e + e2)
-                acc[key] = acc.get(key, F(0)) + f * f2
-        assert {k: v for k, v in acc.items() if v} == {(y, 0): F(1)}
+def test_scaling_map_round_trip():
+    # forward after inverse, and inverse after forward, is the identity on
+    # every generator, for both scaling maps in the catalog
+    ring = Ring.exact(ParamSpace.make(("kappa", 0, False), EPS))
+    for scaling, old_gens in ((catalog._scaling_j3(), catalog.GL2),
+                              (catalog._scaling_j3p(), catalog.GL2P)):
+        old = RewriteTable.commuting(old_gens, ring)
+        new = RewriteTable.commuting(scaling.new_gens, ring)
+        forward = {y: _combo_element(old, combo, None) for y, combo in scaling.forward.items()}
+        inverse = {x: _combo_element(new, combo, None) for x, combo in scaling.inverse.items()}
+        for x in old_gens.names:
+            assert substitute_generators(inverse[x], forward, old) == old.gen(x)
+        for y in scaling.new_gens.names:
+            assert substitute_generators(forward[y], inverse, new) == new.gen(y)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from hopfc import catalog
 from hopfc.algebra import coproduct_on_slot, mul
-from hopfc.bialgebra import cocommutator_from_r
+from hopfc.bialgebra import WedgeTensor, cocommutator_from_r
 from hopfc.contraction import match_presentation
 from hopfc.errors import StructureError
 from hopfc.series import ParamSpace, Ring
@@ -57,10 +57,10 @@ def test_rank3_tensor_rendering():
 def test_wedge_rendering():
     L = catalog.lie_structure("gl2.Iplus.standard")
     r = catalog.classical_r("gl2.Iplus.standard")
-    assert str(r) == "(-1/2*a_plus)*Jp^J3 + (-1*a)*Jp^Jm"
+    assert str(WedgeTensor(r)) == "(-1/2*a_plus)*Jp^J3 + (-1*a)*Jp^Jm"
     delta = cocommutator_from_r(L, r)
-    assert str(delta[catalog.GL2.index("Jm")]) == "(-1*a_plus)*Jp^Jm + (1*a)*J3^Jm"
-    assert str(delta[catalog.GL2.index("I")]) == "0"
+    assert str(WedgeTensor(delta["Jm"])) == "(-1*a_plus)*Jp^Jm + (1*a)*J3^Jm"
+    assert str(WedgeTensor(delta["I"])) == "0"
 
 
 @pytest.mark.parametrize("name", ["gl2.Iplus.standard", "h4.betaplus.xi"])
