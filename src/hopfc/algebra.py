@@ -14,7 +14,7 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import taylor_coeffs
+from .series import Series, _add_into, _product, _series, taylor_coeffs
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -102,8 +102,10 @@ class TensorElement:
     def outer(factors):
         """Tensor product of tensors of any rank: their keys concatenate."""
         f0 = factors[0]
-        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
-                       _outer_terms([f.terms for f in factors]))
+        for f in factors[1:]:
+            f0.ring.check_same(f.ring)
+        raw = _outer_terms(f0.ring, [{k: c.terms for k, c in f.terms.items()} for f in factors])
+        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring, raw)
 
     def permute(self, perm):
         """The slots reordered: slot ``s`` of the result is slot ``perm[s]``
@@ -132,21 +134,17 @@ class TensorElement:
             and self.terms == other.terms
         )
 
-    def add_terms(self, items):
-        """``self`` plus every ``(key, coeff)`` pair of ``items``."""
-        terms = dict(self.terms)
-        for k, c in items:
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return self._with(terms)
-
     def __add__(self, other):
         self._compatible(other)
-        return self.add_terms(other.terms.items())
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            if k in terms:
+                c = _series(self.ring, _add_into(dict(terms[k].terms), c.terms))
+            if c:
+                terms[k] = c
+            else:
+                del terms[k]
+        return self._with(terms)
 
     def __neg__(self):
         return self._with({k: -c for k, c in self.terms.items()})
@@ -156,7 +154,10 @@ class TensorElement:
 
     def scale(self, c):
         """Multiply by a scalar Series / Fraction / int."""
-        return self._with({k: p for k, v in self.terms.items() if (p := v * c)})
+        c = c if isinstance(c, Series) else self.ring.const(c)
+        self.ring.check_same(c.ring)
+        return self._with({k: _series(self.ring, p) for k, v in self.terms.items()
+                           if (p := _product(self.ring, v.terms, c.terms))})
 
     def map_coeffs(self, fn, ring=None, gens=None):
         """Apply ``fn`` to every coefficient; the result lives over the given
@@ -214,19 +215,29 @@ class Element(TensorElement):
 
 
 def _tensor(rank, gens, ring, terms):
-    """The rank-``rank`` tensor over ``terms``, which hold no zero
-    coefficient: an ``Element`` at rank 1."""
+    """The rank-``rank`` tensor (an ``Element`` at rank 1) over raw ``terms``,
+    ``{key: {exponents: Fraction}}`` with none empty."""
     new = object.__new__(Element if rank == 1 else TensorElement)
-    new.gens, new.ring, new.terms, new.rank = gens, ring, terms, rank
+    new.gens, new.ring, new.rank = gens, ring, rank
+    new.terms = {k: _series(ring, v) for k, v in terms.items()}
     return new
 
 
-def _outer_terms(factors):
-    """Tensor product of term dicts: keys concatenate, coefficients multiply,
-    and products truncated to zero are dropped."""
+def _accumulate(acc, k, p):
+    """``acc[k] += p`` over raw terms; ``acc`` takes ownership of ``p``."""
+    if k not in acc:
+        acc[k] = p
+    elif not _add_into(acc[k], p):
+        del acc[k]
+
+
+def _outer_terms(ring, factors):
+    """Tensor product of ``{key: raw terms}`` dicts: keys concatenate,
+    coefficients multiply left to right, and zero products are dropped."""
     terms = factors[0]
     for f in factors[1:]:
-        terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items() if (p := c * c2)}
+        terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items()
+                 if (p := _product(ring, c, c2))}
     return terms
 
 
@@ -297,43 +308,52 @@ class RewriteTable:
     # -- normal form -------------------------------------------------------
 
     def _nf_word(self, word):
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        descent = -1
-        for k in range(len(word) - 1):
-            if word[k] > word[k + 1]:
-                descent = k
-                break
-        if descent < 0:
-            res = Element(self.gens, self.ring,
-                          {(monomial_of(word, self.gens.dim),): self.ring.one()})
-            self._nf_cache[word] = res
-            return res
-        self._steps += 1
-        if self._steps > self._budget:
-            raise ConfluenceFailureError(
-                f"rewrite step budget exceeded on word {word}"
-            )
-        k = descent
-        i, j = word[k], word[k + 1]
-        acc = self._nf_word(word[:k] + (j, i) + word[k + 2:])
-        rule = self.rules[(i, j)]
-        if rule:
-            head, tail = word[:k], word[k + 2:]
-            for (m,), c in rule.terms.items():
-                piece = self._nf_word(head + word_of(m) + tail)
-                acc = acc + piece.scale(c)
-        self._nf_cache[word] = acc
-        return acc
+        """Normal form of a raw word as ``{(monomial,): raw terms}``, cached
+        (its dicts are shared, never changed): nf(w) is nf of w with its
+        first descent swapped, plus c * nf(w with m for the pair) for each
+        term c * m of the pair's rule.  A stack of frames (word, parts left
+        in reverse as (word, c or None), acc) replaces that recursion."""
+        cache, ring = self._nf_cache, self.ring
+        frames = []
+        while True:
+            while (res := cache.get(word)) is None:
+                k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), -1)
+                if k < 0:
+                    res = cache[word] = {(monomial_of(word, self.gens.dim),): ring.one().terms}
+                    break
+                self._steps += 1
+                if self._steps > self._budget:
+                    raise ConfluenceFailureError(
+                        f"rewrite step budget exceeded on word {word}"
+                    )
+                head, (i, j), tail = word[:k], word[k:k + 2], word[k + 2:]
+                rule = self.rules[(i, j)]
+                ring.check_same(rule.ring)
+                parts = [(head + word_of(m) + tail, c.terms) for (m,), c in rule.terms.items()]
+                frames.append((word, parts[::-1] + [(head + (j, i) + tail, None)], {}))
+                word = head + (j, i) + tail
+            while frames:
+                w, parts, acc = frames[-1]
+                c = parts.pop()[1]
+                if c is None and not parts:
+                    acc = res       # a zero rule: nf(w) is the swapped word's, shared
+                else:
+                    for m, t in res.items():
+                        if p := dict(t) if c is None else _product(ring, t, c):
+                            _accumulate(acc, m, p)
+                if parts:
+                    word = parts[-1][0]
+                    break
+                frames.pop()
+                res = cache[w] = acc
+            else:
+                return res
 
     def nf_word(self, word, coeff=None):
         """Normal form of a raw word, optionally scaled by a coefficient."""
         self.reset_budget()
-        res = self._nf_word(tuple(word))
-        if coeff is not None:
-            res = res.scale(coeff)
-        return res
+        res = _tensor(1, self.gens, self.ring, self._nf_word(tuple(word)))
+        return res if coeff is None else res.scale(coeff)
 
     def check(self, x: Element):
         if x.gens.names != self.gens.names:
@@ -343,24 +363,26 @@ class RewriteTable:
 
 def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     """Slot-wise product of two tensors of one rank: for every term pair,
-    each slot's words concatenate and are normal-formed."""
+    each slot's words concatenate and are normal-formed.  The coefficient
+    of a pair is c1 * c2, times the slot-wise outer product of the normal
+    forms' coefficients."""
     x._compatible(y)
+    table.check(x)
     table.reset_budget()
-    acc = _tensor(x.rank, x.gens, x.ring, {})
+    acc = {}
     for ms1, c1 in x.terms.items():
         words1 = [word_of(m1) for m1 in ms1]
         for ms2, c2 in y.terms.items():
-            c = c1 * c2
-            if not c:
-                continue
-            slots = [table._nf_word(w1 + word_of(m2)).terms for w1, m2 in zip(words1, ms2)]
-            acc = acc.add_terms((k, p) for k, v in _outer_terms(slots).items() if (p := v * c))
-    return acc
+            if c := _product(x.ring, c1.terms, c2.terms):
+                slots = [table._nf_word(w1 + word_of(m2)) for w1, m2 in zip(words1, ms2)]
+                for k, t in _outer_terms(x.ring, slots).items():
+                    if p := _product(x.ring, t, c):
+                        _accumulate(acc, k, p)
+    return _tensor(x.rank, x.gens, x.ring, acc)
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
     """Product in the algebra: concatenate words, then normal-form."""
-    table.check(x)
     return _slot_product(x, y, table)
 
 
@@ -373,19 +395,13 @@ def commutator(x: Element, y: Element, table: RewriteTable) -> Element:
     return mul(x, y, table) - mul(y, x, table)
 
 
-def _coeff_min_wdeg(x: Element):
-    vals = [c.min_wdeg() for c in x.terms.values()]
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else None
-
-
 def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     """Taylor expansion of the named function at an algebra-element argument.
 
     The argument must have strictly positive parameter weight in every term
     (so powers truncate) and its terms must commute pairwise."""
     table.check(arg)
-    mw = _coeff_min_wdeg(arg)
+    mw = min((c.min_wdeg() for c in arg.terms.values()), default=None)
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"generator-function argument has weight-{mw} term: {arg}")
     items = list(arg.terms.items())
@@ -472,24 +488,26 @@ def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable,
     """Apply the coproduct to one slot of a tensor, raising its rank by one.
     ``memo`` may carry coproducts of monomials from earlier calls with the
     same ``delta``."""
+    table.check(t)
     unit = TensorElement.outer([table.one(), table.one()])
     memo = {} if memo is None else memo
-    acc = _tensor(t.rank + 1, t.gens, t.ring, {})
+    acc = {}
     for ms, c in t.terms.items():
         dt = monomial_image(ms[slot], t.gens, delta, unit,
                             lambda a, b: tensor_mul(a, b, table), memo)
-        acc = acc.add_terms((ms[:slot] + ms2 + ms[slot + 1:], c * c2)
-                            for ms2, c2 in dt.terms.items())
-    return acc
+        for ms2, c2 in dt.terms.items():
+            if p := _product(t.ring, c.terms, c2.terms):
+                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p)
+    return _tensor(t.rank + 1, t.gens, t.ring, acc)
 
 
 def counit_collapse(t: TensorElement, slot, counit_values):
     """Apply the counit to one slot of a tensor, lowering its rank by one.
     ``counit_values``: generator name -> Fraction."""
-    pieces = []
+    acc = {}
     memo = {}
     for ms, c in t.terms.items():
         val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul, memo)
         if val:
-            pieces.append((ms[:slot] + ms[slot + 1:], c * val))
-    return _tensor(t.rank - 1, t.gens, t.ring, {}).add_terms(pieces)
+            _accumulate(acc, ms[:slot] + ms[slot + 1:], {e: val * v for e, v in c.terms.items()})
+    return _tensor(t.rank - 1, t.gens, t.ring, acc)

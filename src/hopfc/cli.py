@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -35,15 +36,19 @@ def _parse_force(items):
 
 def _write(text, path):
     """Print ``text``, or write it to ``path``; a path that cannot be written
-    is a usage error."""
+    is a usage error.  ``text=None`` only checks, before any work is done,
+    that ``path`` can be written, and leaves no new file behind."""
     if not path:
         print(text)
         return
+    existed = os.path.exists(path)
     try:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        with open(path, "a" if text is None else "w") as fh:
+            fh.write("" if text is None else text + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    if text is None and not existed:
+        os.remove(path)
 
 
 def _emit(report, args):
@@ -264,11 +269,10 @@ def main(argv=None):
         print("hopfc: --order must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.out:
+            _write(None, args.out)
         return args.func(args)
-    except LookupError_ as exc:
-        print(f"hopfc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (LookupError_, ValueError) as exc:
         print(f"hopfc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

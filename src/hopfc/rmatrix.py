@@ -94,9 +94,6 @@ def _embed_slots(r4, slots):
     def unpack(idx):
         return ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
 
-    def pack(bits):
-        return (bits[0] << 2) | (bits[1] << 1) | bits[2]
-
     for i in range(8):
         ib = unpack(i)
         for j in range(8):

@@ -234,29 +234,12 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self.ring.check_same(other.ring)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return _series(self.ring, terms)
+        return _series(self.ring, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         return self + (-other)
-
-    def _integral(self):
-        """(d, [(exponents, weighted degree, numerator)]): the terms as
-        integer numerators over ``d``, the lcm of their denominators."""
-        ratios = [c.as_integer_ratio() for c in self.terms.values()]
-        d = math.lcm(*[q for _, q in ratios])
-        wdeg = self.space.wdeg
-        return d, [(e, wdeg(e), n * (d // q)) for e, (n, q) in zip(self.terms, ratios)]
 
     def __mul__(self, other):
         ring = self.ring
@@ -266,22 +249,7 @@ class Series:
                 return ring.zero()
             return _series(ring, {e: c * v for e, v in self.terms.items()})
         ring.check_same(other.ring)
-        # exponents of non-invertible symbols are >= 0, and so are their sums
-        check = ring.check_exponents if any(ring.space.invertible) else None
-        d1, left = self._integral()
-        d2, right = other._integral()
-        out = {}
-        for e1, w1, n1 in left:
-            room = ring.order - w1
-            for e2, w2, n2 in right:
-                if w2 > room:
-                    continue
-                e = tuple(map(operator.add, e1, e2))
-                if check is not None:
-                    check(e)
-                out[e] = out.get(e, 0) + n1 * n2
-        d = d1 * d2
-        return _series(ring, {e: Fraction(n, d) for e, n in out.items() if n})
+        return _series(ring, _product(ring, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -405,6 +373,59 @@ def _series(ring, terms):
     s = object.__new__(Series)
     s.ring, s.terms = ring, terms
     return s
+
+
+def _add_into(acc, terms):
+    """Add raw terms (``{exponents: Fraction}``) into the raw dict ``acc`` in
+    place and return it; a term whose sum is zero is dropped."""
+    for e, c in terms.items():
+        if e in acc:
+            s = acc[e] + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+        else:
+            acc[e] = c
+    return acc
+
+
+def _product(ring, t1, t2):
+    """The product of two raw term dicts over ``ring``, as a new raw dict: a
+    pair above the order is dropped, a kept pair's exponents are checked
+    against the floor.  Two single terms multiply directly; longer operands
+    add int products over the lcms of their denominators."""
+    space, order = ring.space, ring.order
+    wdeg = space.wdeg
+    # exponents of non-invertible symbols are >= 0, and so are their sums
+    check = ring.check_exponents if any(space.invertible) else None
+    if len(t1) == 1 == len(t2):
+        ((e1, c1),) = t1.items()
+        ((e2, c2),) = t2.items()
+        e = tuple(map(operator.add, e1, e2))
+        if wdeg(e) > order:
+            return {}
+        if check is not None:
+            check(e)
+        return {e: c1 * c2}
+    sides = []      # per operand: (lcm d of the denominators, [(exps, wdeg, numerator over d)])
+    for t in (t1, t2):
+        ratios = [c.as_integer_ratio() for c in t.values()]
+        d = math.lcm(*[q for _, q in ratios])
+        sides.append((d, [(e, wdeg(e), n * (d // q)) for e, (n, q) in zip(t, ratios)]))
+    (d1, left), (d2, right) = sides
+    out = {}
+    for e1, w1, n1 in left:
+        room = order - w1
+        for e2, w2, n2 in right:
+            if w2 > room:
+                continue
+            e = tuple(map(operator.add, e1, e2))
+            if check is not None:
+                check(e)
+            out[e] = out.get(e, 0) + n1 * n2
+    d = d1 * d2
+    return {e: Fraction(n, d) for e, n in out.items() if n}
 
 
 # ---------------------------------------------------------------------------

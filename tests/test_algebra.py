@@ -1,4 +1,6 @@
+import inspect
 import os
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -252,6 +254,21 @@ def test_rewrite_order_independence():
     # resolve (J3, Jp) first by hand: Jm (Jp J3 + 2 Jp)
     alt = t.nf_word((i_jm, i_jp, i_j3)) + t.nf_word((i_jm, i_jp), coeff=t.scalar(2))
     assert direct == alt
+
+
+def test_normal_form_depth_does_not_use_the_interpreter_stack():
+    # a recursive normal form of this 16-letter word needs more than 60
+    # frames of stack and raises RecursionError here
+    t = fresh("gl2.II.standard", 8).table
+    word = tuple(reversed(range(4))) * 4
+    want = fresh("gl2.II.standard", 8).table.nf_word(word)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        got = t.nf_word(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_step_budget_env(monkeypatch):

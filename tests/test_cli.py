@@ -163,3 +163,32 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("hopfc: cannot write") and str(out) in err
     assert not out.exists()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("work ran before the --out path was checked")
+
+
+@pytest.mark.parametrize("argv, module, attr", [
+    (["verify", "gl2.II.standard", "--order", "8"], "hopfc.cli", "verify_all"),
+    (["contract", "II.standard", "--order", "8"], "hopfc.cli", "solve_min_exponents"),
+    (["rmatrix", "gl2.Iplus.standard", "--order", "8"], "hopfc.rmatrix", "get_rmat"),
+    (["dump", "gl2.II.standard", "--order", "8"], "hopfc.catalog", "dump"),
+], ids=["verify", "contract", "rmatrix", "dump"])
+def test_unwritable_out_path_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   argv, module, attr):
+    monkeypatch.setattr(f"{module}.{attr}", _unreachable)
+    out = tmp_path / "missing" / "report"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hopfc: cannot write {out}: ")
+
+
+def test_out_path_check_leaves_no_file_behind(tmp_path):
+    # a command that writes no report (here --list) leaves no empty file
+    out = tmp_path / "report"
+    assert main(["verify", "--list", "--out", str(out)]) == 0
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert main(["verify", "--list", "--out", str(out)]) == 0
+    assert out.read_text() == "kept\n"

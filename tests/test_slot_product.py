@@ -1,0 +1,180 @@
+"""The algebra's slot-wise product (``mul``, ``tensor_mul``) against a
+reference built here from plain ``Series`` arithmetic, with the same
+association: c1 * c2, then the slot-wise outer product of the normal forms'
+coefficients, then times c1 * c2."""
+
+import itertools
+from fractions import Fraction as F
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfc import catalog
+from hopfc.algebra import (
+    Element,
+    TensorElement,
+    coproduct_on_slot,
+    monomial_of,
+    mul,
+    tensor_mul,
+    word_of,
+)
+from hopfc.errors import FloorUnderflowError, StructureError
+from hopfc.series import ParamSpace, Ring, Series
+
+
+def ref_nf(table, word, memo):
+    """{monomial: Series}: nf of the word with its first descent swapped,
+    plus v * c for each coefficient v of nf(word with m for the pair) and
+    each term c * m of the pair's rule."""
+    if word in memo:
+        return memo[word]
+    k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if k is None:
+        res = {monomial_of(word, table.gens.dim): table.ring.one()}
+    else:
+        i, j = word[k], word[k + 1]
+        res = dict(ref_nf(table, word[:k] + (j, i) + word[k + 2:], memo))
+        for (m,), c in table.rules[(i, j)].terms.items():
+            for m2, v in ref_nf(table, word[:k] + word_of(m) + word[k + 2:], memo).items():
+                res[m2] = res.get(m2, table.ring.zero()) + v * c
+    memo[word] = res = {m: v for m, v in res.items() if v}
+    return res
+
+
+def ref_product(x, y, table):
+    """{key: Series} of the slot-wise product, by Series ops alone."""
+    memo, acc = {}, {}
+    for ms1, c1 in x.terms.items():
+        for ms2, c2 in y.terms.items():
+            c = c1 * c2
+            if not c:
+                continue
+            outer = {(): None}
+            for m1, m2 in zip(ms1, ms2):
+                nf = ref_nf(table, word_of(m1) + word_of(m2), memo)
+                outer = {k + (m,): v if u is None else u * v
+                         for k, u in outer.items() for m, v in nf.items()}
+            for k, v in outer.items():
+                acc[k] = acc.get(k, x.ring.zero()) + v * c
+    return {k: v for k, v in acc.items() if v}
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except FloorUnderflowError:
+        return "floor underflow"
+
+
+@lru_cache(maxsize=None)
+def eps_table(order, floor):
+    """gl(2) with [Jp, Jm] = J3 + a^2 eps^-1 / 6 * J3^3 over an invertible
+    eps: normal forms carry negative eps powers, so products truncate by a
+    weight that can go down, and can fall below the floor."""
+    ring = Ring(ParamSpace.make("a", "eps"), order, floor)
+    t = catalog._gl2_table_classical(ring)
+    cube = Element.monomial(t.gens, ring, {"J3": 3}, ring.term({"a": 2, "eps": -1}, F(1, 6)))
+    t.set_rule("Jp", "Jm", t.gen("J3") + cube)
+    return t
+
+
+@st.composite
+def tables(draw):
+    order = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return catalog.get("gl2.II.standard", order).table
+    return eps_table(order, draw(st.integers(-4, -1)))
+
+
+@st.composite
+def coefficients(draw, ring):
+    lows = [ring.floor if iv else 0 for iv in ring.space.invertible]
+    exps = st.tuples(*(st.integers(lo, 2) for lo in lows))
+    frac = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+    return Series(ring, draw(st.dictionaries(exps, frac, min_size=1, max_size=3)))
+
+
+@st.composite
+def tensors(draw, table, rank):
+    mono = st.sampled_from([m for m in itertools.product(range(3), repeat=table.gens.dim)
+                            if sum(m) <= 2])
+    terms = draw(st.dictionaries(st.tuples(*[mono] * rank), coefficients(table.ring),
+                                 max_size=3))
+    return TensorElement(rank, table.gens, table.ring, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_slot_product_matches_series_reference(data):
+    table = data.draw(tables())
+    rank = data.draw(st.sampled_from([1, 2]))
+    x, y = data.draw(tensors(table, rank)), data.draw(tensors(table, rank))
+    if rank == 1:
+        x, y = (Element(t.gens, t.ring, t.terms) for t in (x, y))
+        got = outcome(lambda: mul(x, y, table))
+    else:
+        got = outcome(lambda: tensor_mul(x, y, table))
+    want = outcome(lambda: ref_product(x, y, table))
+    if want == "floor underflow":
+        assert got == want
+    else:
+        assert got != "floor underflow" and got.terms == want
+        assert got.rank == rank and got.ring == table.ring
+
+
+def test_floor_underflow_in_the_normal_form_is_kept():
+    # Jm^2 Jp^2 rewrites through two J3^3 insertions, a^4 eps^-2: below a
+    # floor of -1, not of -2
+    for floor in (-1, -2):
+        t = eps_table(4, floor)
+        x, y = (mul(t.gen(g), t.gen(g), t) for g in ("Jm", "Jp"))
+        got, want = outcome(lambda: mul(x, y, t)), outcome(lambda: ref_product(x, y, t))
+        if floor == -1:
+            assert got == want == "floor underflow"
+        else:
+            assert got.terms == want
+
+
+def test_truncation_follows_the_association():
+    # at order 1, Jm Jp in each slot has a weight-1 term a^2 eps^-1 J3^3: the
+    # outer product of the two (weight 2) is dropped before eps^-1 (weight -1)
+    # could bring it back to order 1; c * v0 first would keep it
+    t = eps_table(1, -4)
+    c = t.ring.term({"eps": -1})
+    jm, jp = t.gen("Jm"), t.gen("Jp")
+    x, y = TensorElement.outer([jm, jm]).scale(c), TensorElement.outer([jp, jp])
+    got = tensor_mul(x, y, t)
+    assert got.terms == ref_product(x, y, t)
+    nf = ref_nf(t, (t.gens.index("Jm"), t.gens.index("Jp")), {})
+    other = {(m0, m1): p for m0, v0 in nf.items() for m1, v1 in nf.items()
+             if (p := c * v0 * v1)}
+    assert set(other) - set(got.terms)
+
+
+def test_tensor_mul_refuses_a_table_over_another_ring():
+    h3, h5 = catalog.get("gl2.II.standard", 3), catalog.get("gl2.II.standard", 5)
+    with pytest.raises(StructureError):
+        tensor_mul(h3.coproduct["Jp"], h3.coproduct["Jm"], h5.table)
+    with pytest.raises(StructureError):
+        coproduct_on_slot(h3.coproduct["Jp"], 0, h3.coproduct, h5.table)
+
+
+def test_tensor_product_makes_no_series_product(monkeypatch):
+    # the slot product, its normal forms included, multiplies raw terms:
+    # not one Series.__mul__ call on a cold table
+    H = catalog._BUILDERS["gl2.II.standard"](6)
+    H.table.set_rule_by_index(1, 0, H.table.rules[(1, 0)])    # empties the NF cache
+    calls = []
+    orig = Series.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return orig(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    got = tensor_mul(H.coproduct["Jp"], H.coproduct["Jm"], H.table)
+    assert len(got.terms) > 100
+    assert not calls
