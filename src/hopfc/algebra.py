@@ -3,10 +3,7 @@ analytic functions of generator arguments, and tensor-slot arithmetic."""
 
 from __future__ import annotations
 
-import operator
-import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     ConfluenceFailureError,
@@ -16,11 +13,8 @@ from .errors import (
 )
 from .series import Series, _add_into, _product, _series, taylor_coeffs
 
-DEFAULT_STEP_BUDGET = 10**6
-
-
-def step_budget():
-    return int(os.environ.get("HOPFC_STEP_BUDGET", DEFAULT_STEP_BUDGET))
+#: rewrite steps allowed in one top-level product, read at call time
+STEP_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -167,6 +161,10 @@ class TensorElement:
         new.gens = self.gens if gens is None else gens
         return new
 
+    def to(self, ring):
+        """This tensor with every coefficient moved to ``ring`` (``Series.to``)."""
+        return self.map_coeffs(lambda c: c.to(ring), ring)
+
     def _render_key(self, ms, full):
         slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
         return slots if full else f"[{slots}]"
@@ -266,9 +264,8 @@ class RewriteTable:
         return cls(gens, ring, {(i, j): zero for i in range(gens.dim) for j in range(i)})
 
     def reset_budget(self):
-        """Start one top-level rewrite: up to ``HOPFC_STEP_BUDGET`` steps."""
+        """Start one top-level rewrite: up to ``STEP_BUDGET`` steps."""
         self._steps = 0
-        self._budget = step_budget()
 
     def zero(self):
         return Element.zero(self.gens, self.ring)
@@ -322,7 +319,7 @@ class RewriteTable:
                     res = cache[word] = {(monomial_of(word, self.gens.dim),): ring.one().terms}
                     break
                 self._steps += 1
-                if self._steps > self._budget:
+                if self._steps > STEP_BUDGET:
                     raise ConfluenceFailureError(
                         f"rewrite step budget exceeded on word {word}"
                     )
@@ -391,7 +388,8 @@ def tensor_mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
     return _slot_product(x, y, table)
 
 
-def commutator(x: Element, y: Element, table: RewriteTable) -> Element:
+def commutator(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
+    """x y - y x, slot-wise at any rank: ``mul`` is ``tensor_mul``."""
     return mul(x, y, table) - mul(y, x, table)
 
 
@@ -453,14 +451,8 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     slot by slot, with optional simultaneous parameter substitution on
     coefficients."""
     ring = table_target.ring
-    same_space = x.ring.space.symbols == ring.space.symbols
     unit = table_target.one()
     memo = {}
-
-    def coeff(c):
-        if param_sub is not None:
-            return c.substitute(param_sub, ring)
-        return c.truncate(ring) if same_space else c.embed(ring)
 
     def image(m):
         return monomial_image(m, x.gens, images, unit,
@@ -468,7 +460,7 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
 
     acc = _tensor(x.rank, table_target.gens, ring, {})
     for ms, c in x.terms.items():
-        c2 = coeff(c)
+        c2 = c.to(ring) if param_sub is None else c.substitute(param_sub, ring)
         if c2:
             acc = acc + TensorElement.outer([image(m) for m in ms]).scale(c2)
     return acc
@@ -477,6 +469,23 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
 # ---------------------------------------------------------------------------
 # structure maps on one tensor slot
 # ---------------------------------------------------------------------------
+
+def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> TensorElement:
+    """Replace slot ``slot`` of ``t`` by the ``monomial_image`` of its
+    monomial: a term c * (.. (x) m (x) ..) becomes c times the image's terms,
+    their slots spliced in at ``slot``, so the rank changes by
+    ``unit.rank - 1``.  Every Hopf structure map on a slot (coproduct, counit,
+    antipode) runs through here.  ``memo`` is passed on to ``monomial_image``."""
+    t.ring.check_same(unit.ring)
+    memo = {} if memo is None else memo
+    acc = {}
+    for ms, c in t.terms.items():
+        img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
+        for ms2, c2 in img.terms.items():
+            if p := _product(t.ring, c.terms, c2.terms):
+                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p)
+    return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, acc)
+
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
     """Extend a generator coproduct table multiplicatively to an Element."""
@@ -490,24 +499,15 @@ def coproduct_on_slot(t: TensorElement, slot, delta, table: RewriteTable,
     same ``delta``."""
     table.check(t)
     unit = TensorElement.outer([table.one(), table.one()])
-    memo = {} if memo is None else memo
-    acc = {}
-    for ms, c in t.terms.items():
-        dt = monomial_image(ms[slot], t.gens, delta, unit,
-                            lambda a, b: tensor_mul(a, b, table), memo)
-        for ms2, c2 in dt.terms.items():
-            if p := _product(t.ring, c.terms, c2.terms):
-                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p)
-    return _tensor(t.rank + 1, t.gens, t.ring, acc)
+    return map_slot(t, slot, delta, unit, lambda a, b: tensor_mul(a, b, table), memo)
 
 
 def counit_collapse(t: TensorElement, slot, counit_values):
     """Apply the counit to one slot of a tensor, lowering its rank by one.
-    ``counit_values``: generator name -> Fraction."""
-    acc = {}
-    memo = {}
-    for ms, c in t.terms.items():
-        val = monomial_image(ms[slot], t.gens, counit_values, Fraction(1), operator.mul, memo)
-        if val:
-            _accumulate(acc, ms[:slot] + ms[slot + 1:], {e: val * v for e, v in c.terms.items()})
-    return _tensor(t.rank - 1, t.gens, t.ring, acc)
+    ``counit_values``: generator name -> Fraction, each taken as a rank-0
+    tensor, so that ``TensorElement.outer`` is their product."""
+    def scalar(v):
+        return TensorElement(0, t.gens, t.ring, {(): t.ring.const(v)})
+
+    return map_slot(t, slot, {n: scalar(v) for n, v in counit_values.items()}, scalar(1),
+                    lambda a, b: TensorElement.outer([a, b]))

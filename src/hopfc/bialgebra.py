@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot, tensor_mul
+from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot
 
 
 class WedgeTensor(TensorElement):
@@ -37,15 +37,11 @@ class WedgeTensor(TensorElement):
     __repr__ = __str__
 
 
-def _bracket(x, y, table):
-    return tensor_mul(x, y, table) - tensor_mul(y, x, table)
-
-
 def _ad(table: RewriteTable, x, t: TensorElement) -> TensorElement:
     """ad_x on a tensor: the commutator with x placed in each slot in turn."""
     one = table.one()
-    parts = [_bracket(TensorElement.outer([x if k == s else one for k in range(t.rank)]),
-                      t, table)
+    parts = [commutator(TensorElement.outer([x if k == s else one for k in range(t.rank)]),
+                        t, table)
              for s in range(t.rank)]
     return sum(parts[1:], parts[0])
 
@@ -83,7 +79,8 @@ def schouten_bracket(table: RewriteTable, r: TensorElement) -> TensorElement:
     one = table.one()
     r12, r23 = TensorElement.outer([r, one]), TensorElement.outer([one, r])
     r13 = r12.permute((0, 2, 1))
-    return _bracket(r12, r13, table) + _bracket(r12, r23, table) + _bracket(r13, r23, table)
+    return (commutator(r12, r13, table) + commutator(r12, r23, table)
+            + commutator(r13, r23, table))
 
 
 def is_ad_invariant(table: RewriteTable, t: TensorElement):

@@ -66,16 +66,19 @@ def _emit(report, args):
     _write(text, args.out)
 
 
-def _report(args, checks, elapsed):
+def _finish(args, checks, t0):
+    """Emit the report of ``checks``, timed from ``t0``, and return the exit
+    code: a failure if any check failed."""
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func",) and v is not None}
     cfg["command"] = args.command
-    return {
+    _emit({
         "config": cfg,
         "catalog_version": catalog.CATALOG_VERSION,
         "checks": checks,
-        "timing": round(elapsed, 6),
-    }
+        "timing": round(time.perf_counter() - t0, 6),
+    }, args)
+    return EXIT_PASS if all(c["verdict"] == "pass" for c in checks) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +95,12 @@ def cmd_verify(args):
         return EXIT_USAGE
     t0 = time.perf_counter()
     checks = []
-    ok = True
     for name in args.names:
-        rep = verify_all(catalog.get(name, args.order))
-        ok = ok and rep.ok
-        for e in rep.entries:
+        for e in verify_all(catalog.get(name, args.order)).entries:
             item = e.to_json()
             item["name"] = f"{name}.{item['name']}"
             checks.append(item)
-    _emit(_report(args, checks, time.perf_counter() - t0), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, checks, t0)
 
 
 def cmd_contract(args):
@@ -114,7 +113,6 @@ def cmd_contract(args):
         return EXIT_USAGE
     t0 = time.perf_counter()
     checks = []
-    ok = True
     force = _parse_force(args.force_exponent)
     cases = [catalog.get_case(name) for name in args.cases]
     params = {p for case in cases for p in case.param_map}
@@ -134,7 +132,6 @@ def cmd_contract(args):
             "verdict": "pass" if sol.coboundary else "fail",
             "details": f"r minima {sol.r_min} vs delta minima {sol.delta_min}",
         })
-        ok = ok and minima_ok and sol.coboundary
         got = contract_hopf(case, args.order, force_exponents=force or None)
         want = catalog.get(case.target, args.order)
         m = match_presentation(got, want)
@@ -144,7 +141,6 @@ def cmd_contract(args):
             "residual": [str(r) for r in m.residuals],
             "details": f"target {case.target}",
         })
-        ok = ok and m.match
         if args.then_basis_change:
             if case.target != "h4.betaplus.xi":
                 print(f"contract: --then-basis-change only applies to the "
@@ -159,9 +155,7 @@ def cmd_contract(args):
                 "residual": [str(r) for r in m2.residuals],
                 "details": "target h4.xi",
             })
-            ok = ok and m2.match
-    _emit(_report(args, checks, time.perf_counter() - t0), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, checks, t0)
 
 
 def cmd_rmatrix(args):
@@ -172,7 +166,6 @@ def cmd_rmatrix(args):
                                  f"and cannot be combined with {flag}")
     t0 = time.perf_counter()
     checks = []
-    ok = True
     R = rmatrix.get_rmat(args.name, args.order, exact=args.exact_r)
     for sym in args.limit or []:
         R = rmatrix.rmat_limit(R, sym)
@@ -187,15 +180,12 @@ def cmd_rmatrix(args):
         if not wanted:
             continue
         res = residual()
-        good = rmatrix.mat_is_zero(res)
         checks.append({
             "name": name,
-            "verdict": "pass" if good else "fail",
+            "verdict": "pass" if rmatrix.mat_is_zero(res) else "fail",
             "residual": [f"{k}: {v}" for k, v in rmatrix.mat_nonzero_entries(res)[:8]],
         })
-        ok = ok and good
-    _emit(_report(args, checks, time.perf_counter() - t0), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(args, checks, t0)
 
 
 def cmd_dump(args):

@@ -226,11 +226,7 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
     tgt_space = case.target_space()
     ws = Ring.exact(src.ring.space.union(tgt_space).union(ParamSpace.make(EPS)))
     sigma = _lie_sigma(ws, case.param_map, force_exponents)
-
-    def embed(c: Series):
-        return c.embed(ws)
-
-    src_ws = src.map_coeffs(embed, ws)
+    src_ws = src.to(ws)
 
     new_gens = case.scaling.new_gens
     scaffold = RewriteTable.commuting(new_gens, ws)
@@ -247,7 +243,7 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
     # Casimir: lim eps^2 ( -C/2 + counterterm )
     casimir = None
     if src.casimir is not None and case.casimir_counterterm is not None:
-        counterterm = case.casimir_counterterm(src.table).map_coeffs(embed, ws)
+        counterterm = case.casimir_counterterm(src.table).to(ws)
         casimir = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
         casimir = casimir.scale(ws.term({EPS: 2}))
 
@@ -264,8 +260,7 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         casimir=casimir,
     )
     # assemble at the requested order over the target space
-    tgt = Ring(tgt_space, order)
-    return contracted.map_coeffs(lambda c: c.restrict(tgt), tgt)
+    return contracted.to(Ring(tgt_space, order))
 
 
 def contract_casimir(case: ContractionCase, order=4) -> Element:
@@ -295,7 +290,7 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation) -> MatchRe
     if got.gens.names != want.gens.names:
         return MatchReport(False, [f"generator mismatch: {got.gens.names} vs {want.gens.names}"])
     ring = Ring.exact(got.ring.space.union(want.ring.space))
-    got, want = (H.map_coeffs(lambda c: c.embed(ring), ring) for H in (got, want))
+    got, want = got.to(ring), want.to(ring)
 
     for k in sorted(got.table.rules):
         r = got.table.rules[k] - want.table.rules[k]
@@ -363,7 +358,7 @@ def classical_limit(H: HopfPresentation, rename=None) -> HopfPresentation:
     def limit(c: Series):
         for s in H.ring.space.symbols:
             c = c.zero_slice(s)
-        return c.restrict(ring)
+        return c.to(ring)
 
     lim = H.map_coeffs(limit, ring, gens=GeneratorSet(names, H.gens.central))
     lim.name = f"{H.name} [classical limit]"

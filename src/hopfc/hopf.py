@@ -16,7 +16,7 @@ from .algebra import (
     commutator,
     coproduct_on_slot,
     counit_collapse,
-    monomial_image,
+    map_slot,
     mul,
     tensor_mul,
 )
@@ -73,6 +73,11 @@ class HopfPresentation:
             {new: self.counit[old] for old, new in pairs},
             None if self.casimir is None else conv(self.casimir),
         )
+
+    def to(self, ring) -> HopfPresentation:
+        """This presentation with every coefficient moved to ``ring``
+        (``Series.to``)."""
+        return self.map_coeffs(lambda c: c.to(ring), ring)
 
 
 @dataclass
@@ -202,13 +207,8 @@ def check_casimir_central(H: HopfPresentation) -> CheckEntry:
 def apply_antipode(S, x: Element, table: RewriteTable, memo=None) -> Element:
     """Extend generator images anti-multiplicatively to an Element.  ``memo``
     may carry images of monomials from earlier calls with the same ``S``."""
-    unit = table.one()
-    memo = {} if memo is None else memo
-    acc = table.zero()
-    for (m,), c in x.terms.items():
-        img = monomial_image(m, x.gens, S, unit, lambda a, b: mul(b, a, table), memo)
-        acc = acc + img.scale(c)
-    return acc
+    table.check(x)
+    return map_slot(x, 0, S, table.one(), lambda a, b: mul(b, a, table), memo)
 
 
 def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Element:
@@ -251,11 +251,8 @@ def solve_antipode(H: HopfPresentation):
     names = H.gens.names
     S = {n: -H.gen(n) for n in names}
     for ring in H.ring.lower_orders():
-        def cut(c):
-            return c.truncate(ring)
-        Sk, _ = _antipode_round(H.map_coeffs(cut, ring),
-                                {n: S[n].map_coeffs(cut, ring) for n in names})
-        S = {n: Sk[n].map_coeffs(lambda c: c.truncate(H.ring), H.ring) for n in names}
+        Sk, _ = _antipode_round(H.to(ring), {n: S[n].to(ring) for n in names})
+        S = {n: Sk[n].to(H.ring) for n in names}
     for _ in range(H.ring.order + 2):
         S, done = _antipode_round(H, S)
         if done:

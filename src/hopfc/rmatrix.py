@@ -84,51 +84,37 @@ def kron(a, b):
 # QYBE and triangularity
 # ---------------------------------------------------------------------------
 
-def _embed_slots(r4, slots):
-    """Embed a 4x4 (2x2 (x) 2x2) matrix into the 8x8 triple tensor product,
-    acting on the two slots named in ``slots``."""
-    out = mat_zero(r4[0][0].ring, 8)
+def place_slots(r4, slots, n):
+    """Place a 4x4 (2x2 (x) 2x2) matrix on the two slots named in ``slots``
+    of an ``n``-fold tensor product of 2-dim spaces, its first factor on
+    ``slots[0]``, with the identity on every other slot."""
+    out = mat_zero(r4[0][0].ring, 1 << n)
     a, b = slots
-    free = [s for s in range(3) if s not in slots][0]
+    free = [n - 1 - s for s in range(n) if s not in slots]
 
-    def unpack(idx):
-        return ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+    def pair(idx):
+        return (((idx >> (n - 1 - a)) & 1) << 1) | ((idx >> (n - 1 - b)) & 1)
 
-    for i in range(8):
-        ib = unpack(i)
-        for j in range(8):
-            jb = unpack(j)
-            if ib[free] != jb[free]:
-                continue
-            ri = (ib[a] << 1) | ib[b]
-            rj = (jb[a] << 1) | jb[b]
-            out[i][j] = r4[ri][rj]
+    for i in range(1 << n):
+        for j in range(1 << n):
+            if all((i >> f) & 1 == (j >> f) & 1 for f in free):
+                out[i][j] = r4[pair(i)][pair(j)]
     return out
 
 
 def qybe_residual(r4):
     """R12 R13 R23 - R23 R13 R12 on the triple tensor product."""
-    r12 = _embed_slots(r4, (0, 1))
-    r13 = _embed_slots(r4, (0, 2))
-    r23 = _embed_slots(r4, (1, 2))
+    r12 = place_slots(r4, (0, 1), 3)
+    r13 = place_slots(r4, (0, 2), 3)
+    r23 = place_slots(r4, (1, 2), 3)
     return mat_sub(mat_mul(mat_mul(r12, r13), r23),
                    mat_mul(mat_mul(r23, r13), r12))
 
 
-def flip_slots(r4):
-    """R21 = P R P with P the flip of the two tensor factors."""
-    out = [[None] * 4 for _ in range(4)]
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    out[(i2 << 1) | i1][(j2 << 1) | j1] = r4[(i1 << 1) | i2][(j1 << 1) | j2]
-    return out
-
-
 def triangularity_residual(r4):
-    """R21 R - identity (zero iff the matrix is triangular)."""
-    return mat_sub(mat_mul(flip_slots(r4), r4), mat_identity(r4[0][0].ring, 4))
+    """R21 R - identity (zero iff the matrix is triangular); R21 is R placed
+    on slots (1, 0)."""
+    return mat_sub(mat_mul(place_slots(r4, (1, 0), 2), r4), mat_identity(r4[0][0].ring, 4))
 
 
 def rmat_limit(r4, name):
@@ -167,7 +153,7 @@ def exp_wedge_rep(r: TensorElement, order):
     x = mat_zero(ring, 4)
     for ms, c in r.terms.items():
         a, b = (_rep_matrix(r.gens.names[m.index(1)], ring) for m in ms)
-        x = mat_add(x, mat_scale(kron(a, b), c.truncate(ring)))
+        x = mat_add(x, mat_scale(kron(a, b), c.to(ring)))
     for row in x:
         for c in row:
             if c and (c.min_wdeg() or 0) <= 0:

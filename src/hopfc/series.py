@@ -271,36 +271,21 @@ class Series:
 
     # -- structural operations --------------------------------------------
 
-    def truncate(self, ring):
-        """The same terms over ``ring``, a ring on this series' symbols."""
-        if ring.space.symbols != self.space.symbols:
-            raise StructureError(f"cannot truncate {self.space.symbols} into {ring.space.symbols}")
-        return Series(ring, self.terms)
-
-    def embed(self, ring):
-        """Re-express over a ring on a superspace (matched by symbol name)."""
-        space = ring.space
-        idx = [space.index(s) for s in self.space.symbols]
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * space.dim
-            for j, v in zip(idx, e):
-                ne[j] = v
-            out[tuple(ne)] = c
-        return Series(ring, out)
-
-    def restrict(self, ring):
-        """Project onto a ring on a subspace; foreign nonzero exponents are an
-        error."""
-        space = ring.space
-        pos = {s: i for i, s in enumerate(self.space.symbols)}
-        keep = [pos[s] for s in space.symbols]
-        drop = [i for i, s in enumerate(self.space.symbols) if not space.has(s)]
+    def to(self, ring):
+        """The same series over ``ring``, symbols matched by name: a symbol
+        ``ring`` lacks must have exponent 0 in every term, a symbol new to
+        ``ring`` gets exponent 0, and ``ring``'s order and floor apply."""
+        src, dst = self.space.symbols, ring.space.symbols
+        if src == dst:
+            return Series(ring, self.terms)
+        pos = {s: i for i, s in enumerate(src)}
+        take = [pos.get(s) for s in dst]
+        drop = [i for i, s in enumerate(src) if not ring.space.has(s)]
         out = {}
         for e, c in self.terms.items():
             if any(e[i] for i in drop):
-                raise StructureError(f"term {e} carries symbols outside {space.symbols}")
-            out[tuple(e[i] for i in keep)] = c
+                raise StructureError(f"term {e} carries symbols outside {dst}")
+            out[tuple(0 if i is None else e[i] for i in take)] = c
         return Series(ring, out)
 
     def substitute(self, sigma, ring=None):
@@ -313,9 +298,7 @@ class Series:
         images = {}
         for name in self.space.symbols:
             if name in sigma:
-                img = sigma[name]
-                images[name] = img.embed(ring) if img.space.symbols != ring.space.symbols \
-                    else img.truncate(ring)
+                images[name] = sigma[name].to(ring)
             else:
                 images[name] = ring.symbol(name)
 
@@ -340,7 +323,7 @@ class Series:
 
     def limit_zero(self, name=EPS, context=""):
         """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
-        return self.zero_slice(name, context).restrict(
+        return self.zero_slice(name, context).to(
             replace(self.ring, space=self.space.without(name)))
 
     # -- rendering ---------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfc import catalog
+from hopfc import algebra, catalog
 from hopfc.algebra import (
     Element,
     GeneratorSet,
@@ -220,6 +220,36 @@ def test_counit_collapse_of_grouplike_leg():
     assert got == t.gen("Jp")
 
 
+def test_counit_collapse_with_a_nonzero_counit_value():
+    # every catalog counit is zero; eps(I) = 2 makes each collapse scale by
+    # 2 per power of I, on either slot of a rank-2 tensor and inside a rank-3 one
+    H = fresh("gl2.II.standard", 3)
+    gens, ring = H.gens, H.ring
+    counit = dict(H.counit, I=F(2))
+
+    def key(*slots):
+        return tuple(tuple(slot.get(n, 0) for n in gens.names) for slot in slots)
+
+    c1 = ring.symbol("a") + ring.const(F(1, 3))
+    c2 = ring.symbol("b", 2, F(-5, 7))
+    c3 = ring.const(F(3))
+    t2 = TensorElement(2, gens, ring, {key({"I": 2}, {"Jp": 1}): c1,
+                                       key({"Jp": 1}, {"I": 1}): c2,
+                                       key({"I": 1}, {}): c3})
+    assert counit_collapse(t2, 0, counit) == Element(
+        gens, ring, {key({"Jp": 1}): c1 * 4, key({}): c3 * 2})
+    assert counit_collapse(t2, 1, counit) == Element(
+        gens, ring, {key({"Jp": 1}): c2 * 2, key({"I": 1}): c3})
+
+    t3 = TensorElement(3, gens, ring, {key({"I": 1}, {"J3": 1}, {"I": 3}): c1,
+                                       key({"J3": 1}, {"I": 1}, {}): c2,
+                                       key({"Jm": 1}, {"I": 2}, {"Jp": 1}): c3})
+    assert counit_collapse(t3, 1, counit) == TensorElement(
+        2, gens, ring, {key({"J3": 1}, {}): c2 * 2, key({"Jm": 1}, {"Jp": 1}): c3 * 4})
+    assert counit_collapse(t3, 2, counit) == TensorElement(
+        2, gens, ring, {key({"I": 1}, {"J3": 1}): c1 * 8, key({"J3": 1}, {"I": 1}): c2})
+
+
 # ---------------------------------------------------------------------------
 # confluence / associativity and the step budget
 # ---------------------------------------------------------------------------
@@ -272,7 +302,8 @@ def test_normal_form_depth_does_not_use_the_interpreter_stack():
 
 
 def test_step_budget_env(monkeypatch):
-    monkeypatch.setenv("HOPFC_STEP_BUDGET", "1")
+    # the budget is a module constant read at call time
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 1)
     t = fresh("gl2.classical", 4).table
     i_jm, i_jp = t.gens.index("Jm"), t.gens.index("Jp")
     with pytest.raises(ConfluenceFailureError):

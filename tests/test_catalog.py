@@ -82,6 +82,6 @@ def test_classical_limit_casimirs_are_exact():
 def test_truncation_consistency(name):
     # a presentation built at N=6 and truncated to N=4 is the N=4 build
     r4 = catalog.get(name, 4).ring
-    cut = catalog.get(name, 6).map_coeffs(lambda c: c.truncate(r4), r4)
+    cut = catalog.get(name, 6).to(r4)
     m = match_presentation(cut, catalog.get(name, 4))
     assert m.match, m.residuals

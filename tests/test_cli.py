@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -77,6 +78,42 @@ def test_rmatrix_default_runs_qybe(capsys):
 
 def test_rmatrix_exact(capsys):
     assert main(["rmatrix", "gl2.Iplus.standard", "--exact-r", "--qybe"]) == 0
+
+
+def _plant_counit_fault(monkeypatch, faulty):
+    """Make ``catalog.get(faulty, ...)`` hand out a fresh build whose first
+    generator has counit 1: its counit check fails, and so does a match
+    against it."""
+    real = catalog.get
+
+    def get(name, order=catalog.DEFAULT_ORDER):
+        if name != faulty:
+            return real(name, order)
+        H = catalog._BUILDERS[name](order)
+        H.counit[H.gens.names[0]] = F(1)
+        return H
+
+    monkeypatch.setattr(catalog, "get", get)
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    # the faulty algebra comes first: a later passing one must not mask it
+    _plant_counit_fault(monkeypatch, "gl2.classical")
+    assert main(["verify", "gl2.classical", "h4.classical", "--order", "2",
+                 "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
+    assert "gl2.classical.counit" in failed
+    assert not [n for n in failed if n.startswith("h4.")]
+
+
+def test_contract_failure_exits_one(capsys, monkeypatch):
+    _plant_counit_fault(monkeypatch, catalog.get_case("II.standard").target)
+    assert main(["contract", "II.standard", "Iplus.nonstandard", "--order", "2",
+                 "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
+    assert failed == ["II.standard.match_target"]
 
 
 def test_rmatrix_exp_check():

@@ -1,6 +1,8 @@
 """Stdlib stand-ins for a linter's unused-import and unused-parameter rules
 over the engine sources (``__init__.py`` re-exports by design and is skipped
-for imports), and a no-floating-point rule: hopfc computes exactly."""
+for imports), a rule that every private module-level helper is used
+somewhere in the engine, and a no-floating-point rule: hopfc computes
+exactly."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,26 @@ def float_uses(source, allowed=()):
 ALL_SRC = sorted((Path(__file__).parent.parent / "src" / "hopfc").glob("*.py"))
 
 
+def unreferenced_private(sources):
+    """(file, name) for every ``_``-prefixed module-level function or class
+    in ``sources`` ({file name: source}) that no code there refers to, by
+    name, attribute or import."""
+    defined, used = [], set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(fname, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(d for d in defined if d[1] not in used)
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -112,6 +134,17 @@ def test_no_unused_parameters(path):
 @pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
 def test_no_floating_point(path):
     assert float_uses(path.read_text(), FLOAT_ALLOWED.get(path.name, ())) == []
+
+
+def test_no_unreferenced_private_helpers():
+    assert unreferenced_private({p.name: p.read_text() for p in ALL_SRC}) == []
+
+
+def test_check_flags_an_unreferenced_private_helper():
+    sources = {"a.py": "def _used():\n    pass\n"
+                       "class _Gone:\n    def _m(self):\n        pass\n",
+               "b.py": "from a import _used\nimport a\na._attr()\ndef _attr():\n    pass\n"}
+    assert unreferenced_private(sources) == [("a.py", "_Gone")]
 
 
 def test_check_flags_floating_point():

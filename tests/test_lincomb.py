@@ -67,9 +67,9 @@ def test_wedge_rendering():
 def test_map_coeffs_embed_restrict_round_trip(name):
     H = catalog.get(name, 3)
     big = Ring(H.ring.space.union(ParamSpace.make("z", "eps")), H.ring.order, H.ring.floor)
-    up = H.map_coeffs(lambda c: c.embed(big), big)
+    up = H.to(big)
     assert all(t.ring is big for t in up.coproduct.values())
-    back = up.map_coeffs(lambda c: c.restrict(H.ring), H.ring)
+    back = up.to(H.ring)
     m = match_presentation(back, H)
     assert m.match, m.residuals
     assert back.casimir == H.casimir

@@ -215,7 +215,27 @@ def test_restrict_foreign_symbol_rejected():
     sp = ParamSpace.make("a", "b")
     s = Ring(sp, 4).symbol("b")
     with pytest.raises(StructureError):
-        s.restrict(Ring(ParamSpace.make("a"), 4))
+        s.to(Ring(ParamSpace.make("a"), 4))
+
+
+def test_to_across_mixed_symbol_sets():
+    # one call drops eps (exponent 0 throughout), adds xi and lowers the order
+    src = Ring(ParamSpace.make("a", "eps", ("b", 2, False)), 6)
+    s = Series(src, {(1, 0, 1): F(2, 3), (0, 0, 0): F(-1), (2, 0, 1): F(5), (3, 0, 0): F(7)})
+    dst = Ring(ParamSpace.make(("b", 2, False), "xi", "a"), 3)
+    got = s.to(dst)
+    assert got.ring == dst
+    assert got.terms == {(1, 0, 1): F(2, 3), (0, 0, 0): F(-1), (0, 0, 3): F(7)}
+    for e in (1, -1):
+        with pytest.raises(StructureError):
+            Series(src, {(1, e, 0): F(1)}).to(dst)
+
+
+def test_to_applies_the_target_floor():
+    s = Ring(SPE, 4, floor=-4).term({"eps": -2})
+    assert s.to(Ring(SPE, 4, floor=-2)).terms == {(0, -2): 1}
+    with pytest.raises(FloorUnderflowError):
+        s.to(Ring(SPE, 4, floor=-1))
 
 
 def test_analytic_series_needs_positive_weight():
@@ -260,7 +280,7 @@ def test_ring_axioms(x, y, z):
 @given(_series_strategy())
 def test_embed_restrict_roundtrip(x):
     big = ParamSpace.make("a", "b", "c")
-    assert x.embed(Ring(big, 4)).restrict(Ring(SP, 4)) == x
+    assert x.to(Ring(big, 4)).to(Ring(SP, 4)) == x
 
 
 # ---------------------------------------------------------------------------
