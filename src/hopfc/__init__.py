@@ -15,7 +15,7 @@ from .algebra import (
     generator_function,
     mul,
 )
-from .hopf import HopfPresentation, VerificationReport, solve_antipode, verify_all
+from .hopf import Check, HopfPresentation, VerificationReport, solve_antipode, verify_all
 from .bialgebra import WedgeTensor, cocommutator_from_r
 from .contraction import (
     ContractionCase,

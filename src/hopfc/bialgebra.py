@@ -1,6 +1,6 @@
 """Classical layer: cocommutators of classical r-matrices and their
 consistency checks (cocycle, co-Jacobi, Schouten bracket), on the Hopf
-layer's types.
+layer's types; the cocycle and co-Jacobi checks return a ``hopf.Check``.
 
 The Lie algebra is a classical ``RewriteTable`` (``catalog.lie_structure``):
 the commutator of two generators is their bracket.  A Lie vector is a
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot
+from .hopf import Check
 
 
 class WedgeTensor(TensorElement):
@@ -51,27 +52,24 @@ def cocommutator_from_r(table: RewriteTable, r: TensorElement):
     return {n: _ad(table, table.gen(n), r) for n in table.gens.names}
 
 
-def check_cocycle(table: RewriteTable, delta):
+def check_cocycle(table: RewriteTable, delta) -> Check:
     """delta([X,Y]) = ad_X delta(Y) - ad_Y delta(X), all generator pairs."""
-    residuals = []
-    for x, y in itertools.combinations(table.gens.names, 2):
+    def defect(x, y):
         X, Y = table.gen(x), table.gen(y)
-        r = (coproduct_on_slot(commutator(X, Y, table), 0, delta, table)
-             - _ad(table, X, delta[y]) + _ad(table, Y, delta[x]))
-        if r:
-            residuals.append((x, y, r))
-    return residuals
+        return (coproduct_on_slot(commutator(X, Y, table), 0, delta, table)
+                - _ad(table, X, delta[y]) + _ad(table, Y, delta[x]))
+
+    return Check.of("cocycle", ((f"cocycle({x},{y}): ", defect(x, y))
+                                for x, y in itertools.combinations(table.gens.names, 2)))
 
 
-def check_cojacobi(table: RewriteTable, delta):
+def check_cojacobi(table: RewriteTable, delta) -> Check:
     """Cyclic sum over the slots of (delta (x) id) delta(X) vanishes for every X."""
-    residuals = []
-    for x in table.gens.names:
+    def defect(x):
         d2 = coproduct_on_slot(delta[x], 0, delta, table)
-        acc = d2 + d2.permute((2, 0, 1)) + d2.permute((1, 2, 0))
-        if acc:
-            residuals.append((x, acc))
-    return residuals
+        return d2 + d2.permute((2, 0, 1)) + d2.permute((1, 2, 0))
+
+    return Check.of("cojacobi", ((f"cojacobi({x}): ", defect(x)) for x in table.gens.names))
 
 
 def schouten_bracket(table: RewriteTable, r: TensorElement) -> TensorElement:

@@ -12,11 +12,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import catalog, rmatrix
 from .contraction import change_of_basis, contract_hopf, match_presentation, solve_min_exponents
 from .errors import DivergenceError, HopfcError, LookupError_
-from .hopf import verify_all
+from .hopf import MAX_RESIDUAL_LINES, Check, render_text, verify_all
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -51,34 +52,32 @@ def _write(text, path):
         os.remove(path)
 
 
-def _emit(report, args):
-    if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=False)
-    else:
-        lines = [f"{report['config']['command']}  (catalog {report['catalog_version']})"]
-        for c in report["checks"]:
-            mark = "PASS" if c["verdict"] == "pass" else "FAIL"
-            lines.append(f"  [{mark}] {c['name']}" + (f"  {c['details']}" if c.get("details") else ""))
-            for r in c.get("residual", [])[:8]:
-                lines.append(f"         residual: {r}")
-        lines.append(f"  elapsed: {report['timing']:.3f}s")
-        text = "\n".join(lines)
-    _write(text, args.out)
-
-
 def _finish(args, checks, t0):
-    """Emit the report of ``checks``, timed from ``t0``, and return the exit
-    code: a failure if any check failed."""
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and v is not None}
-    cfg["command"] = args.command
-    _emit({
-        "config": cfg,
-        "catalog_version": catalog.CATALOG_VERSION,
-        "checks": checks,
-        "timing": round(time.perf_counter() - t0, 6),
-    }, args)
-    return EXIT_PASS if all(c["verdict"] == "pass" for c in checks) else EXIT_FAIL
+    """Emit the report of ``checks`` (``hopf.Check``s), timed from ``t0``, and
+    return the exit code: a failure if any check failed."""
+    timing = round(time.perf_counter() - t0, 6)
+    if args.format == "json":
+        cfg = {k: v for k, v in sorted(vars(args).items())
+               if k not in ("func",) and v is not None}
+        cfg["command"] = args.command
+        text = json.dumps({
+            "config": cfg,
+            "catalog_version": catalog.CATALOG_VERSION,
+            "checks": [c.to_json() for c in checks],
+            "timing": timing,
+        }, indent=2, sort_keys=False)
+    else:
+        text = (render_text(f"{args.command}  (catalog {catalog.CATALOG_VERSION})", checks)
+                + f"\n  elapsed: {timing:.3f}s")
+    _write(text, args.out)
+    return EXIT_PASS if all(c.ok for c in checks) else EXIT_FAIL
+
+
+def _mismatched_groups(got, want):
+    """(label, message) residual pairs for the groups whose exponent in
+    ``got`` differs from the one in ``want``."""
+    return [(f"group {g}: ", f"{got[g]} vs {want.get(g)}")
+            for g in sorted(got) if got[g] != want.get(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +93,8 @@ def cmd_verify(args):
         print("verify: no algebra names given (try --list)", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    checks = []
-    for name in args.names:
-        for e in verify_all(catalog.get(name, args.order)).entries:
-            item = e.to_json()
-            item["name"] = f"{name}.{item['name']}"
-            checks.append(item)
+    checks = [replace(c, name=f"{name}.{c.name}") for name in args.names
+              for c in verify_all(catalog.get(name, args.order)).checks]
     return _finish(args, checks, t0)
 
 
@@ -119,42 +114,28 @@ def cmd_contract(args):
     for k in force:
         if k not in params:
             raise LookupError_(k, params, what="--force-exponent parameter")
-    for name, case in zip(args.cases, cases):
-        sol = solve_min_exponents(case)
-        minima_ok = sol.r_min == {g: case.expected_exponents.get(g) for g in sol.r_min}
-        checks.append({
-            "name": f"{name}.min_exponents",
-            "verdict": "pass" if minima_ok else "fail",
-            "details": json.dumps(sol.to_json(), sort_keys=True),
-        })
-        checks.append({
-            "name": f"{name}.coboundary",
-            "verdict": "pass" if sol.coboundary else "fail",
-            "details": f"r minima {sol.r_min} vs delta minima {sol.delta_min}",
-        })
-        got = contract_hopf(case, args.order, force_exponents=force or None)
-        want = catalog.get(case.target, args.order)
-        m = match_presentation(got, want)
-        checks.append({
-            "name": f"{name}.match_target",
-            "verdict": "pass" if m.match else "fail",
-            "residual": [str(r) for r in m.residuals],
-            "details": f"target {case.target}",
-        })
-        if args.then_basis_change:
+    if args.then_basis_change:
+        for name, case in zip(args.cases, cases):
             if case.target != "h4.betaplus.xi":
                 print(f"contract: --then-basis-change only applies to the "
                       f"case targeting h4.betaplus.xi, not {name}", file=sys.stderr)
                 return EXIT_USAGE
+    for name, case in zip(args.cases, cases):
+        sol = solve_min_exponents(case)
+        checks += [
+            Check.of(f"{name}.min_exponents", _mismatched_groups(sol.r_min, case.expected_exponents),
+                     json.dumps(sol.to_json(), sort_keys=True)),
+            Check.of(f"{name}.coboundary", _mismatched_groups(sol.r_min, sol.delta_min),
+                     f"r minima {sol.r_min} vs delta minima {sol.delta_min}"),
+        ]
+        got = contract_hopf(case, args.order, force_exponents=force or None)
+        m = match_presentation(got, catalog.get(case.target, args.order))
+        checks.append(replace(m, name=f"{name}.match_target", details=f"target {case.target}"))
+        if args.then_basis_change:
             primed = change_of_basis(catalog.get(case.target, args.order),
                                      catalog.basis_change_map(args.order))
-            m2 = match_presentation(primed, catalog.get("h4.xi", args.order))
-            checks.append({
-                "name": f"{name}.basis_change_match",
-                "verdict": "pass" if m2.match else "fail",
-                "residual": [str(r) for r in m2.residuals],
-                "details": "target h4.xi",
-            })
+            m = match_presentation(primed, catalog.get("h4.xi", args.order))
+            checks.append(replace(m, name=f"{name}.basis_change_match", details="target h4.xi"))
     return _finish(args, checks, t0)
 
 
@@ -165,7 +146,6 @@ def cmd_rmatrix(args):
                 raise ValueError(f"--exp-check compares exp(r) with the truncated series R "
                                  f"and cannot be combined with {flag}")
     t0 = time.perf_counter()
-    checks = []
     R = rmatrix.get_rmat(args.name, args.order, exact=args.exact_r)
     for sym in args.limit or []:
         R = rmatrix.rmat_limit(R, sym)
@@ -176,15 +156,9 @@ def cmd_rmatrix(args):
          lambda: rmatrix.mat_sub(rmatrix.exp_wedge_rep(catalog.classical_r(args.name), args.order), R)),
         ("triangularity", args.triangularity, lambda: rmatrix.triangularity_residual(R)),
     )
-    for name, wanted, residual in selected:
-        if not wanted:
-            continue
-        res = residual()
-        checks.append({
-            "name": name,
-            "verdict": "pass" if rmatrix.mat_is_zero(res) else "fail",
-            "residual": [f"{k}: {v}" for k, v in rmatrix.mat_nonzero_entries(res)[:8]],
-        })
+    checks = [Check.of(name, rmatrix.mat_nonzero_entries(residual())[:MAX_RESIDUAL_LINES],
+                       listed=True)
+              for name, wanted, residual in selected if wanted]
     return _finish(args, checks, t0)
 
 

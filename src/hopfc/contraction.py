@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .bialgebra import WedgeTensor
 from .errors import StructureError
-from .hopf import HopfPresentation
+from .hopf import Check, HopfPresentation
 from .series import EPS, ParamSpace, Ring, Series
 
 
@@ -71,8 +71,13 @@ class ContractionCase:
 class ExponentSolution:
     r_min: dict
     delta_min: dict
-    coboundary: bool
     r_contracted: WedgeTensor = None
+
+    @property
+    def coboundary(self):
+        """r and delta force the same exponent on every group (both None on a
+        group neither constrains)."""
+        return self.r_min == self.delta_min
 
     def to_json(self):
         return {
@@ -164,9 +169,6 @@ def solve_min_exponents(case: ContractionCase):
              for combo in scaling.forward.values()]
     d_min = _min_exponents_from(d_new, space, group_syms)
 
-    constrained = [g for g in group_syms if r_min[g] is not None or d_min[g] is not None]
-    coboundary = all(r_min[g] == d_min[g] for g in constrained)
-
     # contracted r at the minimal exponents
     exps = {}
     for old, g in case.lie_groups.items():
@@ -177,7 +179,7 @@ def solve_min_exponents(case: ContractionCase):
     r_contracted = WedgeTensor(r_lim.map_coeffs(
         lambda c: c.limit_zero(EPS, context="contracted r"), replace(ring, space=space.without(EPS))))
 
-    return ExponentSolution(r_min, d_min, coboundary, r_contracted)
+    return ExponentSolution(r_min, d_min, r_contracted)
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +276,27 @@ def contract_casimir(case: ContractionCase, order=4) -> Element:
 # presentation comparison and change of basis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatchReport:
-    match: bool
-    residuals: list
-
-    def to_json(self):
-        return {"verdict": "match" if self.match else "mismatch",
-                "residuals": [str(r) for r in self.residuals]}
-
-
-def match_presentation(got: HopfPresentation, want: HopfPresentation) -> MatchReport:
-    """Term-for-term comparison of rewrite rules, coproducts, and Casimirs."""
-    residuals = []
-    if got.gens.names != want.gens.names:
-        return MatchReport(False, [f"generator mismatch: {got.gens.names} vs {want.gens.names}"])
+def match_presentation(got: HopfPresentation, want: HopfPresentation) -> Check:
+    """Term-for-term comparison of rewrite rules, coproducts, counits and
+    Casimirs, as a ``Check`` that always lists its residuals."""
+    names = got.gens.names
+    if names != want.gens.names:
+        return Check.of("match", [("generator mismatch: ", f"{names} vs {want.gens.names}")],
+                        listed=True)
     ring = Ring.exact(got.ring.space.union(want.ring.space))
     got, want = got.to(ring), want.to(ring)
 
-    for k in sorted(got.table.rules):
-        r = got.table.rules[k] - want.table.rules[k]
-        if r:
-            i, j = k
-            residuals.append(f"rule [{got.gens.names[i]},{got.gens.names[j]}]: {r}")
-    for n in got.gens.names:
-        r = got.coproduct[n] - want.coproduct[n]
-        if r:
-            residuals.append(f"coproduct({n}): {r}")
-        if Fraction(got.counit[n]) != Fraction(want.counit[n]):
-            residuals.append(f"counit({n}): {got.counit[n]} vs {want.counit[n]}")
+    pairs = [(f"rule [{names[i]},{names[j]}]: ", got.table.rules[i, j] - want.table.rules[i, j])
+             for i, j in sorted(got.table.rules)]
+    for n in names:
+        a, b = got.counit[n], want.counit[n]
+        pairs += [(f"coproduct({n}): ", got.coproduct[n] - want.coproduct[n]),
+                  (f"counit({n}): ", "" if Fraction(a) == Fraction(b) else f"{a} vs {b}")]
     if (got.casimir is None) != (want.casimir is None):
-        residuals.append("casimir present on one side only")
+        pairs.append(("", "casimir present on one side only"))
     elif got.casimir is not None:
-        r = got.casimir - want.casimir
-        if r:
-            residuals.append(f"casimir: {r}")
-    return MatchReport(not residuals, residuals)
+        pairs.append(("casimir: ", got.casimir - want.casimir))
+    return Check.of("match", pairs, listed=True)
 
 
 def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:

@@ -4,9 +4,9 @@ antipode synthesis."""
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     Element,
@@ -80,124 +80,139 @@ class HopfPresentation:
         return self.map_coeffs(lambda c: c.to(ring), ring)
 
 
+#: residual lines shown per check in a text report (and in an R-matrix check)
+MAX_RESIDUAL_LINES = 8
+
+
+class Residual(NamedTuple):
+    """One nonzero defect of a check: a tensor, a ``Series`` or a message
+    string, reported as ``label + str(value)``."""
+
+    label: str
+    value: object
+
+    def __str__(self):
+        return self.label + str(self.value)
+
+
 @dataclass
-class CheckEntry:
+class Check:
+    """One check of any layer: its name, its nonzero ``Residual``s and a
+    details line.  It passes when no residual is left; ``listed`` keeps an
+    empty residual list in the JSON report."""
+
     name: str
-    ok: bool
-    residuals: list = field(default_factory=list)
+    residuals: list
     details: str = ""
+    listed: bool = False
+
+    @classmethod
+    def of(cls, name, pairs, details="", listed=False):
+        """The check whose residuals are the nonzero ``(label, residual)``
+        pairs, all computed here."""
+        return cls(name, [Residual(label, r) for label, r in pairs if r], details, listed)
+
+    @property
+    def ok(self):
+        return not self.residuals
+
+    match = ok  # bench/worker.py reads match_presentation(...).match
 
     def to_json(self):
         out = {"name": self.name, "verdict": "pass" if self.ok else "fail"}
-        if self.residuals:
+        if self.residuals or self.listed:
             out["residual"] = [str(r) for r in self.residuals]
         if self.details:
             out["details"] = self.details
         return out
 
 
+def render_text(title, checks):
+    """The text report: ``title``, then one verdict line per check with at
+    most ``MAX_RESIDUAL_LINES`` residual lines under it."""
+    lines = [title]
+    for c in checks:
+        mark = "PASS" if c.ok else "FAIL"
+        lines.append(f"  [{mark}] {c.name}" + (f"  {c.details}" if c.details else ""))
+        lines += [f"         residual: {r}" for r in c.residuals[:MAX_RESIDUAL_LINES]]
+    return "\n".join(lines)
+
+
 @dataclass
 class VerificationReport:
     algebra: str
     order: int
-    entries: list
-    elapsed: float = 0.0
+    checks: list
 
     @property
     def ok(self):
-        return all(e.ok for e in self.entries)
+        return all(c.ok for c in self.checks)
 
     def to_json(self):
         return {
             "algebra": self.algebra,
             "order": self.order,
-            "checks": [e.to_json() for e in self.entries],
+            "checks": [c.to_json() for c in self.checks],
             "verdict": "pass" if self.ok else "fail",
         }
 
     def to_text(self):
-        lines = [f"{self.algebra}  (order {self.order})"]
-        for e in self.entries:
-            mark = "PASS" if e.ok else "FAIL"
-            lines.append(f"  [{mark}] {e.name}" + (f"  {e.details}" if e.details else ""))
-            for r in e.residuals:
-                lines.append(f"         residual: {r}")
-        return "\n".join(lines)
+        return render_text(f"{self.algebra}  (order {self.order})", self.checks)
 
 
 # ---------------------------------------------------------------------------
 # individual axiom checks
 # ---------------------------------------------------------------------------
 
-def check_jacobi(H: HopfPresentation) -> CheckEntry:
+def check_jacobi(H: HopfPresentation) -> Check:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 for all generator triples."""
     t = H.table
-    residuals = []
-    names = H.gens.names
-    for a, b, c in itertools.combinations(names, 3):
-        x, y, z = H.gen(a), H.gen(b), H.gen(c)
-        r = (
-            commutator(commutator(x, y, t), z, t)
-            + commutator(commutator(y, z, t), x, t)
-            + commutator(commutator(z, x, t), y, t)
-        )
-        if r:
-            residuals.append(f"jacobi({a},{b},{c}) = {r}")
-    return CheckEntry("jacobi", not residuals, residuals)
+
+    def nested(a, b, c):
+        return commutator(commutator(H.gen(a), H.gen(b), t), H.gen(c), t)
+
+    return Check.of("jacobi", (
+        (f"jacobi({a},{b},{c}) = ", nested(a, b, c) + nested(b, c, a) + nested(c, a, b))
+        for a, b, c in itertools.combinations(H.gens.names, 3)))
 
 
-def check_relations_morphism(H: HopfPresentation) -> CheckEntry:
+def check_relations_morphism(H: HopfPresentation) -> Check:
     """Delta([X,Y]) = [Delta(X), Delta(Y)] for every generator pair."""
     t = H.table
-    residuals = []
-    for a, b in itertools.combinations(H.gens.names, 2):
+
+    def defect(a, b):
         lhs = H.delta(commutator(H.gen(a), H.gen(b), t))
         da, db = H.coproduct[a], H.coproduct[b]
-        rhs = tensor_mul(da, db, t) - tensor_mul(db, da, t)
-        r = lhs - rhs
-        if r:
-            residuals.append(f"Delta([{a},{b}]) mismatch: {r}")
-    return CheckEntry("relations_morphism", not residuals, residuals)
+        return lhs - (tensor_mul(da, db, t) - tensor_mul(db, da, t))
+
+    return Check.of("relations_morphism", (
+        (f"Delta([{a},{b}]) mismatch: ", defect(a, b))
+        for a, b in itertools.combinations(H.gens.names, 2)))
 
 
-def check_coassociativity(H: HopfPresentation) -> CheckEntry:
+def check_coassociativity(H: HopfPresentation) -> Check:
     """(Delta x id) Delta = (id x Delta) Delta on every generator."""
-    residuals = []
     memo = {}
-    for n in H.gens.names:
-        d = H.coproduct[n]
-        left = coproduct_on_slot(d, 0, H.coproduct, H.table, memo)
-        right = coproduct_on_slot(d, 1, H.coproduct, H.table, memo)
-        r = left - right
-        if r:
-            residuals.append(f"coassoc({n}): {r}")
-    return CheckEntry("coassociativity", not residuals, residuals)
+
+    def on_slot(n, slot):
+        return coproduct_on_slot(H.coproduct[n], slot, H.coproduct, H.table, memo)
+
+    return Check.of("coassociativity", (
+        (f"coassoc({n}): ", on_slot(n, 0) - on_slot(n, 1)) for n in H.gens.names))
 
 
-def check_counit(H: HopfPresentation) -> CheckEntry:
+def check_counit(H: HopfPresentation) -> Check:
     """(eps x id) Delta(X) = X = (id x eps) Delta(X)."""
-    residuals = []
-    for n in H.gens.names:
-        d = H.coproduct[n]
-        x = H.gen(n)
-        left = counit_collapse(d, 0, H.counit) - x
-        right = counit_collapse(d, 1, H.counit) - x
-        if left:
-            residuals.append(f"counit left({n}): {left}")
-        if right:
-            residuals.append(f"counit right({n}): {right}")
-    return CheckEntry("counit", not residuals, residuals)
+    return Check.of("counit", (
+        (f"counit {side}({n}): ", counit_collapse(H.coproduct[n], slot, H.counit) - H.gen(n))
+        for n in H.gens.names for slot, side in enumerate(("left", "right"))))
 
 
-def check_casimir_central(H: HopfPresentation) -> CheckEntry:
+def check_casimir_central(H: HopfPresentation) -> Check:
     if H.casimir is None:
-        return CheckEntry("casimir_central", True, details="no casimir declared")
-    residuals = []
-    for n in H.gens.names:
-        r = commutator(H.casimir, H.gen(n), H.table)
-        if r:
-            residuals.append(f"[C,{n}] = {r}")
-    return CheckEntry("casimir_central", not residuals, residuals)
+        return Check("casimir_central", [], "no casimir declared")
+    return Check.of("casimir_central", (
+        (f"[C,{n}] = ", commutator(H.casimir, H.gen(n), H.table)) for n in H.gens.names))
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +277,15 @@ def solve_antipode(H: HopfPresentation):
     )
 
 
-def check_antipode(H: HopfPresentation) -> CheckEntry:
+def check_antipode(H: HopfPresentation) -> Check:
     try:
         S = solve_antipode(H)
     except SynthesisFailureError as exc:
-        return CheckEntry("antipode", False, [str(exc)])
-    residuals = []
+        return Check.of("antipode", [("", str(exc))])
     memo = {}
-    for n in H.gens.names:
-        r = antipode_defect(H, S, n, "right", memo)
-        if r:
-            residuals.append(f"right antipode defect({n}): {r}")
-    return CheckEntry("antipode", not residuals, residuals,
-                      details="synthesized order-by-order")
+    return Check.of("antipode", (
+        (f"right antipode defect({n}): ", antipode_defect(H, S, n, "right", memo))
+        for n in H.gens.names), "synthesized order-by-order")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,6 @@ ALL_CHECKS = (
 
 
 def verify_all(H: HopfPresentation, checks=None) -> VerificationReport:
-    t0 = time.perf_counter()
     wanted = set(checks) if checks else None
-    entries = [fn(H) for key, fn in ALL_CHECKS if wanted is None or key in wanted]
-    return VerificationReport(H.name, H.ring.order, entries, time.perf_counter() - t0)
+    return VerificationReport(H.name, H.ring.order,
+                              [fn(H) for key, fn in ALL_CHECKS if wanted is None or key in wanted])

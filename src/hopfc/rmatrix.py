@@ -64,7 +64,8 @@ def mat_is_zero(a):
 
 
 def mat_nonzero_entries(a):
-    return [((i, j), str(x)) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+    """The nonzero entries as ``(label, entry)`` residual pairs."""
+    return [(f"{(i, j)}: ", x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
 
 
 def kron(a, b):

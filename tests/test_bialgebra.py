@@ -39,8 +39,8 @@ def test_cocommutator_is_bialgebra(name):
     L = catalog.lie_structure(name)
     r = catalog.classical_r(name)
     delta = cocommutator_from_r(L, r)
-    assert check_cocycle(L, delta) == []
-    assert check_cojacobi(L, delta) == []
+    assert check_cocycle(L, delta).ok
+    assert check_cojacobi(L, delta).ok
 
 
 @pytest.mark.parametrize("name", R_NAMES)
@@ -89,4 +89,4 @@ def test_perturbed_delta_breaks_cocycle():
     bump = wedge(L, Ring.exact(sp).symbol("a"), "I", "Jp")
     delta = dict(delta)
     delta["Jm"] = delta["Jm"] + bump
-    assert check_cocycle(L, delta)
+    assert not check_cocycle(L, delta).ok

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from hopfc import catalog
+from hopfc import catalog, cli
 from hopfc.cli import main
 
 
@@ -52,6 +53,34 @@ def test_contract_with_basis_change():
 def test_basis_change_wrong_case(capsys):
     assert main(["contract", "II.standard", "--order", "3",
                  "--then-basis-change"]) == 2
+
+
+def test_basis_change_wrong_case_fails_before_any_case_runs(capsys, monkeypatch):
+    # the case --then-basis-change does not apply to comes second
+    def unreachable(case):
+        raise AssertionError(f"{case.name} ran before --then-basis-change was checked")
+
+    monkeypatch.setattr("hopfc.cli.solve_min_exponents", unreachable)
+    assert main(["contract", "Iplus.standard", "II.standard", "--then-basis-change",
+                 "--order", "8"]) == 2
+    assert "not II.standard" in capsys.readouterr().err
+
+
+def test_failing_exponent_checks_list_the_mismatched_groups(capsys, monkeypatch):
+    case = catalog.get_case("II.standard")
+    altered = dataclasses.replace(case, expected_exponents={"a": 2, "b": 3})
+    monkeypatch.setattr(catalog, "get_case", lambda name: altered)
+    real = cli.solve_min_exponents
+    monkeypatch.setattr(cli, "solve_min_exponents", lambda c: dataclasses.replace(
+        real(c), delta_min={"a": 3, "b": 2}))
+    assert main(["contract", "II.standard", "--order", "2", "--format", "json"]) == 1
+    minima, coboundary, match = json.loads(capsys.readouterr().out)["checks"]
+    assert list(minima) == ["name", "verdict", "residual", "details"]
+    assert (minima["verdict"], minima["residual"]) == ("fail", ["group b: 2 vs 3"])
+    assert coboundary == {
+        "name": "II.standard.coboundary", "verdict": "fail", "residual": ["group a: 2 vs 3"],
+        "details": "r minima {'a': 2, 'b': 2} vs delta minima {'a': 3, 'b': 2}"}
+    assert match["verdict"] == "pass" and match["residual"] == []
 
 
 def test_forced_exponent_divergence(capsys):
@@ -129,6 +158,25 @@ def test_rmatrix_exp_check_refuses_exact_or_sliced_matrix(capsys, flag):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "--exp-check" in err and flag[0] in err
+
+
+def test_rmatrix_failing_text_report_shows_eight_residual_lines(capsys):
+    # exp(r) and R differ in 9 entries at N=3; the report lists the first 8
+    assert main(["rmatrix", "gl2.Iplus.standard", "--exp-check", "--order", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        f"rmatrix  (catalog {catalog.CATALOG_VERSION})",
+        "  [FAIL] exp_check",
+        "         residual: (0, 1): -1/2*a*a_plus + -1/6*a^2*a_plus",
+        "         residual: (0, 2): 1/2*a*a_plus + 2/3*a^2*a_plus",
+        "         residual: (0, 3): -1/4*a*a_plus^2",
+        "         residual: (1, 1): -1*a + -1*a^2 + -1/6*a^3",
+        "         residual: (1, 2): 1*a + 2*a^2 + 3/2*a^3",
+        "         residual: (1, 3): -1/2*a*a_plus + -2/3*a^2*a_plus",
+        "         residual: (2, 1): 1*a + -1/6*a^3",
+        "         residual: (2, 2): -1*a + -1*a^2 + -1/6*a^3",
+    ]
+    assert lines[-1].startswith("  elapsed: ")
 
 
 def test_rmatrix_triangularity_fails_on_full_matrix():

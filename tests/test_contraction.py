@@ -228,4 +228,34 @@ def test_match_residual_is_rendered_like_every_other_residual():
     t = H.table
     t.set_rule("J3", "Jp", t.gen("Jp", coeff=t.scalar(-2)))
     m = match_presentation(H, catalog.get("gl2.classical", 4))
-    assert m.to_json() == {"verdict": "mismatch", "residuals": ["rule [J3,Jp]: (-4)*Jp"]}
+    assert m.match is False
+    assert [str(r) for r in m.residuals] == ["rule [J3,Jp]: (-4)*Jp"]
+
+
+def _h4_counit_m_two():
+    H = catalog._BUILDERS["h4.classical"](3)
+    H.counit["M"] = F(2)
+    return H
+
+
+def _h4_without_casimir():
+    H = catalog._BUILDERS["h4.classical"](3)
+    H.casimir = None
+    return H
+
+
+def _gl2_limit_in_j3p():
+    return classical_limit(catalog.get("gl2.Iplus.standard", 3))
+
+
+@pytest.mark.parametrize("make, target, lines", [
+    (_h4_counit_m_two, "h4.classical", ["counit(M): 2 vs 0"]),
+    (_h4_without_casimir, "h4.classical", ["casimir present on one side only"]),
+    (_gl2_limit_in_j3p, "gl2.classical",
+     ["generator mismatch: ('I', 'Jp', 'J3p', 'Jm') vs ('I', 'Jp', 'J3', 'Jm')"]),
+], ids=["counit", "casimir", "generators"])
+def test_match_residual_lines(make, target, lines):
+    # the report lines of a failing match, which no benchmark invocation reaches
+    m = match_presentation(make(), catalog.get(target, 3))
+    assert m.match is False
+    assert [str(r) for r in m.residuals] == lines

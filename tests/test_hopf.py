@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
-from hopfc import catalog
+from hopfc import catalog, hopf
 from hopfc.algebra import generator_function, mul
+from hopfc.errors import SynthesisFailureError
 from hopfc.hopf import (
+    ALL_CHECKS,
+    Check,
+    check_antipode,
     check_counit,
     check_jacobi,
     solve_antipode,
@@ -78,3 +82,39 @@ def test_counit_check_detects_bad_value():
     H = fresh("gl2.classical")
     H.counit["I"] = F(1)
     assert not check_counit(H).ok
+
+
+def test_every_check_does_its_work_in_the_call():
+    # the benchmark times each ALL_CHECKS call, so a check that deferred its
+    # work (a generator, or residuals left lazy) would time as about zero
+    H = fresh("gl2.classical", 2)
+    for key, fn in ALL_CHECKS:
+        c = fn(H)
+        assert isinstance(c, Check) and c.name == key
+        assert type(c.residuals) is list
+
+
+def test_failing_check_json_and_text():
+    H = fresh("gl2.classical")
+    H.table.set_rule("J3", "Jp", H.table.gen("Jp", coeff=H.table.scalar(-2)))
+    rep = verify_all(H, checks=["jacobi", "counit"])
+    assert [c.to_json() for c in rep.checks] == [
+        {"name": "jacobi", "verdict": "fail", "residual": ["jacobi(Jp,J3,Jm) = (4)*J3"]},
+        {"name": "counit", "verdict": "pass"},
+    ]
+    assert rep.to_text().splitlines() == [
+        "gl2.classical  (order 3)",
+        "  [FAIL] jacobi",
+        "         residual: jacobi(Jp,J3,Jm) = (4)*J3",
+        "  [PASS] counit",
+    ]
+
+
+def test_antipode_synthesis_failure_is_its_one_residual(monkeypatch):
+    def diverge(H):
+        raise SynthesisFailureError(f"antipode synthesis did not converge for {H.name}")
+
+    monkeypatch.setattr(hopf, "solve_antipode", diverge)
+    assert check_antipode(fresh("h4.xi", 2)).to_json() == {
+        "name": "antipode", "verdict": "fail",
+        "residual": ["antipode synthesis did not converge for h4.xi"]}

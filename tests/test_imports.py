@@ -61,10 +61,9 @@ ALLOWED_UNUSED = {}
 #: the only ``math`` functions the exact engine may call
 MATH_ALLOWED = {"factorial", "gcd", "lcm", "ceil", "floor"}
 
-#: wall-clock fields, outside the byte-identical report, may hold floats
-FLOAT_ALLOWED = {
-    "hopf.py": {"VerificationReport.elapsed"},
-}
+#: per file, wall-clock fields (outside the byte-identical report) that may
+#: hold floats; none today
+FLOAT_ALLOWED = {}
 
 
 def float_uses(source, allowed=()):

@@ -20,11 +20,13 @@ def _order(inv):
     return inv.args[inv.args.index("--order") + 1]
 
 
-#: workload -> which of its invocations run here (about 3 s in all)
+#: workload -> which of its invocations run here (about 3 s in all); every
+#: ``rmatrix`` invocation, so the failing ``exp_check`` and ``triangularity``
+#: reports, each capped at 8 residual lines, are hash-gated too
 SLICES = {
     "verify-deep": lambda inv: True,
     "verify-catalog": lambda inv: _order(inv) == "4",
-    "rmatrix": lambda inv: "--exact-r" in inv.args,
+    "rmatrix": lambda inv: True,
     "contract": lambda inv: True,
 }
 
