@@ -11,7 +11,7 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import Series, _add_into, _product, _series, taylor_coeffs
+from .series import Series, _add_into, _product, _reduce, _series, taylor_coeffs
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -98,7 +98,7 @@ class TensorElement:
         f0 = factors[0]
         for f in factors[1:]:
             f0.ring.check_same(f.ring)
-        raw = _outer_terms(f0.ring, [{k: c.terms for k, c in f.terms.items()} for f in factors])
+        raw = _outer_terms(f0.ring, [{k: c.raw for k, c in f.terms.items()} for f in factors])
         return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring, raw)
 
     def permute(self, perm):
@@ -133,7 +133,8 @@ class TensorElement:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             if k in terms:
-                c = _series(self.ring, _add_into(dict(terms[k].terms), c.terms))
+                d, t = terms[k].raw
+                c = _series(self.ring, _reduce(_add_into((d, dict(t)), c.raw)))
             if c:
                 terms[k] = c
             else:
@@ -151,7 +152,7 @@ class TensorElement:
         c = c if isinstance(c, Series) else self.ring.const(c)
         self.ring.check_same(c.ring)
         return self._with({k: _series(self.ring, p) for k, v in self.terms.items()
-                           if (p := _product(self.ring, v.terms, c.terms))})
+                           if (p := _product(self.ring, v.raw, c.raw))})
 
     def map_coeffs(self, fn, ring=None, gens=None):
         """Apply ``fn`` to every coefficient; the result lives over the given
@@ -213,19 +214,22 @@ class Element(TensorElement):
 
 
 def _tensor(rank, gens, ring, terms):
-    """The rank-``rank`` tensor (an ``Element`` at rank 1) over raw ``terms``,
-    ``{key: {exponents: Fraction}}`` with none empty."""
+    """The rank-``rank`` tensor (an ``Element`` at rank 1) over ``terms``,
+    ``{key: raw form}`` with none zero, each reduced here."""
     new = object.__new__(Element if rank == 1 else TensorElement)
     new.gens, new.ring, new.rank = gens, ring, rank
-    new.terms = {k: _series(ring, v) for k, v in terms.items()}
+    new.terms = {k: _series(ring, _reduce(r)) for k, r in terms.items()}
     return new
 
 
 def _accumulate(acc, k, p):
-    """``acc[k] += p`` over raw terms; ``acc`` takes ownership of ``p``."""
+    """``acc[k] += p`` over raw forms; ``acc`` takes ownership of ``p``'s
+    dict.  The sums are reduced when ``acc`` is finished."""
     if k not in acc:
         acc[k] = p
-    elif not _add_into(acc[k], p):
+    elif (s := _add_into(acc[k], p))[1]:
+        acc[k] = s
+    else:
         del acc[k]
 
 
@@ -316,7 +320,7 @@ class RewriteTable:
             while (res := cache.get(word)) is None:
                 k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), -1)
                 if k < 0:
-                    res = cache[word] = {(monomial_of(word, self.gens.dim),): ring.one().terms}
+                    res = cache[word] = {(monomial_of(word, self.gens.dim),): ring.one().raw}
                     break
                 self._steps += 1
                 if self._steps > STEP_BUDGET:
@@ -326,7 +330,7 @@ class RewriteTable:
                 head, (i, j), tail = word[:k], word[k:k + 2], word[k + 2:]
                 rule = self.rules[(i, j)]
                 ring.check_same(rule.ring)
-                parts = [(head + word_of(m) + tail, c.terms) for (m,), c in rule.terms.items()]
+                parts = [(head + word_of(m) + tail, c.raw) for (m,), c in rule.terms.items()]
                 frames.append((word, parts[::-1] + [(head + (j, i) + tail, None)], {}))
                 word = head + (j, i) + tail
             while frames:
@@ -336,13 +340,14 @@ class RewriteTable:
                     acc = res       # a zero rule: nf(w) is the swapped word's, shared
                 else:
                     for m, t in res.items():
-                        if p := dict(t) if c is None else _product(ring, t, c):
+                        if p := (t[0], dict(t[1])) if c is None else _product(ring, t, c):
                             _accumulate(acc, m, p)
                 if parts:
                     word = parts[-1][0]
                     break
                 frames.pop()
-                res = cache[w] = acc
+                res = cache[w] = acc if acc is res else {
+                    m: _reduce(r) for m, r in acc.items()}
             else:
                 return res
 
@@ -366,16 +371,17 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     x._compatible(y)
     table.check(x)
     table.reset_budget()
-    acc = {}
+    ring, acc = x.ring, {}
+    right = [([word_of(m2) for m2 in ms2], c2.raw) for ms2, c2 in y.terms.items()]
     for ms1, c1 in x.terms.items():
         words1 = [word_of(m1) for m1 in ms1]
-        for ms2, c2 in y.terms.items():
-            if c := _product(x.ring, c1.terms, c2.terms):
-                slots = [table._nf_word(w1 + word_of(m2)) for w1, m2 in zip(words1, ms2)]
-                for k, t in _outer_terms(x.ring, slots).items():
-                    if p := _product(x.ring, t, c):
+        for words2, r2 in right:
+            if c := _product(ring, c1.raw, r2):
+                slots = [table._nf_word(w1 + w2) for w1, w2 in zip(words1, words2)]
+                for k, t in _outer_terms(ring, slots).items():
+                    if p := _product(ring, t, c):
                         _accumulate(acc, k, p)
-    return _tensor(x.rank, x.gens, x.ring, acc)
+    return _tensor(x.rank, x.gens, ring, acc)
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
@@ -482,7 +488,7 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     for ms, c in t.terms.items():
         img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
         for ms2, c2 in img.terms.items():
-            if p := _product(t.ring, c.terms, c2.terms):
+            if p := _product(t.ring, c.raw, c2.raw):
                 _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p)
     return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, acc)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -29,6 +30,10 @@ EXACT_ORDER = 10**9
 EXACT_FLOOR = -(10**9)
 
 EPS = "eps"
+
+#: every exponent of a weight-0 symbol below this packs; its field's own
+#: bound (``Codec``) can lie above it
+WEIGHT0_LIMIT = 2**31
 
 
 def _frac(x) -> Fraction:
@@ -136,15 +141,10 @@ class Ring:
         if self is not other and self != other:
             raise StructureError(f"mismatched rings {self} vs {other}")
 
-    def check_exponents(self, exps):
-        """Reject exponents below the floor on an invertible symbol, or
-        negative on any other."""
-        for e, iv in zip(exps, self.space.invertible):
-            if iv:
-                if e < self.floor:
-                    raise FloorUnderflowError([exps])
-            elif e < 0:
-                raise StructureError(f"negative exponent on non-invertible symbol: {exps}")
+    @cached_property
+    def codec(self):
+        """The packing of this ring's exponent vectors into int keys."""
+        return Codec(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -167,30 +167,104 @@ class Ring:
         return self.term({name: power}, coeff)
 
 
+class Codec:
+    """One int key per exponent vector of a ``Ring`` (after Monagan & Pearce,
+    "Sparse polynomial multiplication and division in Maple 14", 2009).
+
+    Field i holds ``e_i - lo_i`` (``lo_i`` is the floor on an invertible
+    symbol, else 0) in ``b_i`` value bits under an overflow bit and a set
+    guard bit; the top field, unbounded, holds the weighted degree less its
+    least value ``wlo``.  A field is wide enough for every exponent of a term
+    at or below the order, and, for a weight-0 symbol, for every exponent
+    below ``WEIGHT0_LIMIT``: its bound, ``caps[i] + lows[i]``, is that limit
+    on a symbol that is not invertible and ``2^32 + lo_i`` on an invertible
+    one with a floor from -2^31 to -1.  Then ``pack(e1) + pack(e2) - zero`` is
+    ``pack(e1 + e2)`` without a borrow or carry between fields, the order
+    test is ``p >= limit``, and a field below its floor or past its width
+    shows as ``p & flags != guards``."""
+
+    def __init__(self, ring):
+        space = ring.space
+        self.ring = ring
+        self.lows = tuple(ring.floor if iv else 0 for iv in space.invertible)
+        wlo = sum(map(operator.mul, space.weights, self.lows))
+        span = ring.order - wlo         # top field of the highest kept degree
+        self.shifts, self.offsets, self.caps = [], [], []
+        shift = self.zero = self.flags = self.guards = 0
+        for w, lo in zip(space.weights, self.lows):
+            most = span // w if w else WEIGHT0_LIMIT - 1 - lo
+            b = max(most, -lo, 1).bit_length()
+            guard = 1 << (b + 1)
+            self.shifts.append(shift)
+            self.offsets.append(guard - lo)
+            self.caps.append(1 << b)
+            self.zero += (guard - lo) << shift
+            self.flags |= (3 << b) << shift
+            self.guards |= guard << shift
+            shift += b + 2
+        self.zero -= wlo << shift
+        self.limit = (span + 1) << shift
+        # pack(e) = zero + sum(e_i * steps_i): one unit in field i and w_i in the top
+        self.steps = tuple((1 << s) + (w << shift) for s, w in zip(self.shifts, space.weights))
+
+    def pack(self, exps):
+        """The key of ``exps``, or None above the order.  Exponents below
+        the floor raise first, as a negative one on a symbol that is not
+        invertible does; one too large for its field raises
+        ``StructureError``."""
+        space = self.ring.space
+        if len(exps) != space.dim:
+            raise StructureError(f"exponent vector {exps} does not fit {space.symbols}")
+        for e, lo, iv in zip(exps, self.lows, space.invertible):
+            if e < lo:
+                if iv:
+                    raise FloorUnderflowError([exps])
+                raise StructureError(f"negative exponent on non-invertible symbol: {exps}")
+        if space.wdeg(exps) > self.ring.order:
+            return None
+        for e, lo, cap, name in zip(exps, self.lows, self.caps, space.symbols):
+            if e - lo >= cap:
+                raise StructureError(f"exponent vector {exps} is too large: the field "
+                                     f"of {name} holds exponents below {cap + lo}")
+        return self.zero + sum(map(operator.mul, exps, self.steps))
+
+    def unpack(self, p):
+        """The exponent vector of a key, also of a product key with a field
+        below its floor or too large."""
+        return tuple(((p >> s) & ((cap << 2) - 1)) - off
+                     for s, cap, off in zip(self.shifts, self.caps, self.offsets))
+
+
 class Series:
-    """Truncated series: map from exponent vectors to nonzero ``Fraction``s,
-    over one ``Ring``.
+    """Truncated series over one ``Ring``.
+
+    Its one stored form is ``raw``, ``(d, {key: n})``: int numerators
+    ``n`` over one denominator ``d > 0`` in lowest terms, none zero, keyed
+    by the ring's ``Codec``.  ``terms``, ``{exponent vector: Fraction}``, is
+    derived from it on every read.
 
     Terms above the truncation order (total weighted degree) are silently
     dropped; exponents below the floor on invertible symbols raise."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "raw")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        space, order = ring.space, ring.order
-        clean = {}
+        pack = ring.codec.pack
+        fracs = {}
         for exps, c in terms.items():
             c = _frac(c)
-            if not c:
-                continue
-            if len(exps) != space.dim:
-                raise StructureError(f"exponent vector {exps} does not fit {space.symbols}")
-            ring.check_exponents(exps)
-            if space.wdeg(exps) > order:
-                continue
-            clean[exps] = c
-        self.terms = clean
+            if c and (p := pack(exps)) is not None:
+                fracs[p] = c
+        d = math.lcm(*[c.denominator for c in fracs.values()])
+        self.raw = d, {p: c.numerator * (d // c.denominator) for p, c in fracs.items()}
+
+    @property
+    def terms(self):
+        """``{exponent vector: Fraction}``, built afresh from ``raw``."""
+        d, t = self.raw
+        unpack = self.ring.codec.unpack
+        return {unpack(p): Fraction(n, d) for p, n in t.items()}
 
     @property
     def space(self):
@@ -203,38 +277,39 @@ class Series:
     # -- helpers -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw[1]
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw[1])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        d, t = self.raw
+        return hash((self.ring, d, frozenset(t.items())))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.space.dim, Fraction(0))
 
     def min_wdeg(self):
         """Minimal total weighted degree over stored terms; None if zero."""
-        if not self.terms:
-            return None
-        return min(self.space.wdeg(e) for e in self.terms)
+        return min(map(self.space.wdeg, self.terms), default=None)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return _series(self.ring, {e: -c for e, c in self.terms.items()})
+        d, t = self.raw
+        return _series(self.ring, (d, {p: -n for p, n in t.items()}))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self.ring.check_same(other.ring)
-        return _series(self.ring, _add_into(dict(self.terms), other.terms))
+        d, t = self.raw
+        return _series(self.ring, _reduce(_add_into((d, dict(t)), other.raw)))
 
     __radd__ = __add__
 
@@ -244,12 +319,9 @@ class Series:
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return ring.zero()
-            return _series(ring, {e: c * v for e, v in self.terms.items()})
+            other = ring.const(other)
         ring.check_same(other.ring)
-        return _series(ring, _product(ring, self.terms, other.terms))
+        return _series(ring, _product(ring, self.raw, other.raw) or (1, {}))
 
     __rmul__ = __mul__
 
@@ -276,17 +348,19 @@ class Series:
         ``ring`` lacks must have exponent 0 in every term, a symbol new to
         ``ring`` gets exponent 0, and ``ring``'s order and floor apply."""
         src, dst = self.space.symbols, ring.space.symbols
-        if src == dst:
-            return Series(ring, self.terms)
         pos = {s: i for i, s in enumerate(src)}
         take = [pos.get(s) for s in dst]
         drop = [i for i, s in enumerate(src) if not ring.space.has(s)]
+        unpack, pack = self.ring.codec.unpack, ring.codec.pack
+        d, t = self.raw
         out = {}
-        for e, c in self.terms.items():
+        for p, n in t.items():
+            e = unpack(p)
             if any(e[i] for i in drop):
                 raise StructureError(f"term {e} carries symbols outside {dst}")
-            out[tuple(0 if i is None else e[i] for i in take)] = c
-        return Series(ring, out)
+            if (q := pack(tuple(0 if i is None else e[i] for i in take))) is not None:
+                out[q] = n
+        return _series(ring, _reduce((d, out)))
 
     def substitute(self, sigma, ring=None):
         """Simultaneous substitution symbol -> Series, into ``ring``.
@@ -315,11 +389,12 @@ class Series:
         """Set ``name`` to zero, keeping the ring: positive powers vanish,
         negative powers raise DivergenceError (tagged with ``context``)."""
         i = self.space.index(name)
-        bad = sorted(e for e in self.terms if e[i] < 0)
+        terms = self.terms
+        bad = sorted(e for e in terms if e[i] < 0)
         if bad:
-            raise DivergenceError([self._render_term(e, self.terms[e]) for e in bad],
+            raise DivergenceError([self._render_term(e, terms[e]) for e in bad],
                                   context=context)
-        return Series(self.ring, {e: c for e, c in self.terms.items() if e[i] == 0})
+        return Series(self.ring, {e: c for e, c in terms.items() if e[i] == 0})
 
     def limit_zero(self, name=EPS, context=""):
         """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
@@ -335,7 +410,7 @@ class Series:
         return f"{c}" if not mono else f"{c}*{mono}"
 
     def __str__(self):
-        if not self.terms:
+        if not self:
             return "0"
         return " + ".join(self._render_term(e, c) for e, c in sorted(self.terms.items()))
 
@@ -350,65 +425,73 @@ class Series:
         return out
 
 
-def _series(ring, terms):
-    """A Series over ``ring`` from nonzero, in-range, untruncated terms: every
-    invariant ``Series.__init__`` checks already holds."""
+def _series(ring, raw):
+    """A Series over ``ring`` from a raw form in lowest terms with no zero
+    numerator and no key outside the ring: what ``Series.__init__`` builds."""
     s = object.__new__(Series)
-    s.ring, s.terms = ring, terms
+    s.ring, s.raw = ring, raw
     return s
 
 
-def _add_into(acc, terms):
-    """Add raw terms (``{exponents: Fraction}``) into the raw dict ``acc`` in
-    place and return it; a term whose sum is zero is dropped."""
-    for e, c in terms.items():
-        if e in acc:
-            s = acc[e] + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
+def _reduce(r):
+    """The raw form ``r``, whose dict holds no zero, in lowest terms: one gcd
+    divided out.  An empty dict gives ``(1, {})``."""
+    d, t = r
+    g = math.gcd(d, *t.values())
+    if g == 1:
+        return r
+    return d // g, {p: n // g for p, n in t.items()}
+
+
+def _add_into(acc, r):
+    """``acc + r`` over the lcm of their denominators, added into the dict of
+    ``acc``, which the caller owns (that of ``r`` is only read); a key whose
+    sum is zero is dropped, and no gcd is taken."""
+    (d, t), (e, u) = acc, r
+    m = math.lcm(d, e)
+    if m != d:
+        g = m // d
+        for p in t:
+            t[p] *= g
+    f = m // e
+    for p, n in u.items():
+        if n := t.get(p, 0) + n * f:
+            t[p] = n
         else:
-            acc[e] = c
-    return acc
+            del t[p]
+    return m, t
 
 
-def _product(ring, t1, t2):
-    """The product of two raw term dicts over ``ring``, as a new raw dict: a
-    pair above the order is dropped, a kept pair's exponents are checked
-    against the floor.  Two single terms multiply directly; longer operands
-    add int products over the lcms of their denominators."""
-    space, order = ring.space, ring.order
-    wdeg = space.wdeg
-    # exponents of non-invertible symbols are >= 0, and so are their sums
-    check = ring.check_exponents if any(space.invertible) else None
+def _product(ring, r1, r2):
+    """The product of two raw forms over ``ring``, in lowest terms, or None
+    if it is zero.  Per term pair, one int add gives the key: a pair above
+    the order is dropped, and then a kept pair with a field below the floor
+    or too large raises, as ``Codec.pack`` does for its exponents."""
+    codec = ring.codec
+    zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
+    (d1, t1), (d2, t2) = r1, r2
     if len(t1) == 1 == len(t2):
-        ((e1, c1),) = t1.items()
-        ((e2, c2),) = t2.items()
-        e = tuple(map(operator.add, e1, e2))
-        if wdeg(e) > order:
-            return {}
-        if check is not None:
-            check(e)
-        return {e: c1 * c2}
-    sides = []      # per operand: (lcm d of the denominators, [(exps, wdeg, numerator over d)])
-    for t in (t1, t2):
-        ratios = [c.as_integer_ratio() for c in t.values()]
-        d = math.lcm(*[q for _, q in ratios])
-        sides.append((d, [(e, wdeg(e), n * (d // q)) for e, (n, q) in zip(t, ratios)]))
-    (d1, left), (d2, right) = sides
+        ((p1, n1),) = t1.items()
+        ((p2, n2),) = t2.items()
+        p = p1 + p2 - zero
+        if p >= limit:
+            return None
+        if p & flags != guards:
+            codec.pack(codec.unpack(p))      # raises
+        n, d = n1 * n2, d1 * d2
+        g = math.gcd(n, d)
+        return d // g, {p: n // g}
     out = {}
-    for e1, w1, n1 in left:
-        room = order - w1
-        for e2, w2, n2 in right:
-            if w2 > room:
-                continue
-            e = tuple(map(operator.add, e1, e2))
-            if check is not None:
-                check(e)
-            out[e] = out.get(e, 0) + n1 * n2
-    d = d1 * d2
-    return {e: Fraction(n, d) for e, n in out.items() if n}
+    for p1, n1 in t1.items():
+        q = p1 - zero
+        for p2, n2 in t2.items():
+            p = q + p2
+            if p < limit:
+                if p & flags != guards:
+                    codec.pack(codec.unpack(p))      # raises
+                out[p] = out.get(p, 0) + n1 * n2
+    out = {p: n for p, n in out.items() if n}
+    return _reduce((d1 * d2, out)) if out else None
 
 
 # ---------------------------------------------------------------------------

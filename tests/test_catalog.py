@@ -6,6 +6,7 @@ from hopfc import catalog
 from hopfc.algebra import mul
 from hopfc.contraction import classical_limit, match_presentation
 from hopfc.errors import LookupError_
+from hopfc.hopf import verify_all
 
 ALL_NAMES = [
     "gl2.II.nonstandard", "gl2.II.standard", "gl2.Iplus.nonstandard",
@@ -85,3 +86,17 @@ def test_truncation_consistency(name):
     cut = catalog.get(name, 6).to(r4)
     m = match_presentation(cut, catalog.get(name, 4))
     assert m.match, m.residuals
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_verdict_does_not_depend_on_which_series_form_was_read_first(name):
+    # every coefficient read as {exponents: Fraction} first, as a dump reads
+    # it, and then verified: the same report as a fresh build's
+    want = verify_all(catalog._BUILDERS[name](4))
+    H = catalog._BUILDERS[name](4)
+    for t in [*H.table.rules.values(), *H.coproduct.values(), H.casimir or H.table.zero()]:
+        for c in t.terms.values():
+            assert c.terms
+    got = verify_all(H)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got.to_text() == want.to_text()

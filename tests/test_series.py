@@ -1,9 +1,12 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfc import catalog
+from hopfc.algebra import tensor_mul
 from hopfc.errors import (
     DivergenceError,
     FloorUnderflowError,
@@ -11,6 +14,8 @@ from hopfc.errors import (
     StructureError,
 )
 from hopfc.series import (
+    DEFAULT_FLOOR,
+    WEIGHT0_LIMIT,
     ParamSpace,
     Ring,
     Series,
@@ -347,6 +352,9 @@ def test_product_matches_naive_pairwise_loop(xy):
     assert got.terms == want
     assert got.ring is x.ring
     assert all(isinstance(c, F) and c for c in got.terms.values())
+    # the kernel's raw form and one built from the same terms are one value
+    rebuilt = Series(x.ring, want)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
 def test_product_cancels_exactly():
@@ -369,6 +377,22 @@ def test_product_keeps_terms_at_the_truncation_boundary():
     assert got.terms == {(2, 5, 0, 0): F(2, 21), (1, 0, 0, 1): F(2, 7),
                          (1, 5, 1, 1): F(1, 3)}
     assert (0, 0, 1, 2) not in got.terms
+
+
+@pytest.mark.parametrize("extra", [(0, 0), (0, 1), (1, 1)], ids=["1x1", "1xn", "nxn"])
+def test_product_drops_a_pair_above_the_order_before_the_floor_test(extra):
+    # on (a, eps) at order 2, floor -4: a^8 eps^-5 is above the order, so it
+    # is dropped before the floor test, while a^7 eps^-5 is kept and raises.
+    # A constant term on neither, one or both operands runs the single-term
+    # path and the dict path with one or two long operands
+    ring = Ring(SPE, 2, floor=-4)
+    x = ring.term({"a": 6, "eps": -4}) + extra[0]
+    above, kept = (ring.term({"a": k, "eps": -1}) + extra[1] for k in (2, 1))
+    got = x * above
+    assert got.terms == naive_product(x, above)
+    assert got.is_zero() == (extra == (0, 0))
+    with pytest.raises(FloorUnderflowError):
+        x * kept
 
 
 def test_product_eps_floor_underflow_is_pinned():
@@ -404,12 +428,9 @@ def test_exact_product_against_sympy():
     assert max(c.denominator.bit_length() for c in got.terms.values()) > 100
 
 
-def test_product_does_no_per_pair_fraction_arithmetic(monkeypatch):
-    # the kernel multiplies and adds plain int numerators; a Fraction is
-    # only built once per output coefficient
-    ring = Ring.exact(SP)
-    x = Series(ring, {(i, i % 3): F(2 * i + 1, 3**i + 2) for i in range(20)})
-    y = Series(ring, {(i % 4, i): F(2 * i - 27, 5**i + 1) for i in range(20)})
+def count_fraction_ops(monkeypatch):
+    """The list to which every later ``Fraction`` multiply or add appends
+    its name."""
     calls = []
 
     def counted(name):
@@ -422,6 +443,16 @@ def test_product_does_no_per_pair_fraction_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(F, name, counted(name))
+    return calls
+
+
+def test_product_does_no_per_pair_fraction_arithmetic(monkeypatch):
+    # the kernel multiplies and adds plain int numerators; a Fraction is
+    # only built once per output coefficient
+    ring = Ring.exact(SP)
+    x = Series(ring, {(i, i % 3): F(2 * i + 1, 3**i + 2) for i in range(20)})
+    y = Series(ring, {(i % 4, i): F(2 * i - 27, 5**i + 1) for i in range(20)})
+    calls = count_fraction_ops(monkeypatch)
     got = x * y
     assert calls == []
     want = naive_product(x, y)
@@ -429,3 +460,110 @@ def test_product_does_no_per_pair_fraction_arithmetic(monkeypatch):
     assert sorted(set(calls)) == ["__add__", "__mul__"]
     assert calls.count("__mul__") == calls.count("__add__") == 20 * 20
     assert got.terms == want
+
+
+def test_tensor_product_does_no_fraction_arithmetic(monkeypatch):
+    # the algebra layer, normal forms included, works on the same int raw
+    # forms: on a cold table not one Fraction multiply or add
+    H = catalog._BUILDERS["gl2.II.standard"](6)
+    H.table.set_rule_by_index(1, 0, H.table.rules[(1, 0)])    # empties the NF cache
+    x, y = H.coproduct["Jp"], H.coproduct["Jm"]
+    calls = count_fraction_ops(monkeypatch)
+    got = tensor_mul(x, y, H.table)
+    assert calls == []
+    assert len(got.terms) > 100
+
+
+# ---------------------------------------------------------------------------
+# the exponent codec
+# ---------------------------------------------------------------------------
+
+#: an invertible weight-0 symbol over the untruncated ring (as rmatrix's
+#: exact family II) and the untruncated ring over SPK
+EXACT_RINGS = [Ring.exact(ParamSpace.make(("B", 0, True), ("p", 1, False)), floor=DEFAULT_FLOOR),
+               Ring.exact(SPK)]
+
+
+@st.composite
+def _codec_cases(draw):
+    """A ring (SPK or SPN, an eps ring, or an exact one) and two exponent
+    vectors that it keeps, drawn up to and past the order and near the
+    weight-0 limit."""
+    kind = draw(st.sampled_from(["SPK", "SPN", "eps", "exact"]))
+    if kind == "exact":
+        ring = draw(st.sampled_from(EXACT_RINGS))
+    else:
+        space = {"SPK": SPK, "SPN": SPN, "eps": ParamSpace.make("eps", ("b", 2, False))}[kind]
+        ring = Ring(space, draw(st.integers(0, 9)), draw(st.integers(-4, -1)))
+    lows = [ring.floor if iv else 0 for iv in ring.space.invertible]
+    # up to just past the field's bound on a weight-0 symbol
+    highs = [cap + lo + 2 if w == 0 else min(ring.order, 10**9) // w + 2
+             for w, lo, cap in zip(ring.space.weights, lows, ring.codec.caps)]
+
+    def exps():
+        vec = st.tuples(*(st.one_of(st.integers(lo, min(hi, lo + 12)), st.integers(lo, hi))
+                          for lo, hi in zip(lows, highs)))
+        return draw(vec.filter(lambda e: _packs(ring, e)))
+
+    return ring, exps(), exps()
+
+
+def _packs(ring, e):
+    try:
+        return ring.codec.pack(e) is not None
+    except (FloorUnderflowError, StructureError):
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_codec_cases())
+def test_codec_round_trip_and_additivity(case):
+    ring, e1, e2 = case
+    c = ring.codec
+    p1, p2 = c.pack(e1), c.pack(e2)
+    assert c.unpack(p1) == e1 and c.unpack(p2) == e2
+    e = tuple(map(operator.add, e1, e2))
+    p = p1 + p2 - c.zero
+    assert c.unpack(p) == e
+    kept = ring.space.wdeg(e) <= ring.order
+    assert (p < c.limit) == kept
+    if kept:
+        # a key passes the flag test exactly when it is the key of the sum
+        assert (p & c.flags == c.guards) == _packs(ring, e)
+        if _packs(ring, e):
+            assert p == c.pack(e)
+
+
+def test_weight0_exponent_too_large_for_its_field_raises():
+    ring = Ring(SPK, 4)
+    top = ring.term({"kappa": WEIGHT0_LIMIT - 1})
+    assert ring.term({"kappa": 2**30}) * ring.term({"kappa": 2**30 - 1}) == top
+    assert top.terms == {(0, WEIGHT0_LIMIT - 1, 0, 0): 1}
+    with pytest.raises(StructureError):
+        ring.term({"kappa": WEIGHT0_LIMIT})
+    with pytest.raises(StructureError):
+        top * ring.term({"kappa": 1})
+    with pytest.raises(StructureError):
+        (top + ring.one()) * (ring.symbol("kappa") + ring.symbol("a"))
+    half = ring.term({"kappa": 2**30 + 5})
+    with pytest.raises(StructureError):
+        half * half * ring.symbol("kappa")
+    # an invertible weight-0 symbol over the untruncated ring at floor -4:
+    # its field holds every exponent below 2^32 - 4, past WEIGHT0_LIMIT
+    ring = EXACT_RINGS[0]
+    bound = 2**32 - 4
+    assert ring.codec.caps[0] + ring.codec.lows[0] == bound
+    b = ring.term({"B": WEIGHT0_LIMIT - 1})
+    assert (b * ring.term({"B": -4})).terms == {(WEIGHT0_LIMIT - 5, 0): 1}
+    past = ring.term({"B": WEIGHT0_LIMIT + 10})
+    assert past.terms == {(WEIGHT0_LIMIT + 10, 0): 1}
+    assert (past * ring.term({"B": -4})).terms == {(WEIGHT0_LIMIT + 6, 0): 1}
+    assert (past * ring.term({"B": bound - 1 - (WEIGHT0_LIMIT + 10)})).terms == {(bound - 1, 0): 1}
+    with pytest.raises(StructureError, match=f"below {bound}"):
+        ring.term({"B": bound})
+    with pytest.raises(StructureError, match=f"below {bound}"):
+        past * past
+    with pytest.raises(StructureError):
+        b * b
+    with pytest.raises(FloorUnderflowError):
+        ring.term({"B": -4}) * ring.term({"B": -1})
