@@ -3,7 +3,9 @@ analytic functions of generator arguments, and tensor-slot arithmetic."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     ConfluenceFailureError,
@@ -11,7 +13,8 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import Series, _add_into, _product, _reduce, _series, taylor_coeffs
+from .series import (Series, _add_into, _mul_terms, _product, _reduce, _series, substitution,
+                     taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -98,7 +101,8 @@ class TensorElement:
         f0 = factors[0]
         for f in factors[1:]:
             f0.ring.check_same(f.ring)
-        raw = _outer_terms(f0.ring, [{k: c.raw for k, c in f.terms.items()} for f in factors])
+        raw = _outer_terms([{k: c.raw for k, c in f.terms.items()} for f in factors],
+                           partial(_product, f0.ring))
         return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring, raw)
 
     def permute(self, perm):
@@ -215,31 +219,105 @@ class Element(TensorElement):
 
 def _tensor(rank, gens, ring, terms):
     """The rank-``rank`` tensor (an ``Element`` at rank 1) over ``terms``,
-    ``{key: raw form}`` with none zero, each reduced here."""
+    ``{key: raw form}`` with none zero, each in lowest terms."""
     new = object.__new__(Element if rank == 1 else TensorElement)
     new.gens, new.ring, new.rank = gens, ring, rank
-    new.terms = {k: _series(ring, _reduce(r)) for k, r in terms.items()}
+    new.terms = {k: _series(ring, r) for k, r in terms.items()}
     return new
 
 
-def _accumulate(acc, k, p):
-    """``acc[k] += p`` over raw forms; ``acc`` takes ownership of ``p``'s
-    dict.  The sums are reduced when ``acc`` is finished."""
+def _rescale(acc, d):
+    """Bring the accumulator ``[D, {key: {p: n}}]`` to a denominator that
+    ``d`` divides; returns the factor that takes numerators over ``d`` to
+    it."""
+    D = acc[0]
+    if D % d:
+        m = math.lcm(D, d)
+        g = m // D
+        for t in acc[1].values():
+            for p in t:
+                t[p] *= g
+        acc[0] = D = m
+    return D // d
+
+
+def _add_terms(acc, k, codec, t, c, f):
+    """``acc[k] += f * t * c`` over int terms (``t`` alone if ``c`` is
+    None): the product is taken as ``_mul_terms`` takes it, then added term
+    by term; a key whose terms all cancel leaves ``acc``, and a product
+    with no term changes nothing."""
+    if c is not None and len(t) > 1 < len(c):
+        t, c = _mul_terms(codec, t, c), None
+    if new := (a := acc.get(k)) is None:
+        a = {}
+    if c is None:
+        for p, n in t.items():
+            if n := a.get(p, 0) + n * f:
+                a[p] = n
+            else:
+                del a[p]
+    else:
+        # one side has one term: no two pairs meet on a key
+        zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
+        for p1, n1 in t.items():
+            q, n1 = p1 - zero, n1 * f
+            for p2, n2 in c.items():
+                if (p := q + p2) < limit:
+                    if p & flags != guards:
+                        codec.pack(codec.unpack(p))      # raises
+                    if n := a.get(p, 0) + n1 * n2:
+                        a[p] = n
+                    else:
+                        del a[p]
+    if new:
+        if a:
+            acc[k] = a
+    elif not a:
+        del acc[k]
+
+
+def _finish(d, acc):
+    """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out."""
+    g = math.gcd(d, *(n for t in acc.values() for n in t.values()))
+    if g == 1:
+        return d, acc
+    return d // g, {k: {p: n // g for p, n in t.items()} for k, t in acc.items()}
+
+
+def _flat(x):
+    """``(d, [(word per slot, {key: n})])``: the terms of ``x`` with int
+    numerators over one denominator ``d``."""
+    d = math.lcm(*[c.raw[0] for c in x.terms.values()])
+    return d, [([word_of(m) for m in ms], t if e == d else {p: n * (d // e) for p, n in t.items()})
+               for ms, c in x.terms.items() for e, t in (c.raw,)]
+
+
+def _accumulate(acc, k, p, summed):
+    """``acc[k] += p`` over raw forms in lowest terms; ``acc`` takes
+    ownership of ``p``'s dict, and the key of every sum goes into the set
+    ``summed``."""
     if k not in acc:
         acc[k] = p
     elif (s := _add_into(acc[k], p))[1]:
         acc[k] = s
+        summed.add(k)
     else:
         del acc[k]
 
 
-def _outer_terms(ring, factors):
-    """Tensor product of ``{key: raw terms}`` dicts: keys concatenate,
-    coefficients multiply left to right, and zero products are dropped."""
+def _summed(rank, gens, ring, acc, summed):
+    """The tensor of ``acc`` from ``_accumulate``, its sums reduced here."""
+    return _tensor(rank, gens, ring, {k: _reduce(r) if k in summed else r for k, r in acc.items()})
+
+
+def _outer_terms(factors, product):
+    """Tensor product of ``{key: coefficient}`` dicts: keys concatenate,
+    coefficients multiply left to right by ``product``, and products it
+    finds zero (None or empty) are dropped."""
     terms = factors[0]
     for f in factors[1:]:
         terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items()
-                 if (p := _product(ring, c, c2))}
+                 if (p := product(c, c2))}
     return terms
 
 
@@ -259,6 +337,7 @@ class RewriteTable:
                         f"missing rewrite rule for ({gens.names[i]}, {gens.names[j]})"
                     )
         self._nf_cache = {}
+        self._rule_parts = {}
         self.reset_budget()
 
     @classmethod
@@ -297,6 +376,7 @@ class RewriteTable:
             )
         self.rules[(i, j)] = rhs
         self._nf_cache = {}
+        self._rule_parts = {}
 
     def set_rule(self, xname, yname, bracket):
         """Declare [X, Y] = bracket for named generators, either order."""
@@ -309,52 +389,62 @@ class RewriteTable:
     # -- normal form -------------------------------------------------------
 
     def _nf_word(self, word):
-        """Normal form of a raw word as ``{(monomial,): raw terms}``, cached
-        (its dicts are shared, never changed): nf(w) is nf of w with its
-        first descent swapped, plus c * nf(w with m for the pair) for each
-        term c * m of the pair's rule.  A stack of frames (word, parts left
-        in reverse as (word, c or None), acc) replaces that recursion."""
-        cache, ring = self._nf_cache, self.ring
+        """Normal form of a raw word as ``(d, {(monomial,): {key: n}})``: int
+        numerators over one denominator ``d``, none zero, cached (its dicts
+        are shared, never changed).  nf(w) is nf of w with its first descent
+        swapped, plus c * nf(w with m for the pair) for each term c * m of
+        the pair's rule.  A stack of frames (word, parts left in reverse as
+        (word, c or None), [d, acc]) replaces that recursion."""
+        cache, ring, rule_parts = self._nf_cache, self.ring, self._rule_parts
+        codec = ring.codec
         frames = []
         while True:
             while (res := cache.get(word)) is None:
                 k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), -1)
                 if k < 0:
-                    res = cache[word] = {(monomial_of(word, self.gens.dim),): ring.one().raw}
+                    res = cache[word] = 1, {(monomial_of(word, self.gens.dim),): {codec.zero: 1}}
                     break
                 self._steps += 1
                 if self._steps > STEP_BUDGET:
                     raise ConfluenceFailureError(
                         f"rewrite step budget exceeded on word {word}"
                     )
-                head, (i, j), tail = word[:k], word[k:k + 2], word[k + 2:]
-                rule = self.rules[(i, j)]
-                ring.check_same(rule.ring)
-                parts = [(head + word_of(m) + tail, c.raw) for (m,), c in rule.terms.items()]
-                frames.append((word, parts[::-1] + [(head + (j, i) + tail, None)], {}))
-                word = head + (j, i) + tail
+                head, pair, tail = word[:k], word[k:k + 2], word[k + 2:]
+                if (rule := rule_parts.get(pair)) is None:
+                    rhs = self.rules[pair]
+                    ring.check_same(rhs.ring)
+                    rule = rule_parts[pair] = [(word_of(m), c.raw)
+                                               for (m,), c in reversed(rhs.terms.items())]
+                swapped = head + pair[::-1] + tail
+                parts = [(head + w + tail, c) for w, c in rule] + [(swapped, None)]
+                frames.append((word, parts, [1, {}]))
+                word = swapped
             while frames:
                 w, parts, acc = frames[-1]
                 c = parts.pop()[1]
                 if c is None and not parts:
                     acc = res       # a zero rule: nf(w) is the swapped word's, shared
                 else:
-                    for m, t in res.items():
-                        if p := (t[0], dict(t[1])) if c is None else _product(ring, t, c):
-                            _accumulate(acc, m, p)
+                    d, terms = res
+                    if c is not None:
+                        d *= c[0]
+                        c = c[1]
+                    f = _rescale(acc, d)
+                    for m, t in terms.items():
+                        _add_terms(acc[1], m, codec, t, c, f)
                 if parts:
                     word = parts[-1][0]
                     break
                 frames.pop()
-                res = cache[w] = acc if acc is res else {
-                    m: _reduce(r) for m, r in acc.items()}
+                res = cache[w] = acc if acc is res else _finish(*acc)
             else:
                 return res
 
     def nf_word(self, word, coeff=None):
         """Normal form of a raw word, optionally scaled by a coefficient."""
         self.reset_budget()
-        res = _tensor(1, self.gens, self.ring, self._nf_word(tuple(word)))
+        d, terms = self._nf_word(tuple(word))
+        res = _tensor(1, self.gens, self.ring, {k: _reduce((d, t)) for k, t in terms.items()})
         return res if coeff is None else res.scale(coeff)
 
     def check(self, x: Element):
@@ -367,21 +457,40 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     """Slot-wise product of two tensors of one rank: for every term pair,
     each slot's words concatenate and are normal-formed.  The coefficient
     of a pair is c1 * c2, times the slot-wise outer product of the normal
-    forms' coefficients."""
+    forms' coefficients, left to right; terms above the order go at each
+    of these products, and the pair's terms are summed over one running
+    denominator."""
     x._compatible(y)
     table.check(x)
     table.reset_budget()
-    ring, acc = x.ring, {}
-    right = [([word_of(m2) for m2 in ms2], c2.raw) for ms2, c2 in y.terms.items()]
-    for ms1, c1 in x.terms.items():
-        words1 = [word_of(m1) for m1 in ms1]
-        for words2, r2 in right:
-            if c := _product(ring, c1.raw, r2):
-                slots = [table._nf_word(w1 + w2) for w1, w2 in zip(words1, words2)]
-                for k, t in _outer_terms(ring, slots).items():
-                    if p := _product(ring, t, c):
-                        _accumulate(acc, k, p)
-    return _tensor(x.rank, x.gens, ring, acc)
+    ring, nf = x.ring, table._nf_word
+    codec = ring.codec
+    zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
+    mul_terms = partial(_mul_terms, codec)
+    (d1, left), (d2, right) = _flat(x), _flat(y)
+    acc = [1, {}]
+    for words1, t1 in left:
+        for words2, t2 in right:
+            if len(t1) == 1 == len(t2):
+                # the common pair, one term a side, on the spot
+                ((p1, n1),), ((p2, n2),) = t1.items(), t2.items()
+                if (p := p1 + p2 - zero) >= limit:
+                    continue
+                if p & flags != guards:
+                    codec.pack(codec.unpack(p))      # raises
+                c = {p: n1 * n2}
+            elif not (c := mul_terms(t1, t2)):
+                continue
+            slots = [nf(w1 + w2) for w1, w2 in zip(words1, words2)]
+            d = d1 * d2
+            for e, _ in slots:
+                d *= e
+            f = _rescale(acc, d)
+            for k, t in _outer_terms([u for _, u in slots], mul_terms).items():
+                _add_terms(acc[1], k, codec, t, c, f)
+    d, out = acc
+    return _tensor(x.rank, x.gens, ring,
+                   {k: (d, t) if d == 1 else _reduce((d, t)) for k, t in out.items()})
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
@@ -452,24 +561,33 @@ def monomial_image(m, gens, images, unit, product, memo):
     return img
 
 
-def substitute_generators(x: TensorElement, images, table_target: RewriteTable, param_sub=None):
+def substitute_generators(x: TensorElement, images, table_target: RewriteTable, param_sub=None,
+                          memo=None):
     """Homomorphic substitution generator -> Element over the target algebra,
     slot by slot, with optional simultaneous parameter substitution on
-    coefficients."""
+    coefficients.  ``memo`` may carry monomial images from earlier calls
+    with the same ``images`` and the same target rules."""
     ring = table_target.ring
     unit = table_target.one()
-    memo = {}
+    memo = {} if memo is None else memo
 
     def image(m):
         return monomial_image(m, x.gens, images, unit,
                               lambda a, b: mul(a, b, table_target), memo)
 
-    acc = _tensor(x.rank, table_target.gens, ring, {})
+    if param_sub is None or not x.terms:
+        coeff = lambda c: c.to(ring)    # noqa: E731
+    else:
+        coeff = substitution(x.ring.space, param_sub, ring)
+    acc, summed = {}, set()
     for ms, c in x.terms.items():
-        c2 = c.to(ring) if param_sub is None else c.substitute(param_sub, ring)
-        if c2:
-            acc = acc + TensorElement.outer([image(m) for m in ms]).scale(c2)
-    return acc
+        if c2 := coeff(c):
+            outer = _outer_terms([{k: v.raw for k, v in image(m).terms.items()} for m in ms],
+                                 partial(_product, ring))
+            for k, t in outer.items():
+                if p := _product(ring, t, c2.raw):
+                    _accumulate(acc, k, p, summed)
+    return _summed(x.rank, table_target.gens, ring, acc, summed)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +602,13 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     antipode) runs through here.  ``memo`` is passed on to ``monomial_image``."""
     t.ring.check_same(unit.ring)
     memo = {} if memo is None else memo
-    acc = {}
+    acc, summed = {}, set()
     for ms, c in t.terms.items():
         img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
         for ms2, c2 in img.terms.items():
             if p := _product(t.ring, c.raw, c2.raw):
-                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p)
-    return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, acc)
+                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p, summed)
+    return _summed(t.rank - 1 + unit.rank, t.gens, t.ring, acc, summed)
 
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:

@@ -203,19 +203,21 @@ def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
     each new generator to an Element of ``H``, ``inverse`` each old generator
     to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
     each before it is first needed, then moves the coproducts and ``casimir``
-    (an Element of ``H`` or None) across; ``post(x, context)`` finishes every
+    (an Element of ``H`` or None) across, sharing one memo of monomial
+    images over the finished table; ``post(x, context)`` finishes every
     moved map.  Returns ``(coproduct, casimir)``."""
-    def move(x, context):
-        return post(substitute_generators(x, inverse, table, param_sub), context)
+    def move(x, context, memo=None):
+        return post(substitute_generators(x, inverse, table, param_sub, memo), context)
 
     names = table.gens.names
     for i in range(len(names)):
         for j in range(i):
             com = commutator(forward[names[i]], forward[names[j]], H.table)
             table.set_rule_by_index(i, j, move(com, f"[{names[i]},{names[j]}]"))
-    coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})")
-                 for y in names}
-    return coproduct, None if casimir is None else move(casimir, "casimir limit")
+    memo = {}
+    coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})",
+                         memo) for y in names}
+    return coproduct, None if casimir is None else move(casimir, "casimir limit", memo)
 
 
 def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfPresentation:

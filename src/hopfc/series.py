@@ -152,7 +152,8 @@ class Ring:
         return Series(self, {})
 
     def const(self, c):
-        return Series(self, {(0,) * self.space.dim: _frac(c)})
+        c = _frac(c)
+        return _series(self, (c.denominator, {self.codec.zero: c.numerator}) if c else (1, {}))
 
     def one(self):
         return self.const(1)
@@ -206,6 +207,47 @@ class Codec:
         self.limit = (span + 1) << shift
         # pack(e) = zero + sum(e_i * steps_i): one unit in field i and w_i in the top
         self.steps = tuple((1 << s) + (w << shift) for s, w in zip(self.shifts, space.weights))
+        self.routes = {}
+
+    def field(self, i):
+        """``(mask, zero)`` of field i: ``p & mask`` is below, at or above
+        ``zero`` as exponent i of the key ``p`` is below, at or above 0."""
+        s = self.shifts[i]
+        return ((self.caps[i] << 2) - 1) << s, self.offsets[i] << s
+
+    def route(self, dst):
+        """How keys move to the codec ``dst``, symbols matched by name, as
+        ``(dmask, dzero, base, fields, checked, take)``.  A key ``p`` has a
+        nonzero exponent on a symbol ``dst`` lacks when ``p & dmask != dzero``;
+        otherwise its key over ``dst`` is ``base`` plus, per
+        ``(s, m, step)`` of ``fields``, ``((p >> s) & m) * step``.  That sum
+        reads true under the flag test of ``dst`` once every ``(s, m, a, b)``
+        of ``checked``, a field whose range ``dst`` cannot take whole, has
+        ``a <= (p >> s) & m < b``.  ``take`` gives the source index of each
+        destination symbol (None for a new one), for ``pack``."""
+        if (r := self.routes.get(dst.ring)) is not None:
+            return r
+        pos = {s: i for i, s in enumerate(self.ring.space.symbols)}
+        take = tuple(pos.get(s) for s in dst.ring.space.symbols)
+        dmask = dzero = 0
+        for i, s in enumerate(self.ring.space.symbols):
+            if not dst.ring.space.has(s):
+                mask, zero = self.field(i)
+                dmask, dzero = dmask | mask, dzero | zero
+        base, fields, checked = dst.zero, [], []
+        for j, i in enumerate(take):
+            if i is None:
+                continue
+            s, m, off = self.shifts[i], (self.caps[i] << 2) - 1, self.offsets[i]
+            lo, hi = self.lows[i], self.lows[i] + self.caps[i]
+            lo_j, cap_j = dst.lows[j], dst.caps[j]
+            base -= off * dst.steps[j]
+            fields.append((s, m, dst.steps[j]))
+            # the flag test is exact while e - lo_j stays in [-2 cap_j, 2 cap_j)
+            if not (lo_j - 2 * cap_j <= lo and hi <= lo_j + 2 * cap_j):
+                checked.append((s, m, off + lo_j, off + lo_j + cap_j))
+        r = self.routes[dst.ring] = dmask, dzero, base, tuple(fields), tuple(checked), take
+        return r
 
     def pack(self, exps):
         """The key of ``exps``, or None above the order.  Exponents below
@@ -346,20 +388,31 @@ class Series:
     def to(self, ring):
         """The same series over ``ring``, symbols matched by name: a symbol
         ``ring`` lacks must have exponent 0 in every term, a symbol new to
-        ``ring`` gets exponent 0, and ``ring``'s order and floor apply."""
-        src, dst = self.space.symbols, ring.space.symbols
-        pos = {s: i for i, s in enumerate(src)}
-        take = [pos.get(s) for s in dst]
-        drop = [i for i, s in enumerate(src) if not ring.space.has(s)]
-        unpack, pack = self.ring.codec.unpack, ring.codec.pack
+        ``ring`` gets exponent 0, and ``ring``'s order and floor apply.  Each
+        key moves by its fields (``Codec.route``); one that ``ring`` cannot
+        hold as it is goes through ``Codec.pack``, which raises or drops it
+        in ``pack``'s order."""
+        if ring == self.ring:
+            return self
+        src, dst = self.ring.codec, ring.codec
+        dmask, dzero, base, fields, checked, take = src.route(dst)
+        flags, guards, limit = dst.flags, dst.guards, dst.limit
         d, t = self.raw
         out = {}
         for p, n in t.items():
-            e = unpack(p)
-            if any(e[i] for i in drop):
-                raise StructureError(f"term {e} carries symbols outside {dst}")
-            if (q := pack(tuple(0 if i is None else e[i] for i in take))) is not None:
-                out[q] = n
+            if p & dmask != dzero:
+                raise StructureError(f"term {src.unpack(p)} carries symbols outside "
+                                     f"{ring.space.symbols}")
+            q = base + sum([((p >> s) & m) * step for s, m, step in fields])
+            if q & flags != guards or checked and not all(
+                    a <= (p >> s) & m < b for s, m, a, b in checked):
+                e = src.unpack(p)
+                q = dst.pack(tuple(0 if i is None else e[i] for i in take))
+                if q is None:
+                    continue
+            elif q >= limit:
+                continue
+            out[q] = n
         return _series(ring, _reduce((d, out)))
 
     def substitute(self, sigma, ring=None):
@@ -369,32 +422,20 @@ class Series:
         that of the images (they must agree) unless given explicitly."""
         if ring is None:
             ring = next((img.ring for img in sigma.values()), self.ring)
-        images = {}
-        for name in self.space.symbols:
-            if name in sigma:
-                images[name] = sigma[name].to(ring)
-            else:
-                images[name] = ring.symbol(name)
-
-        out = ring.zero()
-        for e, c in self.terms.items():
-            term = ring.const(c)
-            for name, exp in zip(self.space.symbols, e):
-                if exp:
-                    term = term * images[name] ** exp
-            out = out + term
-        return out
+        return substitution(self.space, sigma, ring)(self)
 
     def zero_slice(self, name, context=""):
         """Set ``name`` to zero, keeping the ring: positive powers vanish,
         negative powers raise DivergenceError (tagged with ``context``)."""
         i = self.space.index(name)
-        terms = self.terms
-        bad = sorted(e for e in terms if e[i] < 0)
-        if bad:
+        mask, zero = self.ring.codec.field(i)
+        d, t = self.raw
+        if any(p & mask < zero for p in t):
+            terms = self.terms
+            bad = sorted(e for e in terms if e[i] < 0)
             raise DivergenceError([self._render_term(e, terms[e]) for e in bad],
                                   context=context)
-        return Series(self.ring, {e: c for e, c in terms.items() if e[i] == 0})
+        return _series(self.ring, _reduce((d, {p: n for p, n in t.items() if p & mask == zero})))
 
     def limit_zero(self, name=EPS, context=""):
         """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
@@ -433,6 +474,33 @@ def _series(ring, raw):
     return s
 
 
+def substitution(space, sigma, ring):
+    """``Series.substitute`` prepared once for many series over ``space``:
+    the images move to ``ring`` here, and each power of an image is
+    computed once, on first use.  Per term, the constant is multiplied by
+    the powers of the images in symbol order, and the terms are summed."""
+    images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in space.symbols]
+    powers = {}
+    one = ring.codec.zero
+
+    def apply(x):
+        unpack = x.ring.codec.unpack
+        d, t = x.raw
+        out = (1, {})
+        for p, n in t.items():
+            term = d, {one: n}
+            for i, e in enumerate(unpack(p)):
+                if e:
+                    if (pw := powers.get((i, e))) is None:
+                        pw = powers[i, e] = (images[i] ** e).raw
+                    term = term and _product(ring, term, pw)
+            if term:
+                out = _add_into(out, term)
+        return _series(ring, _reduce(out))
+
+    return apply
+
+
 def _reduce(r):
     """The raw form ``r``, whose dict holds no zero, in lowest terms: one gcd
     divided out.  An empty dict gives ``(1, {})``."""
@@ -462,25 +530,12 @@ def _add_into(acc, r):
     return m, t
 
 
-def _product(ring, r1, r2):
-    """The product of two raw forms over ``ring``, in lowest terms, or None
-    if it is zero.  Per term pair, one int add gives the key: a pair above
+def _mul_terms(codec, t1, t2):
+    """The product of two term dicts ``{key: n}`` over ``codec``'s ring,
+    with no zero.  Per term pair, one int add gives the key: a pair above
     the order is dropped, and then a kept pair with a field below the floor
     or too large raises, as ``Codec.pack`` does for its exponents."""
-    codec = ring.codec
     zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
-    (d1, t1), (d2, t2) = r1, r2
-    if len(t1) == 1 == len(t2):
-        ((p1, n1),) = t1.items()
-        ((p2, n2),) = t2.items()
-        p = p1 + p2 - zero
-        if p >= limit:
-            return None
-        if p & flags != guards:
-            codec.pack(codec.unpack(p))      # raises
-        n, d = n1 * n2, d1 * d2
-        g = math.gcd(n, d)
-        return d // g, {p: n // g}
     out = {}
     for p1, n1 in t1.items():
         q = p1 - zero
@@ -490,8 +545,16 @@ def _product(ring, r1, r2):
                 if p & flags != guards:
                     codec.pack(codec.unpack(p))      # raises
                 out[p] = out.get(p, 0) + n1 * n2
-    out = {p: n for p, n in out.items() if n}
-    return _reduce((d1 * d2, out)) if out else None
+    # two keys can meet only when both sides have more than one term
+    return {p: n for p, n in out.items() if n} if len(t1) > 1 < len(t2) else out
+
+
+def _product(ring, r1, r2):
+    """The product of two raw forms over ``ring``, in lowest terms, or None
+    if it is zero (``_mul_terms``)."""
+    (d1, t1), (d2, t2) = r1, r2
+    t = _mul_terms(ring.codec, t1, t2)
+    return _reduce((d1 * d2, t)) if t else None
 
 
 # ---------------------------------------------------------------------------

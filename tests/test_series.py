@@ -16,6 +16,7 @@ from hopfc.errors import (
 from hopfc.series import (
     DEFAULT_FLOOR,
     WEIGHT0_LIMIT,
+    Codec,
     ParamSpace,
     Ring,
     Series,
@@ -567,3 +568,200 @@ def test_weight0_exponent_too_large_for_its_field_raises():
         b * b
     with pytest.raises(FloorUnderflowError):
         ring.term({"B": -4}) * ring.term({"B": -1})
+
+
+# ---------------------------------------------------------------------------
+# key-level ring change, slice, substitution and constants against
+# term-level references
+# ---------------------------------------------------------------------------
+
+#: symbol specs to draw spaces from: invertible of weight 1 and 0, plain of
+#: weight 1, 0 and 2
+POOL = {"a": ("a", 1, False), "eps": ("eps", 1, True), "B": ("B", 0, True),
+        "kappa": ("kappa", 0, False), "b": ("b", 2, False), "xi": ("xi", 1, False)}
+
+
+def terms_product(ring, x, y):
+    """``naive_product`` on ``{exponents: Fraction}`` dicts."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(map(operator.add, e1, e2))
+            if ring.space.wdeg(e) > ring.order:
+                continue
+            if any(iv and v < ring.floor for v, iv in zip(e, ring.space.invertible)):
+                raise FloorUnderflowError([e])
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_to(s, ring):
+    """``s.to(ring)`` one exponent vector at a time through ``Series``."""
+    out = {}
+    for e, c in s.terms.items():
+        by_name = dict(zip(s.space.symbols, e))
+        if any(v for n, v in by_name.items() if not ring.space.has(n)):
+            raise StructureError(f"{e} has a symbol outside {ring.space.symbols}")
+        out.update(Series(ring, {tuple(by_name.get(n, 0) for n in ring.space.symbols): c}).terms)
+    return out
+
+
+def render(space, e, c):
+    mono = "*".join(f"{n}^{v}" if v != 1 else n for n, v in zip(space.symbols, e) if v)
+    return f"{c}*{mono}" if mono else f"{c}"
+
+
+def ref_zero_slice(s, name, context):
+    i = s.space.index(name)
+    terms = s.terms
+    bad = sorted(e for e in terms if e[i] < 0)
+    if bad:
+        raise DivergenceError([render(s.space, e, terms[e]) for e in bad], context=context)
+    return {e: c for e, c in terms.items() if e[i] == 0}
+
+
+def ref_substitute(x, sigma, ring):
+    """Per term: the constant times each image's power in symbol order, the
+    powers as repeated truncated products, summed with ``Fraction``s."""
+    images = {}
+    for n in x.space.symbols:
+        if n in sigma:
+            images[n] = ref_to(sigma[n], ring)
+        elif ring.space.has(n):
+            images[n] = Series(ring, {tuple(int(m == n) for m in ring.space.symbols): 1}).terms
+        else:
+            raise StructureError(f"{n} not in {ring.space.symbols}")
+    zero = (0,) * ring.space.dim
+    out = {}
+    for e, c in x.terms.items():
+        term = {zero: c}
+        for n, k in zip(x.space.symbols, e):
+            if k > 0:
+                power = {zero: F(1)}
+                for _ in range(k):
+                    power = terms_product(ring, power, images[n])
+            elif k < 0:
+                if len(images[n]) != 1:
+                    raise StructureError("can only invert single-term series")
+                ((v, c1),) = images[n].items()
+                power = Series(ring, {tuple(-u * -k for u in v): 1 / c1 ** -k}).terms
+            if k:
+                term = terms_product(ring, term, power)
+        for v, c1 in term.items():
+            out[v] = out.get(v, F(0)) + c1
+    return {v: c for v, c in out.items() if c}
+
+
+def agree(got_fn, want_fn, ring):
+    """Both raise the same error (the same text for a divergence), or both
+    give one series over ``ring``: its terms, and its raw form."""
+    try:
+        want = want_fn()
+    except (DivergenceError, FloorUnderflowError, StructureError) as exc:
+        with pytest.raises(type(exc)) as info:
+            got_fn()
+        assert type(info.value) is type(exc)
+        if isinstance(exc, DivergenceError):
+            assert str(info.value) == str(exc)
+        return
+    got = got_fn()
+    assert got.ring == ring and got.terms == want
+    assert got.raw == Series(ring, want).raw
+
+
+@st.composite
+def _rings(draw):
+    names = draw(st.lists(st.sampled_from(sorted(POOL)), min_size=1, max_size=4, unique=True))
+    space = ParamSpace.make(*(POOL[n] for n in names))
+    if draw(st.integers(0, 4)) == 0:
+        return Ring.exact(space)
+    return Ring(space, draw(st.integers(0, 5)), draw(st.integers(-4, -1)))
+
+
+@st.composite
+def _series_over(draw, ring, small=False):
+    """Up to 5 kept terms over ``ring``; unless ``small``, exponents reach
+    past a lower order and floor (on the untruncated ring, far enough below
+    a floor to borrow from the next field of a key that does not check),
+    and weight-0 ones sit near their field's bound."""
+    def exponent(w, iv):
+        lo = max(ring.floor, -200) if iv else 0
+        if small:
+            return st.integers(max(lo, -2), 3)
+        near = st.integers(2**32 - 8, 2**32 - 1) if iv else st.integers(2**31 - 4, 2**31 - 1)
+        return st.one_of(st.integers(max(lo, -6), 9), st.integers(lo, 9),
+                         *[near] * (w == 0))
+
+    exps = st.tuples(*(exponent(w, iv) for w, iv in zip(ring.space.weights, ring.space.invertible)))
+    coeff = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    terms = draw(st.dictionaries(exps.filter(lambda e: _packs(ring, e)), coeff, max_size=5))
+    return Series(ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_key_level_coefficient_ops_match_term_level_references(data):
+    src, dst = data.draw(_rings()), data.draw(_rings())
+    s = data.draw(_series_over(src))
+    agree(lambda: s.to(dst), lambda: ref_to(s, dst), dst)
+
+    name = data.draw(st.sampled_from(src.space.symbols))
+    agree(lambda: s.zero_slice(name, "ctx"), lambda: ref_zero_slice(s, name, "ctx"), src)
+
+    c = data.draw(st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+    agree(lambda: dst.const(c), lambda: Series(dst, {(0,) * dst.space.dim: c}).terms, dst)
+
+    x = data.draw(_series_over(src, small=True))
+    sigma = {}
+    for n in data.draw(st.lists(st.sampled_from(src.space.symbols), unique=True)):
+        ring = data.draw(st.sampled_from([dst, dst, src]))
+        sigma[n] = data.draw(_series_over(ring, small=True))
+    agree(lambda: x.substitute(sigma, dst), lambda: ref_substitute(x, sigma, dst), dst)
+
+
+def test_to_from_the_untruncated_ring_checks_fields_it_cannot_hold():
+    # a field of the untruncated ring spans far more than one of order 2:
+    # eps^-68 would borrow from the key's next field and pass the flag test
+    # of the narrow one, and a^40 eps^-40 would carry into it
+    src, dst = Ring.exact(SPE), Ring(SPE, 2, floor=-4)
+    for e in range(-150, 1):
+        for s in (src.term({"eps": e}), src.term({"a": -e, "eps": e}),
+                  src.term({"a": 1, "eps": e}) + src.term({"eps": 1})):
+            agree(lambda: s.to(dst), lambda: ref_to(s, dst), dst)
+    s = src.term({"a": 2, "eps": -1}) + src.term({"a": 40, "eps": -40}) + src.term({"a": 9})
+    with pytest.raises(FloorUnderflowError):
+        s.to(dst)
+
+
+def test_substitute_takes_every_power_of_a_term():
+    # at order 2, a^3 is zero, so the term a^3 eps^-1 is zero before eps^-1
+    # is reached; the inverse of eps + eps^2 is still asked for, and refused
+    ring = Ring(SPE, 2)
+    x = ring.term({"a": 3, "eps": -1}) + ring.symbol("a")
+    sigma = {"eps": ring.symbol("eps") + ring.term({"eps": 2})}
+    with pytest.raises(StructureError, match="single-term"):
+        x.substitute(sigma)
+    agree(lambda: x.substitute(sigma), lambda: ref_substitute(x, sigma, ring), ring)
+
+
+def test_ring_change_and_slice_work_on_keys(monkeypatch):
+    # to and zero_slice of a 50-term series move and test int keys: not one
+    # exponent vector is unpacked or packed
+    ring = Ring(SPK, 6)
+    s = Series(ring, {(i % 3, i, i % 5 // 2, i % 2): F(i + 1, 7) for i in range(50)})
+    wider = Ring(ParamSpace.make("xi", *(POOL[n] for n in ("a", "kappa", "eps", "b"))), 6)
+    lower = Ring(SPK, 3, floor=-2)
+    want = [Series(r, w).raw for r, w in ((wider, ref_to(s, wider)), (lower, ref_to(s, lower)),
+                                          (ring, ref_zero_slice(s, "eps", "")),
+                                          (ring, ref_zero_slice(s, "b", "")))]
+    calls = []
+    for name in ("pack", "unpack"):
+        def counted(self, arg, _op=getattr(Codec, name), _name=name):
+            calls.append(_name)
+            return _op(self, arg)
+        monkeypatch.setattr(Codec, name, counted)
+    got = [s.to(wider), s.to(lower), s.zero_slice("eps"), s.zero_slice("b")]
+    assert calls == []
+    assert [g.raw for g in got] == want
+    # the counters see a term-level read
+    assert len(s.terms) == 50 and calls == ["unpack"] * 50

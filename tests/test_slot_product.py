@@ -105,12 +105,24 @@ def tensors(draw, table, rank):
     return TensorElement(rank, table.gens, table.ring, terms)
 
 
-@settings(max_examples=120, deadline=None)
+def flipped(draw, x):
+    """``x`` with the signs of some terms of each coefficient flipped: a key
+    paired with itself then has c1 * c2 = u^2 - v^2, whose cross terms
+    cancel."""
+    terms = {}
+    for k, c in x.terms.items():
+        flips = draw(st.lists(st.booleans(), min_size=len(c.terms), max_size=len(c.terms)))
+        terms[k] = Series(c.ring, {e: -v if f else v for (e, v), f in zip(c.terms.items(), flips)})
+    return TensorElement(x.rank, x.gens, x.ring, terms)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_slot_product_matches_series_reference(data):
     table = data.draw(tables())
-    rank = data.draw(st.sampled_from([1, 2]))
-    x, y = data.draw(tensors(table, rank)), data.draw(tensors(table, rank))
+    rank = data.draw(st.sampled_from([1, 2, 3]))
+    x = data.draw(tensors(table, rank))
+    y = flipped(data.draw, x) if data.draw(st.booleans()) else data.draw(tensors(table, rank))
     if rank == 1:
         x, y = (Element(t.gens, t.ring, t.terms) for t in (x, y))
         got = outcome(lambda: mul(x, y, table))
@@ -151,6 +163,20 @@ def test_truncation_follows_the_association():
     other = {(m0, m1): p for m0, v0 in nf.items() for m1, v1 in nf.items()
              if (p := c * v0 * v1)}
     assert set(other) - set(got.terms)
+
+
+def test_a_cancelled_pair_coefficient_is_not_carried_on():
+    # at order 3, floor -2: (u + 1)(u - 1) with u = a^4 eps^-2 is -1, as u^2
+    # is above the order and the cross terms cancel; carried on, a cross
+    # term times the a^2 eps^-1 / 6 of nf(Jm Jp) would fall below the floor
+    t = eps_table(3, -2)
+    u = t.ring.term({"a": 4, "eps": -2})
+    for rank in (1, 2):
+        x = TensorElement.outer([t.gen("Jm", coeff=u + 1)] + [t.gen("I")] * (rank - 1))
+        y = TensorElement.outer([t.gen("Jp", coeff=u - 1)] + [t.gen("I")] * (rank - 1))
+        got = tensor_mul(x, y, t)
+        assert got.terms == ref_product(x, y, t)
+        assert any(c.terms == {(2, -1): F(1, 6)} for c in got.terms.values())
 
 
 def test_tensor_mul_refuses_a_table_over_another_ring():
