@@ -241,38 +241,23 @@ def _rescale(acc, d):
     return D // d
 
 
-def _add_terms(acc, k, codec, t, c, f):
-    """``acc[k] += f * t * c`` over int terms (``t`` alone if ``c`` is
-    None): the product is taken as ``_mul_terms`` takes it, then added term
-    by term; a key whose terms all cancel leaves ``acc``, and a product
-    with no term changes nothing."""
-    if c is not None and len(t) > 1 < len(c):
-        t, c = _mul_terms(codec, t, c), None
-    if new := (a := acc.get(k)) is None:
-        a = {}
-    if c is None:
-        for p, n in t.items():
-            if n := a.get(p, 0) + n * f:
-                a[p] = n
-            else:
-                del a[p]
-    else:
-        # one side has one term: no two pairs meet on a key
-        zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
-        for p1, n1 in t.items():
-            q, n1 = p1 - zero, n1 * f
-            for p2, n2 in c.items():
-                if (p := q + p2) < limit:
-                    if p & flags != guards:
-                        codec.pack(codec.unpack(p))      # raises
-                    if n := a.get(p, 0) + n1 * n2:
-                        a[p] = n
-                    else:
-                        del a[p]
-    if new:
-        if a:
-            acc[k] = a
-    elif not a:
+def _add_terms(acc, k, t, f):
+    """``acc[k] += f * t`` over int term dicts; ``acc`` takes ownership of
+    ``t``.  A key whose terms all cancel leaves ``acc``, and an empty ``t``
+    changes nothing."""
+    if (a := acc.get(k)) is None:
+        if t:
+            if f != 1:
+                for p in t:
+                    t[p] *= f
+            acc[k] = t
+        return
+    for p, n in t.items():
+        if n := a.get(p, 0) + n * f:
+            a[p] = n
+        else:
+            del a[p]
+    if not a:
         del acc[k]
 
 
@@ -292,22 +277,12 @@ def _flat(x):
                for ms, c in x.terms.items() for e, t in (c.raw,)]
 
 
-def _accumulate(acc, k, p, summed):
-    """``acc[k] += p`` over raw forms in lowest terms; ``acc`` takes
-    ownership of ``p``'s dict, and the key of every sum goes into the set
-    ``summed``."""
-    if k not in acc:
-        acc[k] = p
-    elif (s := _add_into(acc[k], p))[1]:
-        acc[k] = s
-        summed.add(k)
-    else:
-        del acc[k]
-
-
-def _summed(rank, gens, ring, acc, summed):
-    """The tensor of ``acc`` from ``_accumulate``, its sums reduced here."""
-    return _tensor(rank, gens, ring, {k: _reduce(r) if k in summed else r for k, r in acc.items()})
+def _summed(rank, gens, ring, acc):
+    """The tensor of an accumulator ``[d, {key: {p: n}}]`` (or of a normal
+    form), each coefficient reduced here."""
+    d, terms = acc
+    return _tensor(rank, gens, ring,
+                   {k: (d, t) if d == 1 else _reduce((d, t)) for k, t in terms.items()})
 
 
 def _outer_terms(factors, product):
@@ -431,7 +406,7 @@ class RewriteTable:
                         c = c[1]
                     f = _rescale(acc, d)
                     for m, t in terms.items():
-                        _add_terms(acc[1], m, codec, t, c, f)
+                        _add_terms(acc[1], m, dict(t) if c is None else _mul_terms(codec, t, c), f)
                 if parts:
                     word = parts[-1][0]
                     break
@@ -443,8 +418,7 @@ class RewriteTable:
     def nf_word(self, word, coeff=None):
         """Normal form of a raw word, optionally scaled by a coefficient."""
         self.reset_budget()
-        d, terms = self._nf_word(tuple(word))
-        res = _tensor(1, self.gens, self.ring, {k: _reduce((d, t)) for k, t in terms.items()})
+        res = _summed(1, self.gens, self.ring, self._nf_word(tuple(word)))
         return res if coeff is None else res.scale(coeff)
 
     def check(self, x: Element):
@@ -487,10 +461,8 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
                 d *= e
             f = _rescale(acc, d)
             for k, t in _outer_terms([u for _, u in slots], mul_terms).items():
-                _add_terms(acc[1], k, codec, t, c, f)
-    d, out = acc
-    return _tensor(x.rank, x.gens, ring,
-                   {k: (d, t) if d == 1 else _reduce((d, t)) for k, t in out.items()})
+                _add_terms(acc[1], k, mul_terms(t, c), f)
+    return _summed(x.rank, x.gens, ring, acc)
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
@@ -579,15 +551,17 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
         coeff = lambda c: c.to(ring)    # noqa: E731
     else:
         coeff = substitution(x.ring.space, param_sub, ring)
-    acc, summed = {}, set()
+    mul_terms = partial(_mul_terms, ring.codec)
+    acc = [1, {}]
     for ms, c in x.terms.items():
         if c2 := coeff(c):
+            e, u = c2.raw
             outer = _outer_terms([{k: v.raw for k, v in image(m).terms.items()} for m in ms],
                                  partial(_product, ring))
-            for k, t in outer.items():
-                if p := _product(ring, t, c2.raw):
-                    _accumulate(acc, k, p, summed)
-    return _summed(x.rank, table_target.gens, ring, acc, summed)
+            for k, (d, t) in outer.items():
+                if t := mul_terms(t, u):
+                    _add_terms(acc[1], k, t, _rescale(acc, d * e))
+    return _summed(x.rank, table_target.gens, ring, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +576,16 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     antipode) runs through here.  ``memo`` is passed on to ``monomial_image``."""
     t.ring.check_same(unit.ring)
     memo = {} if memo is None else memo
-    acc, summed = {}, set()
+    mul_terms = partial(_mul_terms, t.ring.codec)
+    acc = [1, {}]
     for ms, c in t.terms.items():
         img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
+        d, u = c.raw
         for ms2, c2 in img.terms.items():
-            if p := _product(t.ring, c.raw, c2.raw):
-                _accumulate(acc, ms[:slot] + ms2 + ms[slot + 1:], p, summed)
-    return _summed(t.rank - 1 + unit.rank, t.gens, t.ring, acc, summed)
+            e, v = c2.raw
+            if w := mul_terms(u, v):
+                _add_terms(acc[1], ms[:slot] + ms2 + ms[slot + 1:], w, _rescale(acc, d * e))
+    return _summed(t.rank - 1 + unit.rank, t.gens, t.ring, acc)
 
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:

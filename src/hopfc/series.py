@@ -224,7 +224,9 @@ class Codec:
         reads true under the flag test of ``dst`` once every ``(s, m, a, b)``
         of ``checked``, a field whose range ``dst`` cannot take whole, has
         ``a <= (p >> s) & m < b``.  ``take`` gives the source index of each
-        destination symbol (None for a new one), for ``pack``."""
+        destination symbol (None for a new one), for ``pack``.  A plan is
+        kept on this codec, keyed by the destination ring, for as long as
+        the codec's ring lives."""
         if (r := self.routes.get(dst.ring)) is not None:
             return r
         pos = {s: i for i, s in enumerate(self.ring.space.symbols)}
