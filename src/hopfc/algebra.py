@@ -342,7 +342,9 @@ class RewriteTable:
 
     def set_rule_by_index(self, i, j, rhs: Element):
         """Install/replace the rule for positions i > j (two-phase table
-        construction); invalidates the normal-form cache."""
+        construction).  The normal-form cache is emptied only if a normal
+        form read this pair since it was last emptied, since no other normal
+        form depends on the rule; returns whether it was emptied."""
         if i <= j:
             raise StructureError("rewrite rules require i > j")
         if (self.gens.central[i] or self.gens.central[j]) and rhs:
@@ -350,8 +352,11 @@ class RewriteTable:
                 f"nonzero rule on central pair ({self.gens.names[i]}, {self.gens.names[j]})"
             )
         self.rules[(i, j)] = rhs
+        if (i, j) not in self._rule_parts:
+            return False
         self._nf_cache = {}
         self._rule_parts = {}
+        return True
 
     def set_rule(self, xname, yname, bracket):
         """Declare [X, Y] = bracket for named generators, either order."""
@@ -538,7 +543,8 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     """Homomorphic substitution generator -> Element over the target algebra,
     slot by slot, with optional simultaneous parameter substitution on
     coefficients.  ``memo`` may carry monomial images from earlier calls
-    with the same ``images`` and the same target rules."""
+    with the same ``images``, made since the target's normal-form cache was
+    last emptied."""
     ring = table_target.ring
     unit = table_target.one()
     memo = {} if memo is None else memo

@@ -203,21 +203,25 @@ def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
     each new generator to an Element of ``H``, ``inverse`` each old generator
     to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
     each before it is first needed, then moves the coproducts and ``casimir``
-    (an Element of ``H`` or None) across, sharing one memo of monomial
-    images over the finished table; ``post(x, context)`` finishes every
-    moved map.  Returns ``(coproduct, casimir)``."""
-    def move(x, context, memo=None):
+    (an Element of ``H`` or None) across.  Every move shares one memo of
+    monomial images over ``table``; it is dropped only when a fill empties
+    the table's normal-form cache, i.e. replaces a rule that a product
+    read.  ``post(x, context)`` finishes every moved map.  Returns
+    ``(coproduct, casimir)``."""
+    memo = {}
+
+    def move(x, context):
         return post(substitute_generators(x, inverse, table, param_sub, memo), context)
 
     names = table.gens.names
     for i in range(len(names)):
         for j in range(i):
             com = commutator(forward[names[i]], forward[names[j]], H.table)
-            table.set_rule_by_index(i, j, move(com, f"[{names[i]},{names[j]}]"))
-    memo = {}
-    coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})",
-                         memo) for y in names}
-    return coproduct, None if casimir is None else move(casimir, "casimir limit", memo)
+            if table.set_rule_by_index(i, j, move(com, f"[{names[i]},{names[j]}]")):
+                memo.clear()
+    coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})")
+                 for y in names}
+    return coproduct, None if casimir is None else move(casimir, "casimir limit")
 
 
 def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfPresentation:
@@ -311,18 +315,20 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
     gens = H.gens
     order = H.ring.order
 
-    # invert order-by-order: old generator as Element over the primed basis
+    # invert order-by-order: old generator as Element over the primed basis,
+    # with one memo of monomial images per ``inverse`` map (each round, the check)
     inverse = {n: table.gen(n) for n in gens.names}
     for _ in range(order + 2):
-        nxt = {}
+        nxt, memo = {}, {}
         for n in gens.names:
             corr = forward[n] - table.gen(n)
-            nxt[n] = table.gen(n) - substitute_generators(corr, inverse, table)
+            nxt[n] = table.gen(n) - substitute_generators(corr, inverse, table, memo=memo)
         if all(nxt[n] == inverse[n] for n in gens.names):
             inverse = nxt
             break
         inverse = nxt
-    check = {n: substitute_generators(forward[n], inverse, table) for n in gens.names}
+    memo = {}
+    check = {n: substitute_generators(forward[n], inverse, table, memo=memo) for n in gens.names}
     for n in gens.names:
         if check[n] != table.gen(n):
             raise StructureError(f"basis map not invertible at order {order}: {n}")

@@ -301,6 +301,45 @@ def test_normal_form_depth_does_not_use_the_interpreter_stack():
     assert got == want
 
 
+def _cold_classical_table():
+    # gl2.classical over its own rules, nothing cached yet
+    H = fresh("gl2.classical")
+    return RewriteTable(H.gens, H.ring, H.table.rules)
+
+
+def test_setting_an_unread_rule_keeps_the_normal_form_cache():
+    t = _cold_classical_table()
+    jm_jp = mul(t.gen("Jm"), t.gen("Jp"), t)      # reads the pair (Jm, Jp) only
+    cached = dict(t._nf_cache)
+    i, j = t.gens.index("J3"), t.gens.index("Jp")
+    new = t.gen("Jp", coeff=t.scalar(3))
+    assert (i, j) not in t._rule_parts
+    assert t.set_rule_by_index(i, j, new) is False
+    assert t._nf_cache == cached
+    # the next products read both the kept entries and the new rule
+    ref = RewriteTable(t.gens, t.ring, t.rules)
+    for a, b, c in [("Jm", "Jp", "J3"), ("J3", "Jp", "Jm"), ("Jm", "J3", "Jp")]:
+        got = mul(mul(t.gen(a), t.gen(b), t), t.gen(c), t)
+        assert got == mul(mul(ref.gen(a), ref.gen(b), ref), ref.gen(c), ref)
+    assert mul(t.gen("J3"), t.gen("Jp"), t) == t.nf_word((j, i)) + new
+    assert mul(t.gen("Jm"), t.gen("Jp"), t) == jm_jp
+
+
+def test_setting_a_read_rule_empties_the_normal_form_cache():
+    t = _cold_classical_table()
+    i, j = t.gens.index("Jm"), t.gens.index("Jp")
+    old = mul(t.gen("Jm"), t.gen("Jp"), t)
+    assert (i, j) in t._rule_parts
+    new = t.gen("J3", coeff=t.scalar(-2))
+    assert t.set_rule_by_index(i, j, new) is True
+    assert not t._nf_cache and not t._rule_parts
+    got = mul(t.gen("Jm"), t.gen("Jp"), t)
+    assert got != old
+    assert got == t.nf_word((j, i)) + new
+    ref = RewriteTable(t.gens, t.ring, t.rules)
+    assert got == mul(ref.gen("Jm"), ref.gen("Jp"), ref)
+
+
 def test_step_budget_env(monkeypatch):
     # the budget is a module constant read at call time
     monkeypatch.setattr(algebra, "STEP_BUDGET", 1)

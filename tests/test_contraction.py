@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopfc import catalog
-from hopfc.algebra import RewriteTable, substitute_generators
+from hopfc import algebra, catalog, contraction
+from hopfc.algebra import RewriteTable, mul, substitute_generators
 from hopfc.contraction import (
     ContractionCase,
     ParamImage,
     _combo_element,
+    _transport,
     change_of_basis,
     classical_limit,
     contract_casimir,
@@ -259,3 +260,124 @@ def test_match_residual_lines(make, target, lines):
     m = match_presentation(make(), catalog.get(target, 3))
     assert m.match is False
     assert [str(r) for r in m.residuals] == lines
+
+
+# ---------------------------------------------------------------------------
+# the transport's one monomial-image memo
+# ---------------------------------------------------------------------------
+
+def _same_presentation(a, b):
+    return (a.name == b.name and a.ring == b.ring and a.gens == b.gens
+            and a.table.rules == b.table.rules and a.coproduct == b.coproduct
+            and a.counit == b.counit and a.casimir == b.casimir)
+
+
+@pytest.fixture
+def every_fill_clears(monkeypatch):
+    """Every ``set_rule_by_index`` empties the normal-form cache and reports
+    it, so the transport drops its memo after each rule: a fresh memo per
+    moved rule."""
+    orig = RewriteTable.set_rule_by_index
+
+    def clearing(table, i, j, rhs):
+        orig(table, i, j, rhs)
+        table._nf_cache, table._rule_parts = {}, {}
+        return True
+
+    return lambda: monkeypatch.setattr(RewriteTable, "set_rule_by_index", clearing)
+
+
+@pytest.fixture
+def unshared(monkeypatch):
+    """No monomial image outlives one ``substitute_generators`` call in
+    ``contraction``."""
+    def fresh_memo(x, images, table, param_sub=None, memo=None):
+        return substitute_generators(x, images, table, param_sub)
+
+    return lambda: monkeypatch.setattr(contraction, "substitute_generators", fresh_memo)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_contraction_is_the_same_without_a_shared_memo(name, order, every_fill_clears,
+                                                       unshared):
+    case = catalog.get_case(name)
+    shared = contract_hopf(case, order)
+    every_fill_clears()
+    assert _same_presentation(contract_hopf(case, order), shared)
+    unshared()
+    assert _same_presentation(contract_hopf(case, order), shared)
+
+
+def _chain_basis_map(order):
+    # Ap' = Ap + xi N and N' = N + xi Am: the inverse takes two rounds
+    t = catalog.get("h4.xi", order).table
+    xi = t.sym("xi")
+    return {"M": t.gen("M"), "Ap": t.gen("Ap") + t.gen("N", coeff=xi),
+            "N": t.gen("N") + t.gen("Am", coeff=xi), "Am": t.gen("Am")}
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("source, make_map", [
+    ("h4.betaplus.xi", catalog.basis_change_map), ("h4.xi", _chain_basis_map),
+], ids=["catalog", "chain"])
+def test_basis_change_is_the_same_without_a_shared_memo(source, make_map, order,
+                                                        every_fill_clears, unshared):
+    H, fwd = catalog.get(source, order), make_map(order)
+    shared = change_of_basis(H, fwd)
+    every_fill_clears()
+    assert _same_presentation(change_of_basis(H, fwd), shared)
+    unshared()
+    assert _same_presentation(change_of_basis(H, fwd), shared)
+
+
+def _transport_that_refills_a_read_rule():
+    """A transport over h4.classical in which a move reads the scaffold's
+    (Am, Ap) rule while it is still zero, and a later fill replaces it: the
+    old M goes to M + Am, and N' = N + Ap Am, Am' = Am + M Ap."""
+    H = catalog.get("h4.classical", 3)
+    t = H.table
+    forward = {n: t.gen(n) for n in H.gens.names}
+    forward["N"] = forward["N"] + mul(t.gen("Ap"), t.gen("Am"), t)
+    forward["Am"] = forward["Am"] + mul(t.gen("M"), t.gen("Ap"), t)
+    table = RewriteTable.commuting(H.gens, H.ring)
+    inverse = {n: table.gen(n) for n in H.gens.names}
+    inverse["M"] = inverse["M"] + table.gen("Am")
+    coproduct, casimir = _transport(H, forward, inverse, table, H.casimir,
+                                    lambda x, context: x)
+    return table.rules, coproduct, casimir
+
+
+def test_a_fill_that_replaces_a_read_rule_drops_the_memo(monkeypatch, every_fill_clears,
+                                                         unshared):
+    cleared = []
+    orig = RewriteTable.set_rule_by_index
+
+    def recorded(table, i, j, rhs):
+        cleared.append(orig(table, i, j, rhs))
+        return cleared[-1]
+
+    monkeypatch.setattr(RewriteTable, "set_rule_by_index", recorded)
+    got = _transport_that_refills_a_read_rule()
+    assert cleared == [False, False, False, False, True, False]    # the (Am, Ap) fill
+    every_fill_clears()
+    assert got == _transport_that_refills_a_read_rule()
+    unshared()
+    assert got == _transport_that_refills_a_read_rule()
+
+
+def test_contraction_work_bound(monkeypatch):
+    # the transport reuses monomial images across rules: 2,911 term pairs
+    # here, against 6,641 with a fresh memo per rule
+    case = catalog.get_case("Iplus.standard")
+    catalog.get(case.source, 8)
+    pairs = []
+    orig = algebra._slot_product
+
+    def counted(x, y, table):
+        pairs.append(len(x.terms) * len(y.terms))
+        return orig(x, y, table)
+
+    monkeypatch.setattr(algebra, "_slot_product", counted)
+    contract_hopf(case, 8)
+    assert sum(pairs) <= 3000
