@@ -13,7 +13,7 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import (Series, _add_into, _mul_terms, _product, _reduce, _series, substitution,
+from .series import (EXACT_ORDER, Series, _mul_terms, _reduce, _series, substitution,
                      taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
@@ -72,27 +72,41 @@ def _mono_str(names, m, full):
 
 
 class TensorElement:
-    """Finite linear combination ``{key: Series}`` over one generator set and
-    one coefficient ``Ring``; zero coefficients are never stored.  A key holds
-    one PBW monomial (exponent tuple) per slot, and ``rank`` is the number of
-    slots.  Rank 1 is ``Element``.
+    """Finite linear combination over one generator set and one coefficient
+    ``Ring``.  A key holds one PBW monomial (exponent tuple) per slot, and
+    ``rank`` is the number of slots.  Rank 1 is ``Element``.
+
+    Its one stored form is ``raw``, ``(d, {key: {p: n}})``: int numerators
+    ``n`` over one denominator ``d > 0`` in lowest terms, none zero and no
+    key without a term, each ``p`` a key of the ring's ``Codec``: the form
+    of the slot product's accumulator and of the normal-form cache.
+    ``terms``, ``{key: Series}``, is derived from it on every read, and is
+    what a constructor takes.
 
     Slot-wise PBW ordering; the tensor product algebra is the ordinary
     (unbraided) one."""
 
-    __slots__ = ("rank", "gens", "ring", "terms")
+    __slots__ = ("rank", "gens", "ring", "raw")
 
     def __init__(self, rank, gens, ring, terms):
         self.rank = rank
         self.gens = gens
         self.ring = ring
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.raw = _raw_of(ring, terms)
 
-    def _with(self, terms):
-        """Same class, rank and ring over ``terms``, which hold no zero
-        coefficient."""
+    @property
+    def terms(self):
+        """``{key: Series}``, built afresh from ``raw``."""
+        d, t = self.raw
+        return {k: _series(self.ring, _reduce((d, u))) for k, u in t.items()}
+
+    def _with(self, raw, ring=None, gens=None):
+        """Same class and rank over ``raw``, a raw form over ``ring`` and
+        ``gens`` (by default this one's)."""
         new = object.__new__(type(self))
-        new.rank, new.gens, new.ring, new.terms = self.rank, self.gens, self.ring, terms
+        new.rank, new.raw = self.rank, raw
+        new.ring = self.ring if ring is None else ring
+        new.gens = self.gens if gens is None else gens
         return new
 
     @staticmethod
@@ -101,14 +115,14 @@ class TensorElement:
         f0 = factors[0]
         for f in factors[1:]:
             f0.ring.check_same(f.ring)
-        raw = _outer_terms([{k: c.raw for k, c in f.terms.items()} for f in factors],
-                           partial(_product, f0.ring))
-        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring, raw)
+        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
+                       _finish(*_outer([f.raw for f in factors], f0.ring.codec)))
 
     def permute(self, perm):
         """The slots reordered: slot ``s`` of the result is slot ``perm[s]``
         of this tensor."""
-        return self._with({tuple(ms[p] for p in perm): c for ms, c in self.terms.items()})
+        d, t = self.raw
+        return self._with((d, {tuple(ms[p] for p in perm): u for ms, u in t.items()}))
 
     def _compatible(self, other):
         if self.rank != other.rank:
@@ -118,10 +132,10 @@ class TensorElement:
         self.ring.check_same(other.ring)
 
     def is_zero(self):
-        return not self.terms
+        return not self.raw[1]
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.raw[1])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -129,24 +143,21 @@ class TensorElement:
         return (
             self.gens.names == other.gens.names
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     def __add__(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in terms:
-                d, t = terms[k].raw
-                c = _series(self.ring, _reduce(_add_into((d, dict(t)), c.raw)))
-            if c:
-                terms[k] = c
-            else:
-                del terms[k]
-        return self._with(terms)
+        acc = [1, {}]
+        for d, t in (self.raw, other.raw):
+            f = _rescale(acc, d)
+            for k, u in t.items():
+                _add_terms(acc[1], k, dict(u), f)
+        return self._with(_finish(*acc))
 
     def __neg__(self):
-        return self._with({k: -c for k, c in self.terms.items()})
+        d, t = self.raw
+        return self._with((d, {k: {p: -n for p, n in u.items()} for k, u in t.items()}))
 
     def __sub__(self, other):
         return self + (-other)
@@ -155,16 +166,15 @@ class TensorElement:
         """Multiply by a scalar Series / Fraction / int."""
         c = c if isinstance(c, Series) else self.ring.const(c)
         self.ring.check_same(c.ring)
-        return self._with({k: _series(self.ring, p) for k, v in self.terms.items()
-                           if (p := _product(self.ring, v.raw, c.raw))})
+        (d, t), (e, v) = self.raw, c.raw
+        mul_terms = partial(_mul_terms, self.ring.codec)
+        return self._with(_finish(d * e, {k: w for k, u in t.items() if (w := mul_terms(u, v))}))
 
     def map_coeffs(self, fn, ring=None, gens=None):
         """Apply ``fn`` to every coefficient; the result lives over the given
         ring and generator set (by default this one's)."""
-        new = self._with({k: d for k, c in self.terms.items() if (d := fn(c))})
-        new.ring = self.ring if ring is None else ring
-        new.gens = self.gens if gens is None else gens
-        return new
+        ring = self.ring if ring is None else ring
+        return self._with(_raw_of(ring, {k: fn(c) for k, c in self.terms.items()}), ring, gens)
 
     def to(self, ring):
         """This tensor with every coefficient moved to ``ring`` (``Series.to``)."""
@@ -175,7 +185,7 @@ class TensorElement:
         return slots if full else f"[{slots}]"
 
     def __str__(self):
-        if not self.terms:
+        if not self:
             return "0"
         return " + ".join(
             f"({c})*{self._render_key(k, False)}" for k, c in sorted(self.terms.items())
@@ -217,12 +227,22 @@ class Element(TensorElement):
         return _mono_str(self.gens.names, ms[0], full)
 
 
-def _tensor(rank, gens, ring, terms):
-    """The rank-``rank`` tensor (an ``Element`` at rank 1) over ``terms``,
-    ``{key: raw form}`` with none zero, each in lowest terms."""
+def _raw_of(ring, terms):
+    """The raw form of ``{key: Series}`` over ``ring``, zero coefficients
+    dropped: each coefficient's numerators over the lcm of the denominators,
+    which is in lowest terms as every coefficient is."""
+    for c in terms.values():
+        ring.check_same(c.ring)
+    d = math.lcm(*[c.raw[0] for c in terms.values()])
+    return d, {k: t if e == d else {p: n * (d // e) for p, n in t.items()}
+               for k, c in terms.items() if c for e, t in (c.raw,)}
+
+
+def _tensor(rank, gens, ring, raw):
+    """The rank-``rank`` tensor (an ``Element`` at rank 1) over the raw form
+    ``raw``."""
     new = object.__new__(Element if rank == 1 else TensorElement)
-    new.gens, new.ring, new.rank = gens, ring, rank
-    new.terms = {k: _series(ring, r) for k, r in terms.items()}
+    new.rank, new.gens, new.ring, new.raw = rank, gens, ring, raw
     return new
 
 
@@ -262,38 +282,26 @@ def _add_terms(acc, k, t, f):
 
 
 def _finish(d, acc):
-    """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out."""
+    """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out: a
+    raw form."""
+    if d == 1:
+        return d, acc
     g = math.gcd(d, *(n for t in acc.values() for n in t.values()))
     if g == 1:
         return d, acc
     return d // g, {k: {p: n // g for p, n in t.items()} for k, t in acc.items()}
 
 
-def _flat(x):
-    """``(d, [(word per slot, {key: n})])``: the terms of ``x`` with int
-    numerators over one denominator ``d``."""
-    d = math.lcm(*[c.raw[0] for c in x.terms.values()])
-    return d, [([word_of(m) for m in ms], t if e == d else {p: n * (d // e) for p, n in t.items()})
-               for ms, c in x.terms.items() for e, t in (c.raw,)]
-
-
-def _summed(rank, gens, ring, acc):
-    """The tensor of an accumulator ``[d, {key: {p: n}}]`` (or of a normal
-    form), each coefficient reduced here."""
-    d, terms = acc
-    return _tensor(rank, gens, ring,
-                   {k: (d, t) if d == 1 else _reduce((d, t)) for k, t in terms.items()})
-
-
-def _outer_terms(factors, product):
-    """Tensor product of ``{key: coefficient}`` dicts: keys concatenate,
-    coefficients multiply left to right by ``product``, and products it
-    finds zero (None or empty) are dropped."""
-    terms = factors[0]
-    for f in factors[1:]:
+def _outer(raws, codec):
+    """Tensor product of raw forms over ``codec``'s ring: keys concatenate,
+    term dicts multiply left to right (``_mul_terms``) and empty products
+    are dropped, over the product of the denominators, not reduced."""
+    d, terms = raws[0]
+    for e, f in raws[1:]:
+        d *= e
         terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items()
-                 if (p := product(c, c2))}
-    return terms
+                 if (p := _mul_terms(codec, c, c2))}
+    return d, terms
 
 
 class RewriteTable:
@@ -393,8 +401,9 @@ class RewriteTable:
                 if (rule := rule_parts.get(pair)) is None:
                     rhs = self.rules[pair]
                     ring.check_same(rhs.ring)
-                    rule = rule_parts[pair] = [(word_of(m), c.raw)
-                                               for (m,), c in reversed(rhs.terms.items())]
+                    e, u = rhs.raw
+                    rule = rule_parts[pair] = [(word_of(m), (e, t))
+                                               for (m,), t in reversed(u.items())]
                 swapped = head + pair[::-1] + tail
                 parts = [(head + w + tail, c) for w, c in rule] + [(swapped, None)]
                 frames.append((word, parts, [1, {}]))
@@ -423,7 +432,7 @@ class RewriteTable:
     def nf_word(self, word, coeff=None):
         """Normal form of a raw word, optionally scaled by a coefficient."""
         self.reset_budget()
-        res = _summed(1, self.gens, self.ring, self._nf_word(tuple(word)))
+        res = _tensor(1, self.gens, self.ring, self._nf_word(tuple(word)))
         return res if coeff is None else res.scale(coeff)
 
     def check(self, x: Element):
@@ -446,7 +455,8 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     codec = ring.codec
     zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
     mul_terms = partial(_mul_terms, codec)
-    (d1, left), (d2, right) = _flat(x), _flat(y)
+    (d1, left), (d2, right) = ((d, [([word_of(m) for m in ms], t) for ms, t in terms.items()])
+                               for d, terms in (x.raw, y.raw))
     acc = [1, {}]
     for words1, t1 in left:
         for words2, t2 in right:
@@ -460,14 +470,11 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
                 c = {p: n1 * n2}
             elif not (c := mul_terms(t1, t2)):
                 continue
-            slots = [nf(w1 + w2) for w1, w2 in zip(words1, words2)]
-            d = d1 * d2
-            for e, _ in slots:
-                d *= e
-            f = _rescale(acc, d)
-            for k, t in _outer_terms([u for _, u in slots], mul_terms).items():
+            e, outer = _outer([nf(w1 + w2) for w1, w2 in zip(words1, words2)], codec)
+            f = _rescale(acc, d1 * d2 * e)
+            for k, t in outer.items():
                 _add_terms(acc[1], k, mul_terms(t, c), f)
-    return _summed(x.rank, x.gens, ring, acc)
+    return _tensor(x.rank, x.gens, ring, _finish(*acc))
 
 
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
@@ -488,16 +495,19 @@ def commutator(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
 def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     """Taylor expansion of the named function at an algebra-element argument.
 
-    The argument must have strictly positive parameter weight in every term
-    (so powers truncate) and its terms must commute pairwise."""
+    The ring must be truncated, the argument must have strictly positive
+    parameter weight in every term (so powers truncate) and its terms must
+    commute pairwise."""
     table.check(arg)
-    mw = min((c.min_wdeg() for c in arg.terms.values()), default=None)
+    if arg.ring.order == EXACT_ORDER:
+        raise NonTruncatableError(f"generator function over the untruncated ring: {arg}")
+    items = list(arg.terms.items())
+    mw = min((c.min_wdeg() for _, c in items), default=None)
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"generator-function argument has weight-{mw} term: {arg}")
-    items = list(arg.terms.items())
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
-            ta, tb = arg._with(dict([items[a]])), arg._with(dict([items[b]]))
+            ta, tb = (Element(arg.gens, arg.ring, dict([items[i]])) for i in (a, b))
             if commutator(ta, tb, table):
                 raise UnsupportedArgumentError(
                     f"non-commuting terms in analytic argument: {ta} vs {tb}"
@@ -553,7 +563,7 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
         return monomial_image(m, x.gens, images, unit,
                               lambda a, b: mul(a, b, table_target), memo)
 
-    if param_sub is None or not x.terms:
+    if param_sub is None or not x:
         coeff = lambda c: c.to(ring)    # noqa: E731
     else:
         coeff = substitution(x.ring.space, param_sub, ring)
@@ -562,12 +572,12 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     for ms, c in x.terms.items():
         if c2 := coeff(c):
             e, u = c2.raw
-            outer = _outer_terms([{k: v.raw for k, v in image(m).terms.items()} for m in ms],
-                                 partial(_product, ring))
-            for k, (d, t) in outer.items():
+            d, outer = _outer([image(m).raw for m in ms], ring.codec)
+            f = _rescale(acc, d * e)
+            for k, t in outer.items():
                 if t := mul_terms(t, u):
-                    _add_terms(acc[1], k, t, _rescale(acc, d * e))
-    return _summed(x.rank, table_target.gens, ring, acc)
+                    _add_terms(acc[1], k, t, f)
+    return _tensor(x.rank, table_target.gens, ring, _finish(*acc))
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +594,14 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     memo = {} if memo is None else memo
     mul_terms = partial(_mul_terms, t.ring.codec)
     acc = [1, {}]
-    for ms, c in t.terms.items():
-        img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
-        d, u = c.raw
-        for ms2, c2 in img.terms.items():
-            e, v = c2.raw
+    d, terms = t.raw
+    for ms, u in terms.items():
+        e, img = monomial_image(ms[slot], t.gens, images, unit, product, memo).raw
+        f = _rescale(acc, d * e)
+        for ms2, v in img.items():
             if w := mul_terms(u, v):
-                _add_terms(acc[1], ms[:slot] + ms2 + ms[slot + 1:], w, _rescale(acc, d * e))
-    return _summed(t.rank - 1 + unit.rank, t.gens, t.ring, acc)
+                _add_terms(acc[1], ms[:slot] + ms2 + ms[slot + 1:], w, f)
+    return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, _finish(*acc))
 
 
 def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:

@@ -177,12 +177,12 @@ class Codec:
     guard bit; the top field, unbounded, holds the weighted degree less its
     least value ``wlo``.  A field is wide enough for every exponent of a term
     at or below the order, and, for a weight-0 symbol, for every exponent
-    below ``WEIGHT0_LIMIT``: its bound, ``caps[i] + lows[i]``, is that limit
-    on a symbol that is not invertible and ``2^32 + lo_i`` on an invertible
-    one with a floor from -2^31 to -1.  Then ``pack(e1) + pack(e2) - zero`` is
-    ``pack(e1 + e2)`` without a borrow or carry between fields, the order
-    test is ``p >= limit``, and a field below its floor or past its width
-    shows as ``p & flags != guards``."""
+    below ``WEIGHT0_LIMIT``: its bound, ``tops[i] = caps[i] + lows[i]``, is
+    that limit on a symbol that is not invertible and ``2^32 + lo_i`` on an
+    invertible one with a floor from -2^31 to -1.  Then ``pack(e1) +
+    pack(e2) - zero`` is ``pack(e1 + e2)`` without a borrow or carry between
+    fields, the order test is ``p >= limit``, and a field below its floor or
+    past its width shows as ``p & flags != guards``."""
 
     def __init__(self, ring):
         space = ring.space
@@ -207,49 +207,8 @@ class Codec:
         self.limit = (span + 1) << shift
         # pack(e) = zero + sum(e_i * steps_i): one unit in field i and w_i in the top
         self.steps = tuple((1 << s) + (w << shift) for s, w in zip(self.shifts, space.weights))
-        self.routes = {}
-
-    def field(self, i):
-        """``(mask, zero)`` of field i: ``p & mask`` is below, at or above
-        ``zero`` as exponent i of the key ``p`` is below, at or above 0."""
-        s = self.shifts[i]
-        return ((self.caps[i] << 2) - 1) << s, self.offsets[i] << s
-
-    def route(self, dst):
-        """How keys move to the codec ``dst``, symbols matched by name, as
-        ``(dmask, dzero, base, fields, checked, take)``.  A key ``p`` has a
-        nonzero exponent on a symbol ``dst`` lacks when ``p & dmask != dzero``;
-        otherwise its key over ``dst`` is ``base`` plus, per
-        ``(s, m, step)`` of ``fields``, ``((p >> s) & m) * step``.  That sum
-        reads true under the flag test of ``dst`` once every ``(s, m, a, b)``
-        of ``checked``, a field whose range ``dst`` cannot take whole, has
-        ``a <= (p >> s) & m < b``.  ``take`` gives the source index of each
-        destination symbol (None for a new one), for ``pack``.  A plan is
-        kept on this codec, keyed by the destination ring, for as long as
-        the codec's ring lives."""
-        if (r := self.routes.get(dst.ring)) is not None:
-            return r
-        pos = {s: i for i, s in enumerate(self.ring.space.symbols)}
-        take = tuple(pos.get(s) for s in dst.ring.space.symbols)
-        dmask = dzero = 0
-        for i, s in enumerate(self.ring.space.symbols):
-            if not dst.ring.space.has(s):
-                mask, zero = self.field(i)
-                dmask, dzero = dmask | mask, dzero | zero
-        base, fields, checked = dst.zero, [], []
-        for j, i in enumerate(take):
-            if i is None:
-                continue
-            s, m, off = self.shifts[i], (self.caps[i] << 2) - 1, self.offsets[i]
-            lo, hi = self.lows[i], self.lows[i] + self.caps[i]
-            lo_j, cap_j = dst.lows[j], dst.caps[j]
-            base -= off * dst.steps[j]
-            fields.append((s, m, dst.steps[j]))
-            # the flag test is exact while e - lo_j stays in [-2 cap_j, 2 cap_j)
-            if not (lo_j - 2 * cap_j <= lo and hi <= lo_j + 2 * cap_j):
-                checked.append((s, m, off + lo_j, off + lo_j + cap_j))
-        r = self.routes[dst.ring] = dmask, dzero, base, tuple(fields), tuple(checked), take
-        return r
+        self.tops = tuple(map(operator.add, self.lows, self.caps))
+        self.masks = tuple((cap << 2) - 1 for cap in self.caps)
 
     def pack(self, exps):
         """The key of ``exps``, or None above the order.  Exponents below
@@ -259,6 +218,10 @@ class Codec:
         space = self.ring.space
         if len(exps) != space.dim:
             raise StructureError(f"exponent vector {exps} does not fit {space.symbols}")
+        if all(map(operator.le, self.lows, exps)) and all(map(operator.lt, exps, self.tops)):
+            # every field in range: the key is exact, and its top field gives the order test
+            p = self.zero + sum(map(operator.mul, exps, self.steps))
+            return p if p < self.limit else None
         for e, lo, iv in zip(exps, self.lows, space.invertible):
             if e < lo:
                 if iv:
@@ -266,17 +229,15 @@ class Codec:
                 raise StructureError(f"negative exponent on non-invertible symbol: {exps}")
         if space.wdeg(exps) > self.ring.order:
             return None
-        for e, lo, cap, name in zip(exps, self.lows, self.caps, space.symbols):
-            if e - lo >= cap:
-                raise StructureError(f"exponent vector {exps} is too large: the field "
-                                     f"of {name} holds exponents below {cap + lo}")
-        return self.zero + sum(map(operator.mul, exps, self.steps))
+        name, top = next((n, t) for n, e, t in zip(space.symbols, exps, self.tops) if e >= t)
+        raise StructureError(f"exponent vector {exps} is too large: the field "
+                             f"of {name} holds exponents below {top}")
 
     def unpack(self, p):
         """The exponent vector of a key, also of a product key with a field
         below its floor or too large."""
-        return tuple(((p >> s) & ((cap << 2) - 1)) - off
-                     for s, cap, off in zip(self.shifts, self.caps, self.offsets))
+        return tuple([((p >> s) & m) - off
+                      for s, m, off in zip(self.shifts, self.masks, self.offsets)])
 
 
 class Series:
@@ -391,30 +352,23 @@ class Series:
         """The same series over ``ring``, symbols matched by name: a symbol
         ``ring`` lacks must have exponent 0 in every term, a symbol new to
         ``ring`` gets exponent 0, and ``ring``'s order and floor apply.  Each
-        key moves by its fields (``Codec.route``); one that ``ring`` cannot
-        hold as it is goes through ``Codec.pack``, which raises or drops it
-        in ``pack``'s order."""
+        key is unpacked, checked and packed again (``Codec.pack``, which
+        raises or drops it in its order)."""
         if ring == self.ring:
             return self
-        src, dst = self.ring.codec, ring.codec
-        dmask, dzero, base, fields, checked, take = src.route(dst)
-        flags, guards, limit = dst.flags, dst.guards, dst.limit
+        have, want = self.space._index, ring.space._index
+        dropped = [i for s, i in have.items() if s not in want]
+        take = [have.get(s, -1) for s in ring.space.symbols]    # -1: a 0 appended to e
+        unpack, pack = self.ring.codec.unpack, ring.codec.pack
         d, t = self.raw
         out = {}
         for p, n in t.items():
-            if p & dmask != dzero:
-                raise StructureError(f"term {src.unpack(p)} carries symbols outside "
+            e = unpack(p) + (0,)
+            if any([e[i] for i in dropped]):
+                raise StructureError(f"term {e[:-1]} carries symbols outside "
                                      f"{ring.space.symbols}")
-            q = base + sum([((p >> s) & m) * step for s, m, step in fields])
-            if q & flags != guards or checked and not all(
-                    a <= (p >> s) & m < b for s, m, a, b in checked):
-                e = src.unpack(p)
-                q = dst.pack(tuple(0 if i is None else e[i] for i in take))
-                if q is None:
-                    continue
-            elif q >= limit:
-                continue
-            out[q] = n
+            if (q := pack(tuple([e[i] for i in take]))) is not None:
+                out[q] = n
         return _series(ring, _reduce((d, out)))
 
     def substitute(self, sigma, ring=None):
@@ -430,7 +384,9 @@ class Series:
         """Set ``name`` to zero, keeping the ring: positive powers vanish,
         negative powers raise DivergenceError (tagged with ``context``)."""
         i = self.space.index(name)
-        mask, zero = self.ring.codec.field(i)
+        codec = self.ring.codec
+        # p & mask compares with zero as exponent i of the key p compares with 0
+        mask, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
         d, t = self.raw
         if any(p & mask < zero for p in t):
             terms = self.terms
@@ -607,13 +563,15 @@ def taylor_coeffs(kind, n):
 def analytic_series(kind, arg: Series) -> Series:
     """Taylor expansion of the named function composed with a scalar series.
 
-    Every term of ``arg`` must have strictly positive weighted degree so the
-    composition truncates."""
+    The ring must be truncated, and every term of ``arg`` must have
+    strictly positive weighted degree so the composition truncates."""
     ring = arg.ring
+    if ring.order == EXACT_ORDER:
+        raise NonTruncatableError(f"analytic function over the untruncated ring: {arg}")
     mw = arg.min_wdeg()
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
-    kmax = ring.order if mw is None else ring.order // mw
+    kmax = 0 if mw is None else ring.order // mw
     coeffs = taylor_coeffs(kind, kmax)
     out = ring.zero()
     power = ring.one()

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfc import algebra, catalog
+from hopfc import algebra, catalog, series
 from hopfc.algebra import (
     Element,
     GeneratorSet,
@@ -143,6 +143,34 @@ def test_generator_function_guards():
     arg = t2.gen("J3", coeff=t2.sym("a")) + t2.gen("Jp", coeff=t2.sym("a"))
     with pytest.raises(UnsupportedArgumentError):
         generator_function("exp", arg, t2)
+
+
+def test_analytic_functions_refuse_the_untruncated_ring_before_any_coefficient(monkeypatch):
+    # over Ring.exact the order is 10^9: asking taylor_coeffs for that many
+    # factorials would hang, so a stub that refuses stands in for it, and a
+    # zero argument over a truncated ring needs only c_0
+    asked, taylor_coeffs = [], series.taylor_coeffs
+
+    def taylor(kind, n):
+        asked.append(n)
+        if n > 10:
+            raise AssertionError(f"taylor_coeffs({kind!r}, {n}) asked for")
+        return taylor_coeffs(kind, n)
+
+    monkeypatch.setattr(series, "taylor_coeffs", taylor)
+    monkeypatch.setattr(algebra, "taylor_coeffs", taylor)
+    ring = Ring.exact(ParamSpace.make("a"))
+    t = RewriteTable.commuting(GeneratorSet.make(["X", "Y"]), ring)
+    for arg in (ring.symbol("a"), ring.zero()):
+        with pytest.raises(NonTruncatableError):
+            series.analytic_series("exp", arg)
+    for arg in (t.gen("X", coeff=ring.symbol("a")), t.zero()):
+        with pytest.raises(NonTruncatableError):
+            generator_function("exp", arg, t)
+    assert asked == []
+    ring = Ring(ParamSpace.make("a"), 6)
+    assert series.analytic_series("exp", ring.zero()) == ring.one()
+    assert asked == [0]
 
 
 # ---------------------------------------------------------------------------

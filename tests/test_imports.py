@@ -1,8 +1,8 @@
 """Stdlib stand-ins for a linter's unused-import and unused-parameter rules
 over the engine sources (``__init__.py`` re-exports by design and is skipped
 for imports), a rule that every private module-level helper is used
-somewhere in the engine, and a no-floating-point rule: hopfc computes
-exactly."""
+somewhere in the engine, a rule that only ``series`` and ``algebra`` touch
+the raw forms, and a no-floating-point rule: hopfc computes exactly."""
 
 import ast
 from pathlib import Path
@@ -120,6 +120,30 @@ def unreferenced_private(sources):
     return sorted(d for d in defined if d[1] not in used)
 
 
+#: the modules that own the raw forms: only they read ``.raw`` or use a
+#: private name of ``series``
+RAW_OWNERS = ("series.py", "algebra.py")
+
+
+def raw_uses(source):
+    """(line, what) for every ``.raw`` read and every private name of
+    ``series`` imported from it or read off it as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "raw":
+            found.append((node.lineno, ".raw"))
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id == "series"):
+            found.append((node.lineno, f"series.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("series"):
+            found.extend((node.lineno, f"series.{a.name}") for a in node.names
+                         if a.name.startswith("_"))
+    return sorted(found)
+
+
+RAW_USERS = [p for p in ALL_SRC if p.name not in RAW_OWNERS]
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -137,6 +161,17 @@ def test_no_floating_point(path):
 
 def test_no_unreferenced_private_helpers():
     assert unreferenced_private({p.name: p.read_text() for p in ALL_SRC}) == []
+
+
+@pytest.mark.parametrize("path", RAW_USERS, ids=[p.name for p in RAW_USERS])
+def test_only_the_owners_read_raw_forms(path):
+    assert raw_uses(path.read_text()) == []
+
+
+def test_check_flags_a_raw_form_use():
+    source = ("from .series import Ring, _reduce\nfrom . import series\n"
+              "def f(x):\n    return x.raw, x.terms, series._series, series.Series\n")
+    assert raw_uses(source) == [(1, "series._reduce"), (4, ".raw"), (4, "series._series")]
 
 
 def test_check_flags_an_unreferenced_private_helper():

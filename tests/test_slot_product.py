@@ -4,6 +4,7 @@ association: c1 * c2, then the slot-wise outer product of the normal forms'
 coefficients, then times c1 * c2."""
 
 import itertools
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -16,8 +17,10 @@ from hopfc.algebra import (
     RewriteTable,
     TensorElement,
     coproduct_on_slot,
+    map_slot,
     monomial_of,
     mul,
+    substitute_generators,
     tensor_mul,
     word_of,
 )
@@ -151,6 +154,48 @@ def test_slot_product_matches_series_reference_at_rank_3_and_on_cancelling_pairs
     else:
         y = flipped(data.draw, x)
     check_against_reference(x, y, table)
+
+
+def check_raw_form(x):
+    """``x.raw`` is ``(d, {key: {p: n}})`` with d > 0 in lowest terms, no
+    zero numerator and no key without a term, and ``x`` equals the tensor
+    built from its own ``terms``."""
+    d, terms = x.raw
+    nums = [n for t in terms.values() for n in t.values()]
+    assert d > 0 and math.gcd(d, *nums) == 1
+    assert all(terms.values()) and all(nums)
+    same = (Element(x.gens, x.ring, x.terms) if isinstance(x, Element)
+            else TensorElement(x.rank, x.gens, x.ring, x.terms))
+    assert x == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_tensor_operation_keeps_the_raw_form(data):
+    table = data.draw(tables())
+    ring = table.ring
+    rank = data.draw(st.sampled_from([1, 2]))
+    x, y = data.draw(tensors(table, rank)), data.draw(tensors(table, rank))
+    if rank == 1:
+        x, y = (Element(t.gens, t.ring, t.terms) for t in (x, y))
+    c = data.draw(coefficients(ring))
+    images = {n: Element(table.gens, ring, data.draw(tensors(table, 1)).terms)
+              for n in table.gens.names}
+    sym = ring.space.symbols[0]
+    word = tuple(data.draw(st.lists(st.integers(0, table.gens.dim - 1), max_size=4)))
+    lower = Ring(ring.space, max(ring.order - 1, 1), ring.floor)
+    ops = [lambda: x + y, lambda: x - y, lambda: x - x, lambda: -x,
+           lambda: x.scale(c), lambda: x.scale(F(-4, 6)), lambda: tensor_mul(x, y, table),
+           lambda: TensorElement.outer([x, y]), lambda: x.permute(tuple(range(rank))[::-1]),
+           lambda: x.map_coeffs(lambda v: v * c), lambda: x.to(lower),
+           lambda: table.nf_word(word), lambda: table.nf_word(word, c),
+           lambda: map_slot(x, rank - 1, images, table.one(), lambda a, b: mul(a, b, table)),
+           lambda: substitute_generators(x, images, table),
+           lambda: substitute_generators(x, images, table, {sym: c})]
+    for op in ops:
+        if (got := outcome(op)) != "floor underflow":
+            check_raw_form(got)
+    assert (x - x).raw == (1, {})
 
 
 def test_floor_underflow_in_the_normal_form_is_kept():
