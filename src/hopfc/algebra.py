@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, combinations
 
 from .errors import (
     ConfluenceFailureError,
@@ -13,8 +14,8 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import (EXACT_ORDER, Series, _mul_terms, _reduce, _series, substitution,
-                     taylor_coeffs)
+from .series import (EXACT_ORDER, Series, _mul_terms, _reduce, _ring_change, _series,
+                     _substitution, _zero_slicer, taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -147,38 +148,31 @@ class TensorElement:
         )
 
     def __add__(self, other):
-        self._compatible(other)
-        acc = [1, {}]
-        for d, t in (self.raw, other.raw):
-            f = _rescale(acc, d)
-            for k, u in t.items():
-                _add_terms(acc[1], k, dict(u), f)
-        return self._with(_finish(*acc))
+        return lincomb(self, [(1, other)])
 
     def __neg__(self):
-        d, t = self.raw
-        return self._with((d, {k: {p: -n for p, n in u.items()} for k, u in t.items()}))
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return lincomb(self, [(-1, other)])
 
     def scale(self, c):
         """Multiply by a scalar Series / Fraction / int."""
-        c = c if isinstance(c, Series) else self.ring.const(c)
-        self.ring.check_same(c.ring)
-        (d, t), (e, v) = self.raw, c.raw
-        mul_terms = partial(_mul_terms, self.ring.codec)
-        return self._with(_finish(d * e, {k: w for k, u in t.items() if (w := mul_terms(u, v))}))
+        return lincomb(self._with((1, {})), [(c, self)])
 
-    def map_coeffs(self, fn, ring=None, gens=None):
-        """Apply ``fn`` to every coefficient; the result lives over the given
-        ring and generator set (by default this one's)."""
-        ring = self.ring if ring is None else ring
-        return self._with(_raw_of(ring, {k: fn(c) for k, c in self.terms.items()}), ring, gens)
+    def to(self, ring, gens=None):
+        """Every coefficient's ``Series.to(ring)``, over ``gens`` (by default
+        these generators; others rename them position by position)."""
+        move = _ring_change(self.ring, ring)
+        d, t = self.raw
+        return self._with(_finish(d, {k: v for k, u in t.items() if (v := move(u))}), ring, gens)
 
-    def to(self, ring):
-        """This tensor with every coefficient moved to ``ring`` (``Series.to``)."""
-        return self.map_coeffs(lambda c: c.to(ring), ring)
+    def zero_slice(self, name, context=""):
+        """Every coefficient's ``Series.zero_slice``: the first key whose
+        coefficient diverges raises as that ``Series`` does."""
+        slice_ = _zero_slicer(self.ring, name, context)
+        d, t = self.raw
+        return self._with(_finish(d, {k: v for k, u in t.items() if (v := slice_(d, u))}))
 
     def _render_key(self, ms, full):
         slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
@@ -244,6 +238,26 @@ def _tensor(rank, gens, ring, raw):
     new = object.__new__(Element if rank == 1 else TensorElement)
     new.rank, new.gens, new.ring, new.raw = rank, gens, ring, raw
     return new
+
+
+def lincomb(start, pairs):
+    """``start + sum(c * x for c, x in pairs)`` over one accumulator, of the
+    class of ``start``: each ``c`` a ``Series``, ``Fraction`` or int, each
+    ``x`` of the rank, generators and ring of ``start``.  A constant ``c``
+    scales numerators; any other multiplies each term dict (``_mul_terms``)."""
+    ring = start.ring
+    acc = [1, {}]
+    for c, x in chain([(1, start)], pairs):
+        start._compatible(x)
+        c = c if isinstance(c, Series) else ring.const(c)
+        ring.check_same(c.ring)
+        (d, t), (e, v) = x.raw, c.raw
+        if v:
+            m = v.get(ring.codec.zero) if len(v) == 1 else None
+            f = _rescale(acc, d * e) * (m or 1)
+            for k, u in t.items():
+                _add_terms(acc[1], k, dict(u) if m else _mul_terms(ring.codec, u, v), f)
+    return start._with(_finish(*acc))
 
 
 def _rescale(acc, d):
@@ -501,27 +515,20 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     table.check(arg)
     if arg.ring.order == EXACT_ORDER:
         raise NonTruncatableError(f"generator function over the untruncated ring: {arg}")
-    items = list(arg.terms.items())
-    mw = min((c.min_wdeg() for _, c in items), default=None)
+    terms = arg.terms
+    mw = min((c.min_wdeg() for c in terms.values()), default=None)
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"generator-function argument has weight-{mw} term: {arg}")
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            ta, tb = (Element(arg.gens, arg.ring, dict([items[i]])) for i in (a, b))
-            if commutator(ta, tb, table):
-                raise UnsupportedArgumentError(
-                    f"non-commuting terms in analytic argument: {ta} vs {tb}"
-                )
+    parts = [Element(arg.gens, arg.ring, {k: c}) for k, c in terms.items()]
+    for ta, tb in combinations(parts, 2):
+        if commutator(ta, tb, table):
+            raise UnsupportedArgumentError(f"non-commuting terms in analytic argument: "
+                                           f"{ta} vs {tb}")
     kmax = 0 if mw is None else arg.ring.order // mw
-    coeffs = taylor_coeffs(kind, kmax)
-    acc = table.zero()
-    pw = table.one()
-    for k in range(kmax + 1):
-        if coeffs[k]:
-            acc = acc + pw.scale(coeffs[k])
-        if k < kmax:
-            pw = mul(pw, arg, table)
-    return acc
+    powers = [table.one()]
+    for _ in range(kmax):
+        powers.append(mul(powers[-1], arg, table))
+    return lincomb(table.zero(), zip(taylor_coeffs(kind, kmax), powers))
 
 
 def monomial_image(m, gens, images, unit, product, memo):
@@ -563,19 +570,21 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
         return monomial_image(m, x.gens, images, unit,
                               lambda a, b: mul(a, b, table_target), memo)
 
+    d, terms = x.raw
     if param_sub is None or not x:
-        coeff = lambda c: c.to(ring)    # noqa: E731
+        move = _ring_change(x.ring, ring)
+        coeff = lambda u: (d, move(u))    # noqa: E731
     else:
-        coeff = substitution(x.ring.space, param_sub, ring)
+        coeff = partial(_substitution(x.ring, param_sub, ring), d)
     mul_terms = partial(_mul_terms, ring.codec)
     acc = [1, {}]
-    for ms, c in x.terms.items():
-        if c2 := coeff(c):
-            e, u = c2.raw
-            d, outer = _outer([image(m).raw for m in ms], ring.codec)
-            f = _rescale(acc, d * e)
+    for ms, u in terms.items():
+        e, v = coeff(u)
+        if v:
+            d2, outer = _outer([image(m).raw for m in ms], ring.codec)
+            f = _rescale(acc, d2 * e)
             for k, t in outer.items():
-                if t := mul_terms(t, u):
+                if t := mul_terms(t, v):
                     _add_terms(acc[1], k, t, f)
     return _tensor(x.rank, table_target.gens, ring, _finish(*acc))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot
+from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot, lincomb
 from .hopf import Check
 
 
@@ -44,7 +44,7 @@ def _ad(table: RewriteTable, x, t: TensorElement) -> TensorElement:
     parts = [commutator(TensorElement.outer([x if k == s else one for k in range(t.rank)]),
                         t, table)
              for s in range(t.rank)]
-    return sum(parts[1:], parts[0])
+    return lincomb(parts[0], [(1, p) for p in parts[1:]])
 
 
 def cocommutator_from_r(table: RewriteTable, r: TensorElement):

@@ -25,6 +25,7 @@ from .algebra import (
     RewriteTable,
     TensorElement,
     generator_function,
+    lincomb,
     mul,
 )
 from .contraction import ContractionCase, ParamImage, ScalingMap
@@ -403,11 +404,10 @@ def classical_r(name) -> TensorElement:
         raise LookupError_(name, sorted(_R_SPECS))
     syms, terms = _R_SPECS[name]
     ring = Ring.exact(ParamSpace.make(*syms))
-    r = TensorElement(2, GL2, ring, {})
-    for c, sym, x, y in terms:
-        X, Y = (Element.generator(GL2, ring, n) for n in (x, y))
-        r = r + (_outer(X, Y) - _outer(Y, X)).scale(ring.symbol(sym, coeff=c))
-    return r
+    g = {n: Element.generator(GL2, ring, n) for n in GL2.names}
+    return lincomb(TensorElement(2, GL2, ring, {}), (
+        (ring.symbol(sym, coeff=c), _outer(g[x], g[y]) - _outer(g[y], g[x]))
+        for c, sym, x, y in terms))
 
 
 _CLASSICAL_TABLES = {"gl2.classical": _gl2_table_classical,

@@ -16,12 +16,13 @@ from .algebra import (
     TensorElement,
     apply_coproduct,
     commutator,
+    lincomb,
     substitute_generators,
 )
 from .bialgebra import WedgeTensor
 from .errors import StructureError
 from .hopf import Check, HopfPresentation
-from .series import EPS, ParamSpace, Ring, Series
+from .series import EPS, ParamSpace, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +165,8 @@ def solve_min_exponents(case: ContractionCase):
 
     delta = bialgebra.cocommutator_from_r(catalog.lie_structure(case.lie_r_name), r)
     moved = {x: transform_wedge(d, images, table, sigma0) for x, d in delta.items()}
-    zero = TensorElement(2, new_gens, ring, {})
-    d_new = [sum((moved[x].scale(ring.term(mono, f)) for f, mono, x in combo), zero)
+    d_new = [lincomb(TensorElement(2, new_gens, ring, {}),
+                     ((ring.term(mono, f), moved[x]) for f, mono, x in combo))
              for combo in scaling.forward.values()]
     d_min = _min_exponents_from(d_new, space, group_syms)
 
@@ -176,8 +177,8 @@ def solve_min_exponents(case: ContractionCase):
             exps[old] = r_min[g]
     sigma = _lie_sigma(ring, case.lie_param_map, exponents=exps)
     r_lim = transform_wedge(r, images, table, sigma)
-    r_contracted = WedgeTensor(r_lim.map_coeffs(
-        lambda c: c.limit_zero(EPS, context="contracted r"), replace(ring, space=space.without(EPS))))
+    r_contracted = WedgeTensor(r_lim.zero_slice(EPS, context="contracted r").to(
+        replace(ring, space=space.without(EPS))))
 
     return ExponentSolution(r_min, d_min, r_contracted)
 
@@ -189,13 +190,11 @@ def solve_min_exponents(case: ContractionCase):
 def _combo_element(table, combo, sigma):
     """Linear combination [(Fraction, coeff-monomial, gen name)] -> Element,
     with the parameter substitution applied to the coefficients."""
-    acc = table.zero()
-    for f, mono, gname in combo:
-        c = table.ring.term(mono, f)
-        if sigma:
-            c = c.substitute(sigma, table.ring)
-        acc = acc + table.gen(gname, coeff=c)
-    return acc
+    ring = table.ring
+    coeffs = (ring.term(mono, f) for f, mono, _ in combo)
+    if sigma:
+        coeffs = (c.substitute(sigma, ring) for c in coeffs)
+    return lincomb(table.zero(), zip(coeffs, (table.gen(g) for _, _, g in combo)))
 
 
 def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
@@ -255,11 +254,9 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         casimir = src_ws.casimir.scale(Fraction(-1, 2)) + counterterm
         casimir = casimir.scale(ws.term({EPS: 2}))
 
-    def limit(x, context):
-        return x.map_coeffs(lambda c: c.zero_slice(EPS, context))
-
     coproduct, casimir = _transport(src_ws, forward_elements, inverse_images, scaffold,
-                                    casimir, limit, param_sub=sigma)
+                                    casimir, lambda x, context: x.zero_slice(EPS, context),
+                                    param_sub=sigma)
     contracted = HopfPresentation(
         name=f"{case.source} --({case.name})--> {case.target}",
         table=scaffold,
@@ -349,12 +346,13 @@ def classical_limit(H: HopfPresentation, rename=None) -> HopfPresentation:
     """All deformation parameters -> 0, optionally renaming generators."""
     names = tuple(rename.get(n, n) if rename else n for n in H.gens.names)
     ring = replace(H.ring, space=ParamSpace.make())
+    gens = GeneratorSet(names, H.gens.central)
 
-    def limit(c: Series):
+    def limit(x):
         for s in H.ring.space.symbols:
-            c = c.zero_slice(s)
-        return c.to(ring)
+            x = x.zero_slice(s)
+        return x.to(ring, gens)
 
-    lim = H.map_coeffs(limit, ring, gens=GeneratorSet(names, H.gens.central))
+    lim = H.map_tensors(limit, ring, gens)
     lim.name = f"{H.name} [classical limit]"
     return lim

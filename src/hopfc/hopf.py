@@ -16,6 +16,7 @@ from .algebra import (
     commutator,
     coproduct_on_slot,
     counit_collapse,
+    lincomb,
     map_slot,
     mul,
     tensor_mul,
@@ -55,29 +56,24 @@ class HopfPresentation:
     def delta(self, x: Element) -> TensorElement:
         return apply_coproduct(x, self.coproduct, self.table)
 
-    def map_coeffs(self, fn, ring, gens=None) -> HopfPresentation:
-        """This presentation with ``fn`` applied to every coefficient of its
-        rewrite rules, coproducts and Casimir, over ``ring``.  ``gens``
-        renames the generators position by position."""
+    def map_tensors(self, fn, ring, gens=None) -> HopfPresentation:
+        """This presentation over ``ring`` and ``gens`` (by default its own
+        generators; others rename them position by position), with ``fn``
+        applied to each of its rewrite rules, coproducts and Casimir."""
         gens = self.gens if gens is None else gens
-
-        def conv(x):
-            return x.map_coeffs(fn, ring, gens)
-
-        rules = {k: conv(r) for k, r in self.table.rules.items()}
         pairs = list(zip(self.gens.names, gens.names))
         return HopfPresentation(
             self.name,
-            RewriteTable(gens, ring, rules),
-            {new: conv(self.coproduct[old]) for old, new in pairs},
+            RewriteTable(gens, ring, {k: fn(r) for k, r in self.table.rules.items()}),
+            {new: fn(self.coproduct[old]) for old, new in pairs},
             {new: self.counit[old] for old, new in pairs},
-            None if self.casimir is None else conv(self.casimir),
+            None if self.casimir is None else fn(self.casimir),
         )
 
     def to(self, ring) -> HopfPresentation:
         """This presentation with every coefficient moved to ``ring``
-        (``Series.to``)."""
-        return self.map_coeffs(lambda c: c.to(ring), ring)
+        (``TensorElement.to``)."""
+        return self.map_tensors(lambda x: x.to(ring), ring)
 
 
 #: residual lines shown per check in a text report (and in an R-matrix check)
@@ -229,21 +225,16 @@ def apply_antipode(S, x: Element, table: RewriteTable, memo=None) -> Element:
 def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Element:
     """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant).  ``memo`` is
     passed on to ``apply_antipode``."""
-    d = H.coproduct[name]
     slot = 0 if side == "left" else 1
-    acc = H.table.zero()
     one = H.ring.one()
-    for ms, c in d.terms.items():
+
+    def term(ms):
         s_img = apply_antipode(S, Element(H.gens, H.ring, {(ms[slot],): one}), H.table, memo)
         other = Element(H.gens, H.ring, {(ms[1 - slot],): one})
-        if side == "left":
-            acc = acc + mul(s_img, other, H.table).scale(c)
-        else:
-            acc = acc + mul(other, s_img, H.table).scale(c)
-    eps_val = Fraction(H.counit[name])
-    if eps_val:
-        acc = acc - H.table.one(eps_val)
-    return acc
+        return mul(s_img, other, H.table) if side == "left" else mul(other, s_img, H.table)
+
+    return lincomb(H.table.one(-Fraction(H.counit[name])),
+                   ((c, term(ms)) for ms, c in H.coproduct[name].terms.items()))
 
 
 def _antipode_round(H: HopfPresentation, S):

@@ -33,6 +33,7 @@ def mat_identity(ring, n):
 
 def mat_mul(a, b):
     n = len(a)
+    zero = a[0][0].ring.zero()
     out = []
     for i in range(n):
         row = []
@@ -42,7 +43,7 @@ def mat_mul(a, b):
                 if a[i][k] and b[k][j]:
                     v = a[i][k] * b[k][j]
                     s = v if s is None else s + v
-            row.append(s if s is not None else a[0][0] * 0)
+            row.append(s if s is not None else zero)
         out.append(row)
     return out
 

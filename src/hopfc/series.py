@@ -351,25 +351,12 @@ class Series:
     def to(self, ring):
         """The same series over ``ring``, symbols matched by name: a symbol
         ``ring`` lacks must have exponent 0 in every term, a symbol new to
-        ``ring`` gets exponent 0, and ``ring``'s order and floor apply.  Each
-        key is unpacked, checked and packed again (``Codec.pack``, which
-        raises or drops it in its order)."""
+        ``ring`` gets exponent 0, and ``ring``'s order and floor apply, key
+        by key (``_ring_change``)."""
         if ring == self.ring:
             return self
-        have, want = self.space._index, ring.space._index
-        dropped = [i for s, i in have.items() if s not in want]
-        take = [have.get(s, -1) for s in ring.space.symbols]    # -1: a 0 appended to e
-        unpack, pack = self.ring.codec.unpack, ring.codec.pack
         d, t = self.raw
-        out = {}
-        for p, n in t.items():
-            e = unpack(p) + (0,)
-            if any([e[i] for i in dropped]):
-                raise StructureError(f"term {e[:-1]} carries symbols outside "
-                                     f"{ring.space.symbols}")
-            if (q := pack(tuple([e[i] for i in take]))) is not None:
-                out[q] = n
-        return _series(ring, _reduce((d, out)))
+        return _series(ring, _reduce((d, _ring_change(self.ring, ring)(t))))
 
     def substitute(self, sigma, ring=None):
         """Simultaneous substitution symbol -> Series, into ``ring``.
@@ -378,22 +365,13 @@ class Series:
         that of the images (they must agree) unless given explicitly."""
         if ring is None:
             ring = next((img.ring for img in sigma.values()), self.ring)
-        return substitution(self.space, sigma, ring)(self)
+        return _series(ring, _substitution(self.ring, sigma, ring)(*self.raw))
 
     def zero_slice(self, name, context=""):
         """Set ``name`` to zero, keeping the ring: positive powers vanish,
         negative powers raise DivergenceError (tagged with ``context``)."""
-        i = self.space.index(name)
-        codec = self.ring.codec
-        # p & mask compares with zero as exponent i of the key p compares with 0
-        mask, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
         d, t = self.raw
-        if any(p & mask < zero for p in t):
-            terms = self.terms
-            bad = sorted(e for e in terms if e[i] < 0)
-            raise DivergenceError([self._render_term(e, terms[e]) for e in bad],
-                                  context=context)
-        return _series(self.ring, _reduce((d, {p: n for p, n in t.items() if p & mask == zero})))
+        return _series(self.ring, _reduce((d, _zero_slicer(self.ring, name, context)(d, t))))
 
     def limit_zero(self, name=EPS, context=""):
         """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
@@ -432,18 +410,62 @@ def _series(ring, raw):
     return s
 
 
-def substitution(space, sigma, ring):
-    """``Series.substitute`` prepared once for many series over ``space``:
-    the images move to ``ring`` here, and each power of an image is
-    computed once, on first use.  Per term, the constant is multiplied by
-    the powers of the images in symbol order, and the terms are summed."""
-    images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in space.symbols]
+def _ring_change(src, ring):
+    """``Series.to`` on term dicts, prepared once per pair of rings: the map
+    of a term dict over ``src`` to one over ``ring`` (the identity if they
+    are equal) that unpacks, checks and packs each key again."""
+    if ring == src:
+        return lambda t: t
+    have, want = src.space._index, ring.space._index
+    dropped = [i for s, i in have.items() if s not in want]
+    take = [have.get(s, -1) for s in ring.space.symbols]    # -1: a 0 appended to e
+    unpack, pack = src.codec.unpack, ring.codec.pack
+
+    def move(t):
+        out = {}
+        for p, n in t.items():
+            e = unpack(p) + (0,)
+            if any([e[i] for i in dropped]):
+                raise StructureError(f"term {e[:-1]} carries symbols outside "
+                                     f"{ring.space.symbols}")
+            if (q := pack(tuple([e[i] for i in take]))) is not None:
+                out[q] = n
+        return out
+
+    return move
+
+
+def _zero_slicer(ring, name, context=""):
+    """``Series.zero_slice`` on term dicts over ``ring``: the map of ``d, t``
+    to the terms of ``t`` with exponent 0 on ``name``, one mask compare per
+    key; a negative exponent raises the ``DivergenceError`` of ``(d, t)``."""
+    i = ring.space.index(name)
+    codec = ring.codec
+    # p & mask compares with zero as exponent i of the key p compares with 0
+    mask, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
+
+    def slice_(d, t):
+        if any(p & mask < zero for p in t):
+            s = _series(ring, _reduce((d, t)))
+            bad = sorted((e, c) for e, c in s.terms.items() if e[i] < 0)
+            raise DivergenceError([s._render_term(e, c) for e, c in bad], context=context)
+        return {p: n for p, n in t.items() if p & mask == zero}
+
+    return slice_
+
+
+def _substitution(src, sigma, ring):
+    """``Series.substitute`` on raw forms over ``src``, prepared once for
+    many: the map of ``d, t`` (not necessarily in lowest terms) to a raw
+    form over ``ring``.  The images move to ``ring`` here, and each power of
+    one is computed once, on first use.  Per term, the constant is
+    multiplied by the powers of the images in symbol order."""
+    images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in src.space.symbols]
     powers = {}
     one = ring.codec.zero
+    unpack = src.codec.unpack
 
-    def apply(x):
-        unpack = x.ring.codec.unpack
-        d, t = x.raw
+    def apply(d, t):
         out = (1, {})
         for p, n in t.items():
             term = d, {one: n}
@@ -454,7 +476,7 @@ def substitution(space, sigma, ring):
                     term = term and _product(ring, term, pw)
             if term:
                 out = _add_into(out, term)
-        return _series(ring, _reduce(out))
+        return _reduce(out)
 
     return apply
 
@@ -573,11 +595,11 @@ def analytic_series(kind, arg: Series) -> Series:
         raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
     kmax = 0 if mw is None else ring.order // mw
     coeffs = taylor_coeffs(kind, kmax)
-    out = ring.zero()
+    out = (1, {})
     power = ring.one()
     for k in range(kmax + 1):
         if coeffs[k]:
-            out = out + power * coeffs[k]
+            out = _add_into(out, (power * coeffs[k]).raw)
         if k < kmax:
             power = power * arg
-    return out
+    return _series(ring, _reduce(out))

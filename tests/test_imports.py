@@ -2,7 +2,8 @@
 over the engine sources (``__init__.py`` re-exports by design and is skipped
 for imports), a rule that every private module-level helper is used
 somewhere in the engine, a rule that only ``series`` and ``algebra`` touch
-the raw forms, and a no-floating-point rule: hopfc computes exactly."""
+the raw forms, a rule against accumulation loops, and a no-floating-point
+rule: hopfc computes exactly."""
 
 import ast
 from pathlib import Path
@@ -144,6 +145,31 @@ def raw_uses(source):
 RAW_USERS = [p for p in ALL_SRC if p.name not in RAW_OWNERS]
 
 
+def accumulations(source):
+    """(line, what) for every ``name = name + ...`` or ``name = name - ...``
+    in the body of a ``for`` or ``while`` loop, and every builtin ``sum``
+    given a start value.  A series or tensor sum copies its left operand,
+    so such a loop is quadratic in the size of the sum; ``algebra.lincomb``
+    sums over one accumulator."""
+    tree = ast.parse(source)
+    in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+               for stmt in loop.body for node in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and id(node) in in_loop and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, (ast.Add, ast.Sub))
+                and isinstance(node.value.left, ast.Name)
+                and node.value.left.id == (name := node.targets[0].id)):
+            op = "+" if isinstance(node.value.op, ast.Add) else "-"
+            found.append((node.lineno, f"{name} = {name} {op} ..."))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "sum"
+              and (len(node.args) > 1 or any(k.arg == "start" for k in node.keywords))):
+            found.append((node.lineno, "sum(..., start)"))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -166,6 +192,20 @@ def test_no_unreferenced_private_helpers():
 @pytest.mark.parametrize("path", RAW_USERS, ids=[p.name for p in RAW_USERS])
 def test_only_the_owners_read_raw_forms(path):
     assert raw_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
+def test_no_accumulation_loops(path):
+    assert accumulations(path.read_text()) == []
+
+
+def test_check_flags_an_accumulation_loop():
+    source = ("def f(xs, t, n):\n    acc = t\n    for x in xs:\n        acc = acc + x\n"
+              "        n = n - 1 if x else n\n        t = x + t\n        for y in x:\n"
+              "            n = n * y\n    while t:\n        t = t - 1\n    acc = acc + t\n"
+              "    return sum(xs, t), sum(xs), sum(xs, start=n)\n")
+    assert accumulations(source) == [(4, "acc = acc + ..."), (10, "t = t - ..."),
+                                     (12, "sum(..., start)"), (12, "sum(..., start)")]
 
 
 def test_check_flags_a_raw_form_use():

@@ -1,5 +1,5 @@
-"""Exact renderings of every linear-combination kind, and the coefficient map
-on whole presentations.  Reports and bench hashes reach these strings through
+"""Exact renderings of every linear-combination kind, and the ring change
+of whole presentations.  Reports and bench hashes reach these strings through
 residuals and the contracted r-matrix, so they must not drift."""
 
 import json
@@ -63,8 +63,8 @@ def test_wedge_rendering():
     assert str(WedgeTensor(delta["I"])) == "0"
 
 
-@pytest.mark.parametrize("name", ["gl2.Iplus.standard", "h4.betaplus.xi"])
-def test_map_coeffs_embed_restrict_round_trip(name):
+@pytest.mark.parametrize("name", catalog.names())
+def test_embed_restrict_round_trip(name):
     H = catalog.get(name, 3)
     big = Ring(H.ring.space.union(ParamSpace.make("z", "eps")), H.ring.order, H.ring.floor)
     up = H.to(big)

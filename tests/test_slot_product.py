@@ -1,8 +1,10 @@
 """The algebra's slot-wise product (``mul``, ``tensor_mul``) against a
 reference built here from plain ``Series`` arithmetic, with the same
 association: c1 * c2, then the slot-wise outer product of the normal forms'
-coefficients, then times c1 * c2."""
+coefficients, then times c1 * c2; and the key-level coefficient maps and
+``lincomb`` against per-coefficient references."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -17,6 +19,7 @@ from hopfc.algebra import (
     RewriteTable,
     TensorElement,
     coproduct_on_slot,
+    lincomb,
     map_slot,
     monomial_of,
     mul,
@@ -24,7 +27,7 @@ from hopfc.algebra import (
     tensor_mul,
     word_of,
 )
-from hopfc.errors import FloorUnderflowError, StructureError
+from hopfc.errors import DivergenceError, FloorUnderflowError, HopfcError, StructureError
 from hopfc.series import ParamSpace, Ring, Series
 
 
@@ -164,9 +167,15 @@ def check_raw_form(x):
     nums = [n for t in terms.values() for n in t.values()]
     assert d > 0 and math.gcd(d, *nums) == 1
     assert all(terms.values()) and all(nums)
-    same = (Element(x.gens, x.ring, x.terms) if isinstance(x, Element)
-            else TensorElement(x.rank, x.gens, x.ring, x.terms))
-    assert x == same
+    assert x == like(x, x.ring, x.terms)
+
+
+def like(x, ring, terms):
+    """The tensor of the class, rank and generators of ``x`` over ``ring``
+    with the given terms."""
+    if isinstance(x, Element):
+        return Element(x.gens, ring, terms)
+    return TensorElement(x.rank, x.gens, ring, terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -187,7 +196,8 @@ def test_every_tensor_operation_keeps_the_raw_form(data):
     ops = [lambda: x + y, lambda: x - y, lambda: x - x, lambda: -x,
            lambda: x.scale(c), lambda: x.scale(F(-4, 6)), lambda: tensor_mul(x, y, table),
            lambda: TensorElement.outer([x, y]), lambda: x.permute(tuple(range(rank))[::-1]),
-           lambda: x.map_coeffs(lambda v: v * c), lambda: x.to(lower),
+           lambda: x.zero_slice(sym), lambda: lincomb(x, [(c, y), (F(-4, 6), x), (2, y)]),
+           lambda: x.to(lower),
            lambda: table.nf_word(word), lambda: table.nf_word(word, c),
            lambda: map_slot(x, rank - 1, images, table.one(), lambda a, b: mul(a, b, table)),
            lambda: substitute_generators(x, images, table),
@@ -196,6 +206,83 @@ def test_every_tensor_operation_keeps_the_raw_form(data):
         if (got := outcome(op)) != "floor underflow":
             check_raw_form(got)
     assert (x - x).raw == (1, {})
+
+
+def per_coefficient(fn, x, ring):
+    """The tensor over ``ring`` whose coefficients are ``fn`` of those of
+    ``x``, key by key in order: the first coefficient that raises, raises."""
+    return like(x, ring, {k: fn(c) for k, c in x.terms.items()})
+
+
+def agree(got_fn, want_fn):
+    """Both raise an error of one type and text, or both give one tensor, of
+    one class and in its raw form."""
+    try:
+        want = want_fn()
+    except HopfcError as exc:
+        with pytest.raises(HopfcError) as info:
+            got_fn()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = got_fn()
+    assert type(got) is type(want) and got.terms == want.terms and got == want
+    check_raw_form(got)
+
+
+@st.composite
+def targets(draw, ring):
+    """A ring to move to: another order and floor (a coefficient can fall
+    below it), a symbol dropped (a term can carry it), one added, or the
+    untruncated ring."""
+    space = ring.space
+    return draw(st.sampled_from([
+        Ring(space, draw(st.integers(0, 4)), draw(st.integers(-4, -1))),
+        Ring(space.without(draw(st.sampled_from(space.symbols))), ring.order, ring.floor),
+        Ring(ParamSpace.make("z").union(space), ring.order, ring.floor),
+        Ring.exact(space)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coefficient_maps_and_lincomb_match_per_coefficient_references(data):
+    table = data.draw(tables())
+    ring = table.ring
+    rank = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(tensors(table, rank))
+    if rank == 1:
+        x = Element(x.gens, ring, x.terms)
+    dst = data.draw(targets(ring))
+    agree(lambda: x.to(dst), lambda: per_coefficient(lambda c: c.to(dst), x, dst))
+    name = data.draw(st.sampled_from(ring.space.symbols))
+    agree(lambda: x.zero_slice(name, "ctx"),
+          lambda: per_coefficient(lambda c: c.zero_slice(name, "ctx"), x, ring))
+
+    scalars = st.one_of(coefficients(ring), st.integers(-3, 3),
+                        st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+    pairs = data.draw(st.lists(st.tuples(scalars, tensors(table, rank)), max_size=4))
+    pairs = [(c, Element(y.gens, ring, y.terms) if rank == 1 else y) for c, y in pairs]
+
+    def by_terms():
+        acc = dict(x.terms)
+        for c, y in pairs:
+            for k, v in y.terms.items():
+                acc[k] = acc.get(k, ring.zero()) + v * c
+        return like(x, ring, acc)
+
+    agree(lambda: lincomb(x, pairs), by_terms)
+    agree(lambda: lincomb(x, pairs),
+          lambda: functools.reduce(lambda acc, p: acc + p[1].scale(p[0]), pairs, x))
+
+
+def test_a_tensor_slice_names_the_first_divergent_key():
+    # both keys diverge: the error is that of the first key's coefficient
+    t = eps_table(3, -4)
+    ring = t.ring
+    x = (t.gen("Jp", coeff=ring.term({"eps": -1}, F(1, 6)) + ring.one())
+         + t.gen("Jm", coeff=ring.term({"a": 1, "eps": -2}, 3)))
+    with pytest.raises(DivergenceError) as info:
+        x.zero_slice("eps", "[Jp,Jm]")
+    assert str(info.value) == "[Jp,Jm]: divergent terms under eps -> 0: ['1/6*eps^-1']"
 
 
 def test_floor_underflow_in_the_normal_form_is_kept():
