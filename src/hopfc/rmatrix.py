@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from .algebra import TensorElement
 from .errors import LookupError_, StructureError
-from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series
+from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series, lincomb, taylor_coeffs
 
 F = Fraction
 
@@ -32,32 +32,16 @@ def mat_identity(ring, n):
 
 
 def mat_mul(a, b):
-    n = len(a)
+    """The product of two square matrices, each entry one ``lincomb`` over
+    the pairs of nonzero factors."""
     zero = a[0][0].ring.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = None
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    v = a[i][k] * b[k][j]
-                    s = v if s is None else s + v
-            row.append(s if s is not None else zero)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[lincomb(zero, [(x, y) for x, y in zip(row, col) if x and y]) for col in cols]
+            for row in a]
 
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
 
 
 def mat_is_zero(a):
@@ -67,19 +51,6 @@ def mat_is_zero(a):
 def mat_nonzero_entries(a):
     """The nonzero entries as ``(label, entry)`` residual pairs."""
     return [(f"{(i, j)}: ", x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
-
-
-def kron(a, b):
-    na, nb = len(a), len(b)
-    out = []
-    for i1 in range(na):
-        for i2 in range(nb):
-            row = []
-            for j1 in range(na):
-                for j2 in range(nb):
-                    row.append(a[i1][j1] * b[i2][j2])
-            out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,32 +113,30 @@ FUNDAMENTAL_REP = {
 }
 
 
-def _rep_matrix(name, ring):
-    return [[ring.const(c) for c in row] for row in FUNDAMENTAL_REP[name]]
-
-
 def exp_wedge_rep(r: TensorElement, order):
     """Evaluate a classical r-matrix in rep (x) rep and exponentiate.
 
-    Entries of rho(r) carry parameter weight >= 1, so the exponential series
-    terminates at the truncation order."""
+    Entry (2*i1 + i2, 2*j1 + j2) of rho(r) is the sum over the terms
+    ``c * A (x) B`` of r of ``c * A[i1][j1] * B[i2][j2]``.  Its entries carry
+    parameter weight >= 1, so the exponential series terminates at the
+    truncation order: exp is the sum of the powers times
+    ``taylor_coeffs("exp")``."""
     ring = Ring(r.ring.space, order)
-    x = mat_zero(ring, 4)
-    for ms, c in r.terms.items():
-        a, b = (_rep_matrix(r.gens.names[m.index(1)], ring) for m in ms)
-        x = mat_add(x, mat_scale(kron(a, b), c.to(ring)))
+    zero = ring.zero()
+    terms = [(c.to(ring), [FUNDAMENTAL_REP[r.gens.names[m.index(1)]] for m in ms])
+             for ms, c in r.terms.items()]
+    x = [[lincomb(zero, [(c, a[i // 2][j // 2] * b[i % 2][j % 2]) for c, (a, b) in terms])
+          for j in range(4)] for i in range(4)]
     for row in x:
         for c in row:
             if c and (c.min_wdeg() or 0) <= 0:
                 raise StructureError("exp argument has a weight-0 entry")
-    out = mat_identity(ring, 4)
-    pw = mat_identity(ring, 4)
-    fact = F(1)
-    for k in range(1, order + 1):
-        pw = mat_mul(pw, x)
-        fact *= k
-        out = mat_add(out, mat_scale(pw, F(1) / fact))
-    return out
+    powers = [mat_identity(ring, 4)]
+    for _ in range(order):
+        powers.append(mat_mul(powers[-1], x))
+    coeffs = taylor_coeffs("exp", order)
+    return [[lincomb(zero, [(c, p[i][j]) for c, p in zip(coeffs, powers)]) for j in range(4)]
+            for i in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,6 @@ class Series:
         d, t = self.raw
         return hash((self.ring, d, frozenset(t.items())))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.space.dim, Fraction(0))
-
     def min_wdeg(self):
         """Minimal total weighted degree over stored terms; None if zero."""
         return min(map(self.space.wdeg, self.terms), default=None)
@@ -310,23 +307,16 @@ class Series:
         return _series(self.ring, (d, {p: -n for p, n in t.items()}))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self.ring.check_same(other.ring)
-        d, t = self.raw
-        return _series(self.ring, _reduce(_add_into((d, dict(t)), other.raw)))
+        return lincomb(self, [(1, other)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return lincomb(self, [(-1, other)])
 
     def __mul__(self, other):
         ring = self.ring
-        if isinstance(other, (int, Fraction)):
-            other = ring.const(other)
-        ring.check_same(other.ring)
-        return _series(ring, _product(ring, self.raw, other.raw) or (1, {}))
+        return _series(ring, _product(ring, self.raw, _raw(ring, other)) or (1, {}))
 
     __rmul__ = __mul__
 
@@ -372,11 +362,6 @@ class Series:
         negative powers raise DivergenceError (tagged with ``context``)."""
         d, t = self.raw
         return _series(self.ring, _reduce((d, _zero_slicer(self.ring, name, context)(d, t))))
-
-    def limit_zero(self, name=EPS, context=""):
-        """The ``name`` -> 0 limit: the checked zero slice in the reduced space."""
-        return self.zero_slice(name, context).to(
-            replace(self.ring, space=self.space.without(name)))
 
     # -- rendering ---------------------------------------------------------
 
@@ -491,17 +476,17 @@ def _reduce(r):
     return d // g, {p: n // g for p, n in t.items()}
 
 
-def _add_into(acc, r):
-    """``acc + r`` over the lcm of their denominators, added into the dict of
-    ``acc``, which the caller owns (that of ``r`` is only read); a key whose
-    sum is zero is dropped, and no gcd is taken."""
+def _add_into(acc, r, k=1):
+    """``acc + k * r`` for an int ``k``, over the lcm of their denominators,
+    added into the dict of ``acc``, which the caller owns (that of ``r`` is
+    only read); a key whose sum is zero is dropped, and no gcd is taken."""
     (d, t), (e, u) = acc, r
     m = math.lcm(d, e)
     if m != d:
         g = m // d
         for p in t:
             t[p] *= g
-    f = m // e
+    f = m // e * k
     for p, n in u.items():
         if n := t.get(p, 0) + n * f:
             t[p] = n
@@ -535,6 +520,42 @@ def _product(ring, r1, r2):
     (d1, t1), (d2, t2) = r1, r2
     t = _mul_terms(ring.codec, t1, t2)
     return _reduce((d1 * d2, t)) if t else None
+
+
+def _raw(ring, v):
+    """The raw form of ``v``, a ``Series`` over ``ring``, an int or a
+    ``Fraction``."""
+    if isinstance(v, Series):
+        ring.check_same(v.ring)
+        return v.raw
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"not a Series, int or Fraction: {v!r}")
+    return ring.const(v).raw
+
+
+def lincomb(start, pairs):
+    """``start + sum(c * x for c, x in pairs)`` over one accumulator
+    ``(d, {key: n})``, reduced once at the end: each ``c`` and ``x`` a
+    ``Series`` over the ring of ``start`` (else ``StructureError``), an int
+    or a ``Fraction`` (else ``TypeError``).  Where
+    one factor is a constant, the other's numerators are scaled; two series
+    multiply (``_product``).  The accumulator takes over the dict of the
+    first product rather than copy it."""
+    ring = start.ring
+    one = ring.codec.zero
+    d, t = start.raw
+    acc = (d, dict(t)) if t else None
+    for c, x in pairs:
+        (d, t), (e, u) = _raw(ring, c), _raw(ring, x)
+        if len(u) == 1 and one in u:            # a constant x: make c the constant
+            (d, t), (e, u) = (e, u), (d, t)
+        if len(t) == 1 and (k := t.get(one)):
+            if u:
+                acc = (_add_into(acc, (d * e, u), k) if acc
+                       else (d * e, {p: n * k for p, n in u.items()}))
+        elif t and u and (r := _product(ring, (d, t), (e, u))):
+            acc = _add_into(acc, r) if acc else r
+    return _series(ring, _reduce(acc or (1, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +615,7 @@ def analytic_series(kind, arg: Series) -> Series:
     if mw is not None and mw <= 0:
         raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
     kmax = 0 if mw is None else ring.order // mw
-    coeffs = taylor_coeffs(kind, kmax)
-    out = (1, {})
-    power = ring.one()
-    for k in range(kmax + 1):
-        if coeffs[k]:
-            out = _add_into(out, (power * coeffs[k]).raw)
-        if k < kmax:
-            power = power * arg
-    return _series(ring, _reduce(out))
+    powers = [ring.one()]
+    for _ in range(kmax):
+        powers.append(powers[-1] * arg)
+    return lincomb(ring.zero(), zip(taylor_coeffs(kind, kmax), powers))

@@ -145,24 +145,32 @@ def raw_uses(source):
 RAW_USERS = [p for p in ALL_SRC if p.name not in RAW_OWNERS]
 
 
+def _update_of(value, name):
+    """``+`` or ``-`` if ``value`` is ``name + ...`` or ``name - ...``."""
+    if (isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub))
+            and isinstance(value.left, ast.Name) and value.left.id == name):
+        return "+" if isinstance(value.op, ast.Add) else "-"
+    return None
+
+
 def accumulations(source):
     """(line, what) for every ``name = name + ...`` or ``name = name - ...``
-    in the body of a ``for`` or ``while`` loop, and every builtin ``sum``
-    given a start value.  A series or tensor sum copies its left operand,
-    so such a loop is quadratic in the size of the sum; ``algebra.lincomb``
-    sums over one accumulator."""
+    in the body of a ``for`` or ``while`` loop, also as either branch of a
+    conditional expression (``name = x if ... else name + ...``), and every
+    builtin ``sum`` given a start value.  A series or tensor sum copies its
+    left operand, so such a loop is quadratic in the size of the sum;
+    ``series.lincomb`` and ``algebra.lincomb`` sum over one accumulator."""
     tree = ast.parse(source)
     in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
                for stmt in loop.body for node in ast.walk(stmt)}
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign) and id(node) in in_loop and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.BinOp)
-                and isinstance(node.value.op, (ast.Add, ast.Sub))
-                and isinstance(node.value.left, ast.Name)
-                and node.value.left.id == (name := node.targets[0].id)):
-            op = "+" if isinstance(node.value.op, ast.Add) else "-"
-            found.append((node.lineno, f"{name} = {name} {op} ..."))
+                and isinstance(node.targets[0], ast.Name)):
+            name, v = node.targets[0].id, node.value
+            branches = [v.body, v.orelse] if isinstance(v, ast.IfExp) else [v]
+            if op := next(filter(None, (_update_of(b, name) for b in branches)), None):
+                found.append((node.lineno, f"{name} = {name} {op} ..."))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "sum"
               and (len(node.args) > 1 or any(k.arg == "start" for k in node.keywords))):
@@ -202,10 +210,12 @@ def test_no_accumulation_loops(path):
 def test_check_flags_an_accumulation_loop():
     source = ("def f(xs, t, n):\n    acc = t\n    for x in xs:\n        acc = acc + x\n"
               "        n = n - 1 if x else n\n        t = x + t\n        for y in x:\n"
-              "            n = n * y\n    while t:\n        t = t - 1\n    acc = acc + t\n"
+              "            n = n * y\n            s = y if s is None else s + y\n"
+              "    while t:\n        t = t - 1\n    acc = acc + t\n"
               "    return sum(xs, t), sum(xs), sum(xs, start=n)\n")
-    assert accumulations(source) == [(4, "acc = acc + ..."), (10, "t = t - ..."),
-                                     (12, "sum(..., start)"), (12, "sum(..., start)")]
+    assert accumulations(source) == [(4, "acc = acc + ..."), (5, "n = n - ..."),
+                                     (9, "s = s + ..."), (11, "t = t - ..."),
+                                     (13, "sum(..., start)"), (13, "sum(..., start)")]
 
 
 def test_check_flags_a_raw_form_use():

@@ -1,8 +1,11 @@
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfc import catalog, rmatrix
 from hopfc.errors import DivergenceError, LookupError_
-from hopfc.series import ParamSpace, Ring
+from hopfc.series import ParamSpace, Ring, Series
 
 NAMES = rmatrix.rmat_names()
 
@@ -24,6 +27,58 @@ def test_qybe_series(name, order):
 def test_qybe_exact(name):
     R = rmatrix.get_rmat(name, exact=True)
     assert rmatrix.mat_is_zero(rmatrix.qybe_residual(R))
+
+
+def naive_mat_mul(a, b):
+    """The product by a triple loop over ``terms``: every term pair of
+    every ``a[i][k] * b[k][j]``, truncated by weighted degree."""
+    ring = a[0][0].ring
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for e1, c1 in a[i][k].terms.items():
+                    for e2, c2 in b[k][j].terms.items():
+                        e = tuple(p + q for p, q in zip(e1, e2))
+                        if ring.space.wdeg(e) <= ring.order:
+                            acc[e] = acc.get(e, F(0)) + c1 * c2
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two n x n matrices of series (n = 2 or 4), entries often zero; when
+    ``cancel``, a's columns 0 and 1 agree and b's rows 0 and 1 are
+    negatives, so the k = 0 and k = 1 products of every entry cancel."""
+    n = draw(st.sampled_from([2, 4]))
+    ring = Ring(ParamSpace.make("a", "a_plus"), draw(st.integers(1, 4)))
+    coeff = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+    entry = st.one_of(st.just({}), st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coeff, max_size=3))
+
+    def matrix():
+        return [[Series(ring, draw(entry)) for _ in range(n)] for _ in range(n)]
+
+    a, b = matrix(), matrix()
+    if draw(st.booleans()):
+        for row in a:
+            row[1] = row[0]
+        b[1] = [-x for x in b[0]]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_pairs())
+def test_mat_mul_matches_a_naive_triple_loop(ab):
+    a, b = ab
+    got = rmatrix.mat_mul(a, b)
+    assert [[x.terms for x in row] for row in got] == naive_mat_mul(a, b)
+    assert all(x.ring is a[0][0].ring for row in got for x in row)
 
 
 def test_exp_of_r_reproduces_triangular_matrix():

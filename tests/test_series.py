@@ -1,5 +1,6 @@
 import math
 import operator
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from hopfc.series import (
     Ring,
     Series,
     analytic_series,
+    lincomb,
     taylor_coeffs,
 )
 
@@ -150,7 +152,7 @@ def test_ratio_symbol_numeric_oracle():
         "a": Ring(space, 4).const(F(1, 3)),
         "kappa": Ring(space, 4).const(F(3, 5)),
     })
-    assert num.constant_term() == F(1, 5)
+    assert num.terms == {(0, 0): F(1, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +179,16 @@ def test_substitute_parameter_images():
     assert ap.substitute({"a_plus": img3}) == img3
 
 
+def _eps_limit(s):
+    """The eps -> 0 limit: the zero slice, moved to the space without eps."""
+    return s.zero_slice("eps").to(replace(s.ring, space=s.space.without("eps")))
+
+
 def test_limit_zero_drops_positive_powers():
     sp = ParamSpace.make("theta", "xi", "eps")
     s = Ring(sp, 4).symbol("theta") \
         + Ring(sp, 4).term({"eps": 2, "xi": 1}, 1)
-    lim = s.limit_zero("eps")
+    lim = _eps_limit(s)
     assert lim == Ring(lim.space, 4).symbol("theta")
 
 
@@ -189,7 +196,7 @@ def test_limit_zero_divergence():
     sp = ParamSpace.make("xi", "eps")
     s = Ring(sp, 4).term({"eps": -2, "xi": 1}, 1)
     with pytest.raises(DivergenceError):
-        s.limit_zero("eps")
+        _eps_limit(s)
 
 
 def test_limit_zero_at_solved_exponent():
@@ -197,7 +204,7 @@ def test_limit_zero_at_solved_exponent():
     sp = ParamSpace.make("theta", "eps")
     n = 2
     s = Ring(sp, 4).term({"eps": n - 2, "theta": 1}, 1)
-    lim = s.limit_zero("eps")
+    lim = _eps_limit(s)
     assert lim == Ring(lim.space, 4).symbol("theta")
 
 
@@ -356,6 +363,73 @@ def test_product_matches_naive_pairwise_loop(xy):
     # the kernel's raw form and one built from the same terms are one value
     rebuilt = Series(x.ring, want)
     assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def ref_lincomb(start, pairs):
+    """``start + sum(c * x)`` over ``terms``: a constant is a one-term series
+    at exponent 0, and each product is ``naive_product``."""
+    ring = start.ring
+    const = (0,) * ring.space.dim
+    out = dict(start.terms)
+    for c, x in pairs:
+        c, x = (v if isinstance(v, Series) else Series(ring, {const: F(v)}) for v in (c, x))
+        for e, v in naive_product(c, x).items():
+            out[e] = out.get(e, F(0)) + v
+    return {e: v for e, v in out.items() if v}
+
+
+@st.composite
+def _lincomb_cases(draw):
+    """A start (sometimes zero) and up to 4 pairs over one ring on SPK or
+    SPN, each factor a series, an int or a Fraction; sometimes the pairs end
+    with the negation of everything before, so the sum cancels to zero."""
+    space = draw(st.sampled_from([SPK, SPN]))
+    ring = Ring(space, draw(st.integers(0, 5)), draw(st.integers(-4, -1)))
+    lows = [ring.floor if iv else 0 for iv in space.invertible]
+    exps = st.tuples(*(st.integers(lo, 3) for lo in lows))
+    series = st.dictionaries(exps, _coeff(), max_size=4).map(lambda t: Series(ring, t))
+    factor = st.one_of(series, st.integers(-3, 3), _coeff())
+    start = draw(st.one_of(st.just(ring.zero()), series))
+    pairs = draw(st.lists(st.tuples(factor, factor), max_size=4))
+    cancel = draw(st.booleans())
+    if cancel:
+        pairs += [(-c, x) for c, x in pairs] + [(-1, start)]
+    return start, pairs, cancel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lincomb_cases())
+def test_lincomb_matches_a_fraction_reference(case):
+    start, pairs, cancel = case
+    operands = [start] + [v for pair in pairs for v in pair if isinstance(v, Series)]
+    before = [(v.raw[0], dict(v.raw[1])) for v in operands]
+    try:
+        want = ref_lincomb(start, pairs)
+    except FloorUnderflowError:
+        with pytest.raises(FloorUnderflowError):
+            lincomb(start, pairs)
+        return
+    got = lincomb(start, pairs)
+    assert got.ring is start.ring and got.terms == want
+    assert [v.raw for v in operands] == before      # the operands are only read
+    assert not cancel or got.is_zero()
+    # the raw form: lowest terms, a positive denominator, no zero numerator
+    d, t = got.raw
+    assert d > 0 and math.gcd(d, *t.values()) == 1 and all(t.values())
+    assert got.raw == Series(start.ring, want).raw
+
+
+def test_lincomb_of_mismatched_rings_is_refused():
+    start, other = Ring(SP, 4).one(), Ring(SP, 3).symbol("a")
+    for pair in [(other, 2), (F(1, 2), other)]:
+        with pytest.raises(StructureError, match="mismatched rings"):
+            lincomb(start, [pair])
+    # a float is not exact: no sum or product converts one
+    for pair in [(0.5, start), (start, 0.5)]:
+        with pytest.raises(TypeError, match="not a Series, int or Fraction"):
+            lincomb(start, [pair])
+    with pytest.raises(TypeError):
+        start * 0.5
 
 
 def test_product_cancels_exactly():
