@@ -21,7 +21,6 @@ from .contraction import (
     ContractionCase,
     change_of_basis,
     classical_limit,
-    contract_casimir,
     contract_hopf,
     match_presentation,
     solve_min_exponents,

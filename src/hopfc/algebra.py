@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import (
     ConfluenceFailureError,
@@ -14,8 +14,8 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import (EXACT_ORDER, Series, _mul_terms, _reduce, _ring_change, _series,
-                     _substitution, _zero_slicer, taylor_coeffs)
+from .series import (EXACT_ORDER, _add_terms, _finish, _mul_terms, _raw, _reduce, _rescale,
+                     _ring_change, _series, _substitution, _sum, _zero_slicer, taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -241,69 +241,16 @@ def _tensor(rank, gens, ring, raw):
 
 
 def lincomb(start, pairs):
-    """``start + sum(c * x for c, x in pairs)`` over one accumulator, of the
-    class of ``start``: each ``c`` a ``Series``, ``Fraction`` or int, each
-    ``x`` of the rank, generators and ring of ``start``.  A constant ``c``
-    scales numerators; any other multiplies each term dict (``_mul_terms``)."""
+    """``start + sum(c * x for c, x in pairs)``, one ``series._sum``, of the
+    class of ``start``: each ``c`` a ``Series`` over its ring, a
+    ``Fraction`` or an int (else ``TypeError``), each ``x`` of the rank,
+    generators and ring of ``start``."""
     ring = start.ring
-    acc = [1, {}]
-    for c, x in chain([(1, start)], pairs):
+    args = []
+    for c, x in pairs:
         start._compatible(x)
-        c = c if isinstance(c, Series) else ring.const(c)
-        ring.check_same(c.ring)
-        (d, t), (e, v) = x.raw, c.raw
-        if v:
-            m = v.get(ring.codec.zero) if len(v) == 1 else None
-            f = _rescale(acc, d * e) * (m or 1)
-            for k, u in t.items():
-                _add_terms(acc[1], k, dict(u) if m else _mul_terms(ring.codec, u, v), f)
-    return start._with(_finish(*acc))
-
-
-def _rescale(acc, d):
-    """Bring the accumulator ``[D, {key: {p: n}}]`` to a denominator that
-    ``d`` divides; returns the factor that takes numerators over ``d`` to
-    it."""
-    D = acc[0]
-    if D % d:
-        m = math.lcm(D, d)
-        g = m // D
-        for t in acc[1].values():
-            for p in t:
-                t[p] *= g
-        acc[0] = D = m
-    return D // d
-
-
-def _add_terms(acc, k, t, f):
-    """``acc[k] += f * t`` over int term dicts; ``acc`` takes ownership of
-    ``t``.  A key whose terms all cancel leaves ``acc``, and an empty ``t``
-    changes nothing."""
-    if (a := acc.get(k)) is None:
-        if t:
-            if f != 1:
-                for p in t:
-                    t[p] *= f
-            acc[k] = t
-        return
-    for p, n in t.items():
-        if n := a.get(p, 0) + n * f:
-            a[p] = n
-        else:
-            del a[p]
-    if not a:
-        del acc[k]
-
-
-def _finish(d, acc):
-    """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out: a
-    raw form."""
-    if d == 1:
-        return d, acc
-    g = math.gcd(d, *(n for t in acc.values() for n in t.values()))
-    if g == 1:
-        return d, acc
-    return d // g, {k: {p: n // g for p, n in t.items()} for k, t in acc.items()}
+        args.append((_raw(ring, c), x.raw))
+    return start._with(_sum(ring, start.raw, args))
 
 
 def _outer(raws, codec):

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from . import bialgebra
 from .algebra import (
-    Element,
     GeneratorSet,
     RewriteTable,
     TensorElement,
@@ -266,13 +265,6 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
     )
     # assemble at the requested order over the target space
     return contracted.to(Ring(tgt_space, order))
-
-
-def contract_casimir(case: ContractionCase, order=4) -> Element:
-    got = contract_hopf(case, order)
-    if got.casimir is None:
-        raise StructureError(f"case {case.name} has no Casimir prescription")
-    return got.casimir
 
 
 # ---------------------------------------------------------------------------

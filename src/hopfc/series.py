@@ -37,7 +37,13 @@ WEIGHT0_LIMIT = 2**31
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x``, an int or a ``Fraction``, as a ``Fraction``: anything else,
+    a float above all, is not exact and raises ``TypeError``."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
+        raise TypeError(f"not an int or Fraction: {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -451,7 +457,7 @@ def _substitution(src, sigma, ring):
     unpack = src.codec.unpack
 
     def apply(d, t):
-        out = (1, {})
+        acc = [1, {}]
         for p, n in t.items():
             term = d, {one: n}
             for i, e in enumerate(unpack(p)):
@@ -460,8 +466,9 @@ def _substitution(src, sigma, ring):
                         pw = powers[i, e] = (images[i] ** e).raw
                     term = term and _product(ring, term, pw)
             if term:
-                out = _add_into(out, term)
-        return _reduce(out)
+                _add_terms(acc[1], (), term[1], _rescale(acc, term[0]))
+        d, t = _finish(*acc)
+        return d, t.get((), {})
 
     return apply
 
@@ -474,25 +481,6 @@ def _reduce(r):
     if g == 1:
         return r
     return d // g, {p: n // g for p, n in t.items()}
-
-
-def _add_into(acc, r, k=1):
-    """``acc + k * r`` for an int ``k``, over the lcm of their denominators,
-    added into the dict of ``acc``, which the caller owns (that of ``r`` is
-    only read); a key whose sum is zero is dropped, and no gcd is taken."""
-    (d, t), (e, u) = acc, r
-    m = math.lcm(d, e)
-    if m != d:
-        g = m // d
-        for p in t:
-            t[p] *= g
-    f = m // e * k
-    for p, n in u.items():
-        if n := t.get(p, 0) + n * f:
-            t[p] = n
-        else:
-            del t[p]
-    return m, t
 
 
 def _mul_terms(codec, t1, t2):
@@ -528,34 +516,97 @@ def _raw(ring, v):
     if isinstance(v, Series):
         ring.check_same(v.ring)
         return v.raw
+    if type(v) is int:      # the common constant, read without a Fraction
+        return (1, {ring.codec.zero: v}) if v else (1, {})
     if not isinstance(v, (int, Fraction)):
         raise TypeError(f"not a Series, int or Fraction: {v!r}")
     return ring.const(v).raw
 
 
+def _rescale(acc, d):
+    """Bring the accumulator ``[D, {key: {p: n}}]`` to a denominator that
+    ``d`` divides; returns the factor that takes numerators over ``d`` to
+    it."""
+    D = acc[0]
+    if D % d:
+        m = math.lcm(D, d)
+        g = m // D
+        for t in acc[1].values():
+            for p in t:
+                t[p] *= g
+        acc[0] = D = m
+    return D // d
+
+
+def _add_terms(acc, k, t, f):
+    """``acc[k] += f * t`` over int term dicts; ``acc`` takes ownership of
+    ``t``.  A key whose terms all cancel leaves ``acc``, and an empty ``t``
+    changes nothing."""
+    if (a := acc.get(k)) is None:
+        if t:
+            if f != 1:
+                for p in t:
+                    t[p] *= f
+            acc[k] = t
+        return
+    for p, n in t.items():
+        if n := a.get(p, 0) + n * f:
+            a[p] = n
+        else:
+            del a[p]
+    if not a:
+        del acc[k]
+
+
+def _finish(d, acc):
+    """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out: a
+    raw form."""
+    if d == 1:
+        return d, acc
+    g = math.gcd(d, *(n for t in acc.values() for n in t.values()))
+    if g == 1:
+        return d, acc
+    return d // g, {k: {p: n // g for p, n in t.items()} for k, t in acc.items()}
+
+
+def _sum(ring, start, pairs):
+    """``start + sum(c * x for c, x in pairs)`` over ``ring``, the one
+    accumulator of every linear combination: ``c`` a raw form ``(d, {p:
+    n})``, ``start`` and each ``x`` a keyed one ``(d, {key: {p: n}})``, and
+    the result keyed, reduced once at the end.  A constant ``c`` scales
+    numerators; any other multiplies each term dict (``_mul_terms``)."""
+    codec = ring.codec
+    d, t = start
+    acc = [d, {k: dict(u) for k, u in t.items()}]
+    terms = acc[1]
+    for (e, v), (d, t) in pairs:
+        if v:
+            m = v.get(codec.zero) if len(v) == 1 else None
+            f = _rescale(acc, d * e) * (m or 1)
+            for k, u in t.items():
+                # a constant's term dict is copied only where the accumulator takes it
+                _add_terms(terms, k, (u if k in terms else dict(u)) if m
+                           else _mul_terms(codec, u, v), f)
+    return _finish(*acc)
+
+
 def lincomb(start, pairs):
-    """``start + sum(c * x for c, x in pairs)`` over one accumulator
-    ``(d, {key: n})``, reduced once at the end: each ``c`` and ``x`` a
-    ``Series`` over the ring of ``start`` (else ``StructureError``), an int
-    or a ``Fraction`` (else ``TypeError``).  Where
-    one factor is a constant, the other's numerators are scaled; two series
-    multiply (``_product``).  The accumulator takes over the dict of the
-    first product rather than copy it."""
+    """``start + sum(c * x for c, x in pairs)``, one ``_sum`` over the
+    single key ``()``: each ``c`` and ``x`` a ``Series`` over the ring of
+    ``start`` (else ``StructureError``), an int or a ``Fraction`` (else
+    ``TypeError``).  A constant ``x`` becomes the factor, so a series times
+    a constant scales numerators and only two series multiply."""
     ring = start.ring
     one = ring.codec.zero
-    d, t = start.raw
-    acc = (d, dict(t)) if t else None
+    args = []
     for c, x in pairs:
         (d, t), (e, u) = _raw(ring, c), _raw(ring, x)
-        if len(u) == 1 and one in u:            # a constant x: make c the constant
-            (d, t), (e, u) = (e, u), (d, t)
-        if len(t) == 1 and (k := t.get(one)):
-            if u:
-                acc = (_add_into(acc, (d * e, u), k) if acc
-                       else (d * e, {p: n * k for p, n in u.items()}))
-        elif t and u and (r := _product(ring, (d, t), (e, u))):
-            acc = _add_into(acc, r) if acc else r
-    return _series(ring, _reduce(acc or (1, {})))
+        if t and u:
+            args.append(((e, u), (d, {(): t})) if len(u) == 1 and one in u
+                        else ((d, t), (e, {(): u})))
+    d, t = start.raw
+    d, t = _sum(ring, (d, {(): t} if t else {}), args)
+    return _series(ring, (d, t.get((), {})))
 
 
 # ---------------------------------------------------------------------------

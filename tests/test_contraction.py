@@ -12,7 +12,6 @@ from hopfc.contraction import (
     _transport,
     change_of_basis,
     classical_limit,
-    contract_casimir,
     contract_hopf,
     match_presentation,
     solve_min_exponents,
@@ -116,8 +115,7 @@ def test_contract_matches_target(name):
 
 def test_contract_casimir_value():
     case = catalog.get_case("II.nonstandard")
-    cas = contract_casimir(case, 3)
-    assert cas == catalog.get(case.target, 3).casimir
+    assert contract_hopf(case, 3).casimir == catalog.get(case.target, 3).casimir
 
 
 @pytest.mark.parametrize("name,param", [

@@ -159,7 +159,8 @@ def accumulations(source):
     conditional expression (``name = x if ... else name + ...``), and every
     builtin ``sum`` given a start value.  A series or tensor sum copies its
     left operand, so such a loop is quadratic in the size of the sum;
-    ``series.lincomb`` and ``algebra.lincomb`` sum over one accumulator."""
+    ``series.lincomb`` and ``algebra.lincomb`` both sum through
+    ``series._sum``, over the one accumulator of the engine."""
     tree = ast.parse(source)
     in_loop = {id(node) for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
                for stmt in loop.body for node in ast.walk(stmt)}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfc import catalog
-from hopfc.algebra import RewriteTable, tensor_mul
+from hopfc.algebra import RewriteTable, TensorElement, tensor_mul
+from hopfc.algebra import lincomb as algebra_lincomb
 from hopfc.errors import (
     DivergenceError,
     FloorUnderflowError,
@@ -403,14 +404,21 @@ def test_lincomb_matches_a_fraction_reference(case):
     start, pairs, cancel = case
     operands = [start] + [v for pair in pairs for v in pair if isinstance(v, Series)]
     before = [(v.raw[0], dict(v.raw[1])) for v in operands]
+    # the same sum over rank-0 tensors, a constant x given as a series
+    ring, gens = start.ring, catalog.get("gl2.classical", 3).gens
+    scalar = lambda s: TensorElement(0, gens, ring, {(): s})    # noqa: E731
+    tensor_pairs = [(c, scalar(x if isinstance(x, Series) else ring.const(x))) for c, x in pairs]
     try:
         want = ref_lincomb(start, pairs)
     except FloorUnderflowError:
         with pytest.raises(FloorUnderflowError):
             lincomb(start, pairs)
+        with pytest.raises(FloorUnderflowError):
+            algebra_lincomb(scalar(start), tensor_pairs)
         return
     got = lincomb(start, pairs)
     assert got.ring is start.ring and got.terms == want
+    assert algebra_lincomb(scalar(start), tensor_pairs).terms.get((), ring.zero()) == got
     assert [v.raw for v in operands] == before      # the operands are only read
     assert not cancel or got.is_zero()
     # the raw form: lowest terms, a positive denominator, no zero numerator
@@ -430,6 +438,15 @@ def test_lincomb_of_mismatched_rings_is_refused():
             lincomb(start, [pair])
     with pytest.raises(TypeError):
         start * 0.5
+    # nor does a constructor, a table's scalar or a tensor sum or scale
+    ring = start.ring
+    x = catalog.get("gl2.classical", 3).table.gen("Jp")
+    for make in [lambda: ring.const(0.1), lambda: ring.term({"a": 1}, 0.1),
+                 lambda: Series(ring, {(1, 0): 0.1}),
+                 lambda: RewriteTable.commuting(x.gens, ring).scalar(0.1),
+                 lambda: algebra_lincomb(x, [(0.1, x)]), lambda: x.scale(0.5)]:
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_product_cancels_exactly():
