@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import (
@@ -14,7 +14,7 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import (EXACT_ORDER, _add_terms, _finish, _mul_terms, _raw, _reduce, _rescale,
+from .series import (EXACT_ORDER, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
                      _ring_change, _series, _substitution, _sum, _zero_slicer, taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
@@ -116,8 +116,8 @@ class TensorElement:
         f0 = factors[0]
         for f in factors[1:]:
             f0.ring.check_same(f.ring)
-        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring,
-                       _finish(*_outer([f.raw for f in factors], f0.ring.codec)))
+        d, terms = _outer([f.raw for f in factors], f0.ring.codec)
+        return _tensor(sum(f.rank for f in factors), f0.gens, f0.ring, _finish(d, dict(terms)))
 
     def permute(self, perm):
         """The slots reordered: slot ``s`` of the result is slot ``perm[s]``
@@ -256,12 +256,14 @@ def lincomb(start, pairs):
 def _outer(raws, codec):
     """Tensor product of raw forms over ``codec``'s ring: keys concatenate,
     term dicts multiply left to right (``_mul_terms``) and empty products
-    are dropped, over the product of the denominators, not reduced."""
+    are dropped, over the product of the denominators, not reduced.  The
+    terms come as ``(key, {p: n})`` pairs: of one raw form, its own items."""
     d, terms = raws[0]
+    terms = terms.items()
     for e, f in raws[1:]:
         d *= e
-        terms = {k + k2: p for k, c in terms.items() for k2, c2 in f.items()
-                 if (p := _mul_terms(codec, c, c2))}
+        terms = [(k + k2, p) for k, c in terms for k2, c2 in f.items()
+                 if (p := _mul_terms(codec, c, c2))]
     return d, terms
 
 
@@ -282,6 +284,7 @@ class RewriteTable:
                     )
         self._nf_cache = {}
         self._rule_parts = {}
+        self._word = lru_cache(maxsize=None)(word_of)     # monomial -> its word
         self.reset_budget()
 
     @classmethod
@@ -363,7 +366,7 @@ class RewriteTable:
                     rhs = self.rules[pair]
                     ring.check_same(rhs.ring)
                     e, u = rhs.raw
-                    rule = rule_parts[pair] = [(word_of(m), (e, t))
+                    rule = rule_parts[pair] = [(self._word(m), (e, t))
                                                for (m,), t in reversed(u.items())]
                 swapped = head + pair[::-1] + tail
                 parts = [(head + w + tail, c) for w, c in rule] + [(swapped, None)]
@@ -375,13 +378,8 @@ class RewriteTable:
                 if c is None and not parts:
                     acc = res       # a zero rule: nf(w) is the swapped word's, shared
                 else:
-                    d, terms = res
-                    if c is not None:
-                        d *= c[0]
-                        c = c[1]
-                    f = _rescale(acc, d)
-                    for m, t in terms.items():
-                        _add_terms(acc[1], m, dict(t) if c is None else _mul_terms(codec, t, c), f)
+                    (d, terms), (e, c) = res, c or (1, {codec.zero: 1})
+                    _mul_add(codec, acc[1], terms.items(), c, _rescale(acc, d * e))
                 if parts:
                     word = parts[-1][0]
                     break
@@ -404,19 +402,20 @@ class RewriteTable:
 
 def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     """Slot-wise product of two tensors of one rank: for every term pair,
-    each slot's words concatenate and are normal-formed.  The coefficient
-    of a pair is c1 * c2, times the slot-wise outer product of the normal
-    forms' coefficients, left to right; terms above the order go at each
-    of these products, and the pair's terms are summed over one running
-    denominator."""
+    each slot's words (memoized on the table) concatenate and are
+    normal-formed, a cached normal form read without entering ``_nf_word``.
+    The coefficient of a pair is c1 * c2, times the slot-wise outer product
+    of the normal forms' coefficients, left to right (``_outer``); at each
+    of these products terms above the order go and the flag test runs, and
+    a sum that cancels is gone before the next.  The last product goes
+    straight into one accumulator over a running denominator (``_mul_add``)."""
     x._compatible(y)
     table.check(x)
     table.reset_budget()
-    ring, nf = x.ring, table._nf_word
+    ring, cache, nf, word = x.ring, table._nf_cache, table._nf_word, table._word
     codec = ring.codec
     zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
-    mul_terms = partial(_mul_terms, codec)
-    (d1, left), (d2, right) = ((d, [([word_of(m) for m in ms], t) for ms, t in terms.items()])
+    (d1, left), (d2, right) = ((d, [([word(m) for m in ms], t) for ms, t in terms.items()])
                                for d, terms in (x.raw, y.raw))
     acc = [1, {}]
     for words1, t1 in left:
@@ -429,12 +428,11 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
                 if p & flags != guards:
                     codec.pack(codec.unpack(p))      # raises
                 c = {p: n1 * n2}
-            elif not (c := mul_terms(t1, t2)):
+            elif not (c := _mul_terms(codec, t1, t2)):
                 continue
-            e, outer = _outer([nf(w1 + w2) for w1, w2 in zip(words1, words2)], codec)
-            f = _rescale(acc, d1 * d2 * e)
-            for k, t in outer.items():
-                _add_terms(acc[1], k, mul_terms(t, c), f)
+            e, outer = _outer([cache.get(w := w1 + w2) or nf(w)
+                               for w1, w2 in zip(words1, words2)], codec)
+            _mul_add(codec, acc[1], outer, c, _rescale(acc, d1 * d2 * e))
     return _tensor(x.rank, x.gens, ring, _finish(*acc))
 
 
@@ -506,9 +504,11 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
                           memo=None):
     """Homomorphic substitution generator -> Element over the target algebra,
     slot by slot, with optional simultaneous parameter substitution on
-    coefficients.  ``memo`` may carry monomial images from earlier calls
-    with the same ``images``, made since the target's normal-form cache was
-    last emptied."""
+    coefficients: per term, the outer product of its monomials' images,
+    left to right, times the moved or substituted coefficient goes straight
+    into one accumulator (``_mul_add``).  ``memo`` may carry monomial images
+    from earlier calls with the same ``images``, made since the target's
+    normal-form cache was last emptied."""
     ring = table_target.ring
     unit = table_target.one()
     memo = {} if memo is None else memo
@@ -523,16 +523,12 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
         coeff = lambda u: (d, move(u))    # noqa: E731
     else:
         coeff = partial(_substitution(x.ring, param_sub, ring), d)
-    mul_terms = partial(_mul_terms, ring.codec)
     acc = [1, {}]
     for ms, u in terms.items():
         e, v = coeff(u)
         if v:
             d2, outer = _outer([image(m).raw for m in ms], ring.codec)
-            f = _rescale(acc, d2 * e)
-            for k, t in outer.items():
-                if t := mul_terms(t, v):
-                    _add_terms(acc[1], k, t, f)
+            _mul_add(ring.codec, acc[1], outer, v, _rescale(acc, d2 * e))
     return _tensor(x.rank, table_target.gens, ring, _finish(*acc))
 
 
@@ -544,19 +540,18 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     """Replace slot ``slot`` of ``t`` by the ``monomial_image`` of its
     monomial: a term c * (.. (x) m (x) ..) becomes c times the image's terms,
     their slots spliced in at ``slot``, so the rank changes by
-    ``unit.rank - 1``.  Every Hopf structure map on a slot (coproduct, counit,
+    ``unit.rank - 1``; each product c * v goes straight into one accumulator
+    (``_mul_add``).  Every Hopf structure map on a slot (coproduct, counit,
     antipode) runs through here.  ``memo`` is passed on to ``monomial_image``."""
     t.ring.check_same(unit.ring)
     memo = {} if memo is None else memo
-    mul_terms = partial(_mul_terms, t.ring.codec)
     acc = [1, {}]
     d, terms = t.raw
     for ms, u in terms.items():
         e, img = monomial_image(ms[slot], t.gens, images, unit, product, memo).raw
-        f = _rescale(acc, d * e)
-        for ms2, v in img.items():
-            if w := mul_terms(u, v):
-                _add_terms(acc[1], ms[:slot] + ms2 + ms[slot + 1:], w, f)
+        pre, post = ms[:slot], ms[slot + 1:]
+        _mul_add(t.ring.codec, acc[1], [(pre + ms2 + post, v) for ms2, v in img.items()], u,
+                 _rescale(acc, d * e), left=True)
     return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, _finish(*acc))
 
 

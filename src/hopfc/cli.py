@@ -18,6 +18,7 @@ from . import catalog, rmatrix
 from .contraction import change_of_basis, contract_hopf, match_presentation, solve_min_exponents
 from .errors import DivergenceError, HopfcError, LookupError_
 from .hopf import MAX_RESIDUAL_LINES, Check, render_text, verify_all
+from .series import EXACT_ORDER
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -181,7 +182,7 @@ def build_parser():
 
     def common(sp, formats=True):
         sp.add_argument("--order", type=int, default=catalog.DEFAULT_ORDER,
-                        help="series truncation order N (default 4)")
+                        help=f"series truncation order N, below {EXACT_ORDER} (default 4)")
         if formats:
             sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="write the report to this path")
@@ -229,8 +230,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", 1) < 1:
-        print("hopfc: --order must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "order", 1) < EXACT_ORDER:
+        # EXACT_ORDER itself is the untruncated ring's order
+        print(f"hopfc: --order must be >= 1 and below {EXACT_ORDER}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.out:

@@ -558,6 +558,35 @@ def _add_terms(acc, k, t, f):
         del acc[k]
 
 
+def _mul_add(codec, acc, items, c, f, left=False):
+    """``acc[k] += f * t * c`` for each ``(k, t)`` of ``items``, over int
+    term dicts (``c * t`` if ``left``: the order in which term pairs are
+    met).  Each kept term pair is truncated and flag-tested as in
+    ``_mul_terms``; with a one-term ``c`` it goes straight into ``acc``, with
+    no product dict, else each product is summed in by ``_add_terms``."""
+    if len(c) > 1:
+        for k, t in items:
+            _add_terms(acc, k, _mul_terms(codec, c, t) if left else _mul_terms(codec, t, c), f)
+        return
+    limit, flags, guards = codec.limit, codec.flags, codec.guards
+    ((q, m),) = c.items()
+    q -= codec.zero
+    m *= f
+    for k, t in items:
+        if (a := acc.get(k)) is None:
+            a = acc[k] = {}
+        for p, n in t.items():
+            if (p := p + q) < limit:
+                if p & flags != guards:
+                    codec.pack(codec.unpack(p))      # raises
+                if n := a.get(p, 0) + n * m:
+                    a[p] = n
+                else:
+                    del a[p]
+        if not a:
+            del acc[k]
+
+
 def _finish(d, acc):
     """An accumulator's ``(d, {key: {p: n}})`` with one gcd divided out: a
     raw form."""
@@ -574,7 +603,7 @@ def _sum(ring, start, pairs):
     accumulator of every linear combination: ``c`` a raw form ``(d, {p:
     n})``, ``start`` and each ``x`` a keyed one ``(d, {key: {p: n}})``, and
     the result keyed, reduced once at the end.  A constant ``c`` scales
-    numerators; any other multiplies each term dict (``_mul_terms``)."""
+    numerators; any other multiplies each term dict (``_mul_add``)."""
     codec = ring.codec
     d, t = start
     acc = [d, {k: dict(u) for k, u in t.items()}]
@@ -583,10 +612,12 @@ def _sum(ring, start, pairs):
         if v:
             m = v.get(codec.zero) if len(v) == 1 else None
             f = _rescale(acc, d * e) * (m or 1)
-            for k, u in t.items():
-                # a constant's term dict is copied only where the accumulator takes it
-                _add_terms(terms, k, (u if k in terms else dict(u)) if m
-                           else _mul_terms(codec, u, v), f)
+            if not m:
+                _mul_add(codec, terms, t.items(), v, f)
+            else:
+                for k, u in t.items():
+                    # a constant's term dict is copied only where the accumulator takes it
+                    _add_terms(terms, k, u if k in terms else dict(u), f)
     return _finish(*acc)
 
 

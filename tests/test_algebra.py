@@ -19,6 +19,7 @@ from hopfc.algebra import (
     substitute_generators,
     tensor_mul,
 )
+from hopfc.hopf import verify_all
 from hopfc.errors import (
     ConfluenceFailureError,
     NonTruncatableError,
@@ -351,6 +352,39 @@ def test_setting_an_unread_rule_keeps_the_normal_form_cache():
         assert got == mul(mul(ref.gen(a), ref.gen(b), ref), ref.gen(c), ref)
     assert mul(t.gen("J3"), t.gen("Jp"), t) == t.nf_word((j, i)) + new
     assert mul(t.gen("Jm"), t.gen("Jp"), t) == jm_jp
+
+
+def test_a_warm_verify_rewrites_no_cached_word_and_builds_each_word_once(monkeypatch):
+    # the slot product reads a cached normal form without entering _nf_word,
+    # and takes each monomial's word from its table's memo; the antipode
+    # synthesis makes a table per lower order, each with its own memo
+    tables, entered, built = [], [], []
+    init, nf_word, word_of = RewriteTable.__init__, RewriteTable._nf_word, algebra.word_of
+
+    def counted_init(table, *args):
+        tables.append(table)
+        init(table, *args)
+
+    def counted_nf(table, word):
+        entered.append(word in table._nf_cache)
+        return nf_word(table, word)
+
+    def counted_word(m):
+        built.append(m)
+        return word_of(m)
+
+    monkeypatch.setattr(RewriteTable, "__init__", counted_init)
+    monkeypatch.setattr(RewriteTable, "_nf_word", counted_nf)
+    monkeypatch.setattr(algebra, "word_of", counted_word)
+    H = fresh("gl2.II.standard")
+    first = verify_all(H)
+    assert entered and not any(entered)
+    entered.clear()
+    again = verify_all(H)
+    assert [c.ok for c in again.checks] == [c.ok for c in first.checks]
+    assert entered and not any(entered)
+    assert len(built) == sum(t._word.cache_info().currsize for t in tables)
+    assert len(set(built)) == max(t._word.cache_info().currsize for t in tables)
 
 
 def test_setting_a_read_rule_empties_the_normal_form_cache():

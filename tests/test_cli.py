@@ -6,6 +6,7 @@ import pytest
 
 from hopfc import catalog, cli
 from hopfc.cli import main
+from hopfc.series import EXACT_ORDER
 
 
 def test_verify_list(capsys):
@@ -30,6 +31,20 @@ def test_verify_no_names(capsys):
 
 def test_bad_order():
     assert main(["verify", "gl2.classical", "--order", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "gl2.classical"], ["verify", "gl2.II.standard"],
+                                  ["contract", "II.standard"], ["rmatrix", "gl2.II.nonstandard"]])
+def test_an_order_from_the_exact_bound_up_is_refused(argv, capsys):
+    # EXACT_ORDER is the untruncated ring's order: taken as a truncation
+    # order it would run in exact mode, or refuse the generator functions
+    for order in (EXACT_ORDER, EXACT_ORDER + 1):
+        assert main(argv + ["--order", str(order)]) == 2
+        captured = capsys.readouterr()
+        assert f"--order must be >= 1 and below {EXACT_ORDER}" in captured.err
+        assert not captured.out
+    # the bound is exact: one below it passes the check (--list does no work)
+    assert main(["verify", "--list", "--order", str(EXACT_ORDER - 1)]) == 0
 
 
 def test_contract_list(capsys):

@@ -1,8 +1,9 @@
 """The algebra's slot-wise product (``mul``, ``tensor_mul``) against a
 reference built here from plain ``Series`` arithmetic, with the same
 association: c1 * c2, then the slot-wise outer product of the normal forms'
-coefficients, then times c1 * c2; and the key-level coefficient maps and
-``lincomb`` against per-coefficient references."""
+coefficients, then times c1 * c2; ``map_slot`` and ``substitute_generators``
+against references built from ``terms`` in the same way; and the key-level
+coefficient maps and ``lincomb`` against per-coefficient references."""
 
 import functools
 import itertools
@@ -16,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 from hopfc import catalog
 from hopfc.algebra import (
     Element,
+    GeneratorSet,
     RewriteTable,
     TensorElement,
     coproduct_on_slot,
     lincomb,
     map_slot,
+    monomial_image,
     monomial_of,
     mul,
     substitute_generators,
@@ -104,11 +107,11 @@ def coefficients(draw, ring):
 
 
 @st.composite
-def tensors(draw, table, rank):
+def tensors(draw, table, rank, min_size=0):
     mono = st.sampled_from([m for m in itertools.product(range(3), repeat=table.gens.dim)
                             if sum(m) <= 2])
     terms = draw(st.dictionaries(st.tuples(*[mono] * rank), coefficients(table.ring),
-                                 max_size=3))
+                                 min_size=min_size, max_size=3))
     return TensorElement(rank, table.gens, table.ring, terms)
 
 
@@ -272,6 +275,137 @@ def test_coefficient_maps_and_lincomb_match_per_coefficient_references(data):
     agree(lambda: lincomb(x, pairs), by_terms)
     agree(lambda: lincomb(x, pairs),
           lambda: functools.reduce(lambda acc, p: acc + p[1].scale(p[0]), pairs, x))
+
+
+def of_rank(rank, gens, ring, terms):
+    """The tensor of ``rank`` with the given terms: an ``Element`` at rank 1."""
+    if rank == 1:
+        return Element(gens, ring, terms)
+    return TensorElement(rank, gens, ring, terms)
+
+
+def ref_map_slot(t, slot, images, unit, product):
+    """{key: Series}: each term c * (.. (x) m (x) ..) of ``t`` gives c * v for
+    each term v * k of the ``monomial_image`` of m, with k spliced in at
+    ``slot``."""
+    memo, acc = {}, {}
+    for ms, c in t.terms.items():
+        img = monomial_image(ms[slot], t.gens, images, unit, product, memo)
+        for k, v in img.terms.items():
+            key = ms[:slot] + k + ms[slot + 1:]
+            acc[key] = acc.get(key, t.ring.zero()) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def ref_substitute(x, images, target, param_sub):
+    """{key: Series}: each term c * (m1 (x) m2 ..) of ``x`` gives v * c' for
+    each term v * k of the outer product of the images of m1, m2, .., left
+    to right, where c' is c moved to the target ring (``Series.to``) or
+    substituted into it (``Series.substitute``)."""
+    ring, memo, acc = target.ring, {}, {}
+    unit = target.one()
+    for ms, c in x.terms.items():
+        c = c.to(ring) if param_sub is None else c.substitute(param_sub, ring)
+        if not c:
+            continue
+        imgs = [monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, target), memo)
+                for m in ms]
+        outer = {(): None}
+        for img in imgs:
+            outer = {k + k2: v if u is None else u * v
+                     for k, u in outer.items() for k2, v in img.terms.items()}
+        for k, v in outer.items():
+            acc[k] = acc.get(k, ring.zero()) + v * c
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_map_slot_matches_a_reference_built_from_terms(data):
+    # images of rank 1 (an algebra map: mul), 2 (a coproduct: tensor_mul)
+    # and 0 (a counit: outer products of scalars), multi-term coefficients
+    # on both sides, and over an eps table products that fall below the floor
+    table = data.draw(tables())
+    ring = table.ring
+    rank = data.draw(st.sampled_from([1, 2]))
+    t = data.draw(tensors(table, rank, 1))
+    t = of_rank(rank, t.gens, ring, t.terms)
+    slot = data.draw(st.integers(0, rank - 1))
+    image_rank = data.draw(st.sampled_from([0, 1, 2]))
+    if image_rank == 0:
+        images = {n: TensorElement(0, table.gens, ring, {(): data.draw(coefficients(ring))})
+                  for n in table.gens.names}
+        unit = TensorElement(0, table.gens, ring, {(): ring.one()})
+        product = lambda a, b: TensorElement.outer([a, b])     # noqa: E731
+    else:
+        images = {n: of_rank(image_rank, table.gens, ring,
+                             data.draw(tensors(table, image_rank, 1)).terms)
+                  for n in table.gens.names}
+        unit = TensorElement.outer([table.one()] * image_rank)
+        product = lambda a, b: tensor_mul(a, b, table)     # noqa: E731
+    agree(lambda: map_slot(t, slot, images, unit, product),
+          lambda: of_rank(rank - 1 + image_rank, table.gens, ring,
+                          ref_map_slot(t, slot, images, unit, product)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_substitute_generators_matches_a_reference_built_from_terms(data):
+    # source and target tables drawn apart: a coefficient can carry a symbol
+    # the target lacks (StructureError) or fall below its floor, and a
+    # parameter can be substituted by a multi-term series of the target
+    source, target = data.draw(tables()), data.draw(tables())
+    rank = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(tensors(source, rank, 1))
+    x = of_rank(rank, x.gens, x.ring, x.terms)
+    images = {n: Element(target.gens, target.ring, data.draw(tensors(target, 1, 1)).terms)
+              for n in target.gens.names}
+    param_sub = None
+    if data.draw(st.booleans()):
+        param_sub = {data.draw(st.sampled_from(source.ring.space.symbols)):
+                     data.draw(coefficients(target.ring))}
+    agree(lambda: substitute_generators(x, images, target, param_sub),
+          lambda: of_rank(rank, target.gens, target.ring,
+                          ref_substitute(x, images, target, param_sub)))
+
+
+def test_map_slot_raises_at_the_first_bad_pair_of_c_times_v():
+    # c * v over eps_table(3, -2): c = a eps^-1 + a^3 eps^-2 and v = a eps^-1
+    # + a^2 eps^-2 have two pairs below the floor; met c term by c term, the
+    # first is a^3 eps^-3 (v term by v term it would be a^4 eps^-3)
+    t = eps_table(3, -2)
+    ring = t.ring
+    c = Series(ring, {(1, -1): 1, (3, -2): 1})
+    v = Series(ring, {(1, -1): 1, (2, -2): 1})
+    x = t.gen("Jp", coeff=c)
+    images = {n: t.gen(n, coeff=v) for n in t.gens.names}
+    product = lambda a, b: mul(a, b, t)     # noqa: E731
+    with pytest.raises(FloorUnderflowError) as info:
+        map_slot(x, 0, images, t.one(), product)
+    assert info.value.terms == [(3, -3)]
+    agree(lambda: map_slot(x, 0, images, t.one(), product),
+          lambda: Element(t.gens, ring, ref_map_slot(x, 0, images, t.one(), product)))
+
+
+def test_a_cancelled_outer_sum_is_gone_before_the_product_with_c():
+    # at order 3, floor -2, u = a^4 eps^-2, with rules that leave no swapped
+    # word: nf(Jm Jp) = (u + 1) J3 and nf(Jm J3) = (1 - u) I, so the one key
+    # of the outer product is J3 (x) I, with (u + 1)(1 - u) = 1, as u^2 is
+    # above the order and the cross terms u - u cancel; carried on, the
+    # cancelled u times c1 c2 = eps^-1 would fall below the floor
+    ring = Ring(ParamSpace.make("a", "eps"), 3, -2)
+    t = RewriteTable.commuting(GeneratorSet.make(["I", "Jp", "J3", "Jm"], central=["I"]), ring)
+    u = ring.term({"a": 4, "eps": -2})
+    jp, j3, jm = (t.gens.index(g) for g in ("Jp", "J3", "Jm"))
+    t.set_rule_by_index(jm, jp, t.gen("J3", coeff=u + 1) - mul(t.gen("Jp"), t.gen("Jm"), t))
+    t.set_rule_by_index(jm, j3, t.gen("I", coeff=ring.one() - u) - mul(t.gen("J3"), t.gen("Jm"), t))
+    c = ring.term({"eps": -1})
+    x = TensorElement.outer([t.gen("Jm"), t.gen("Jm")]).scale(c)
+    y = TensorElement.outer([t.gen("Jp"), t.gen("J3")])
+    assert outcome(lambda: u * c) == "floor underflow"
+    got = tensor_mul(x, y, t)
+    assert got.terms == ref_product(x, y, t) == {((0, 0, 1, 0), (1, 0, 0, 0)): c}
+    check_raw_form(got)
 
 
 def test_a_tensor_slice_names_the_first_divergent_key():
