@@ -436,6 +436,25 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     return _tensor(x.rank, x.gens, ring, _finish(*acc))
 
 
+def multiply_slots(t: TensorElement, table: RewriteTable) -> Element:
+    """The product m of a rank-2 tensor's two slots: each key (u, v) becomes
+    nf(word(u) + word(v)), a cached normal form read without entering
+    ``_nf_word``, times the key's coefficient, summed straight into one
+    accumulator (``_mul_add``).  The call is one top-level product for the
+    rewrite step budget."""
+    table.check(t)
+    if t.rank != 2:
+        raise StructureError(f"multiply_slots takes a rank-2 tensor, not rank {t.rank}")
+    table.reset_budget()
+    cache, nf, word, codec = table._nf_cache, table._nf_word, table._word, t.ring.codec
+    d, terms = t.raw
+    acc = [1, {}]
+    for (u, v), c in terms.items():
+        e, res = cache.get(w := word(u) + word(v)) or nf(w)
+        _mul_add(codec, acc[1], res.items(), c, _rescale(acc, d * e))
+    return _tensor(1, t.gens, t.ring, _finish(*acc))
+
+
 def mul(x: Element, y: Element, table: RewriteTable) -> Element:
     """Product in the algebra: concatenate words, then normal-form."""
     return _slot_product(x, y, table)

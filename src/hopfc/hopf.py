@@ -19,6 +19,7 @@ from .algebra import (
     lincomb,
     map_slot,
     mul,
+    multiply_slots,
     tensor_mul,
 )
 from .errors import StructureError, SynthesisFailureError
@@ -207,26 +208,23 @@ def check_casimir_central(H: HopfPresentation) -> Check:
 # antipode
 # ---------------------------------------------------------------------------
 
-def apply_antipode(S, x: Element, table: RewriteTable, memo=None) -> Element:
-    """Extend generator images anti-multiplicatively to an Element.  ``memo``
-    may carry images of monomials from earlier calls with the same ``S``."""
+def apply_antipode(S, x: TensorElement, table: RewriteTable, memo=None, slot=0) -> TensorElement:
+    """Extend generator images anti-multiplicatively and apply the result to
+    slot ``slot`` of a tensor of any rank (an ``Element`` by default).
+    ``memo`` may carry images of monomials from earlier calls with the same
+    ``S``."""
     table.check(x)
-    return map_slot(x, 0, S, table.one(), lambda a, b: mul(b, a, table), memo)
+    return map_slot(x, slot, S, table.one(), lambda a, b: mul(b, a, table), memo)
 
 
 def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Element:
-    """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant).  ``memo`` is
-    passed on to ``apply_antipode``."""
-    slot = 0 if side == "left" else 1
-    one = H.ring.one()
-
-    def term(ms):
-        s_img = apply_antipode(S, Element(H.gens, H.ring, {(ms[slot],): one}), H.table, memo)
-        other = Element(H.gens, H.ring, {(ms[1 - slot],): one})
-        return mul(s_img, other, H.table) if side == "left" else mul(other, s_img, H.table)
-
-    return lincomb(H.table.one(-Fraction(H.counit[name])),
-                   ((c, term(ms)) for ms, c in H.coproduct[name].terms.items()))
+    """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant): the antipode
+    on one slot of the whole coproduct, then one ``multiply_slots``.  Each
+    c * S(a) is truncated before its product with b, which gives the sum of
+    the c S(a) b wherever truncation is a ring map (``Ring.lower_orders``).
+    ``memo`` is passed on to ``apply_antipode``."""
+    t = apply_antipode(S, H.coproduct[name], H.table, memo, 0 if side == "left" else 1)
+    return lincomb(H.table.one(-Fraction(H.counit[name])), [(1, multiply_slots(t, H.table))])
 
 
 def _antipode_round(H: HopfPresentation, S):

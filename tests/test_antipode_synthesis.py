@@ -1,12 +1,19 @@
 """The graded antipode synthesis and the memoized Hopf-map extension change
 how much work a check does, never what it finds: the synthesized S equals
 the plain full-order iteration, a verdict does not depend on which caches
-are warm, and the work stays below fixed call counts."""
+are warm, and the work stays below fixed call counts.  The antipode defect
+m(S x id)Delta(X) - eps(X) 1 equals its term-by-term sum, and its path stays
+fused."""
+
+import dataclasses
+from fractions import Fraction as F
 
 import pytest
 
 from hopfc import algebra, catalog, hopf
-from hopfc.hopf import antipode_defect, check_coassociativity, solve_antipode, verify_all
+from hopfc.algebra import Element, lincomb, mul
+from hopfc.hopf import (_antipode_round, antipode_defect, check_coassociativity,
+                        solve_antipode, verify_all)
 from hopfc.series import ParamSpace, Ring
 
 ALL_NAMES = catalog.names()
@@ -82,3 +89,70 @@ def test_work_guard(monkeypatch):
     tensor_products = _count_calls(monkeypatch, algebra, "tensor_mul")
     assert check_coassociativity(H).ok
     assert len(tensor_products) <= 40
+
+
+def ref_image(S, m, H):
+    """S of the PBW monomial ``m``, anti-multiplicatively by ``mul``: the
+    image of each generator of the word, in order, times the product so far
+    on its left."""
+    img = H.table.one()
+    for i, e in enumerate(m):
+        for _ in range(e):
+            img = mul(S[H.gens.names[i]], img, H.table)
+    return img
+
+
+def ref_defect(H, S, name, side):
+    """-eps(X) 1 + sum of c S(a) b (or c a S(b) on the right) over the terms
+    c a (x) b of Delta(X): one product per term."""
+    def term(a, b):
+        if side == "left":
+            return mul(ref_image(S, a, H), Element(H.gens, H.ring, {(b,): H.ring.one()}), H.table)
+        return mul(Element(H.gens, H.ring, {(a,): H.ring.one()}), ref_image(S, b, H), H.table)
+
+    return lincomb(H.table.one(-F(H.counit[name])),
+                   [(c, term(a, b)) for (a, b), c in H.coproduct[name].terms.items()])
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_antipode_defect_equals_the_sum_of_its_terms(name):
+    # S = -X and the antipode synthesized at order 2 (both leave nonzero
+    # defects at order 4 on six of the eleven presentations), and -X - X^2 / 2
+    # (nonzero defects on all); a nonzero counit on a copy gives the
+    # -eps(X) 1 term a value
+    H = catalog.get(name, 4)
+    low = solve_antipode(H.to(H.ring.lower_orders()[1]))
+    guesses = [{n: -H.gen(n) for n in H.gens.names},
+               {n: s.to(H.ring) for n, s in low.items()},
+               {n: -H.gen(n) - mul(H.gen(n), H.gen(n), H.table).scale(F(1, 2))
+                for n in H.gens.names}]
+    counit = {n: F(k + 1, 3) for k, n in enumerate(H.gens.names)}
+    for P in (H, dataclasses.replace(H, counit=counit)):
+        for S in guesses:
+            for n in H.gens.names:
+                for side in ("left", "right"):
+                    got = antipode_defect(P, S, n, side)
+                    assert got == ref_defect(P, S, n, side), (n, side)
+    assert antipode_defect(H, guesses[2], H.gens.names[1], "right")
+
+
+def test_an_antipode_round_multiplies_once_per_generator_and_not_per_coproduct_term(monkeypatch):
+    # each generator's defect is one multiply_slots call over the whole
+    # (S x id)Delta(X); every slot product is one step of an S image of a
+    # monomial, one per monomial of the round's memo other than 1
+    H = catalog._BUILDERS["gl2.II.standard"](4)
+    memos = []
+    apply_antipode = hopf.apply_antipode
+
+    def recorded(S, x, table, memo=None, slot=0):
+        memos.append(memo)
+        return apply_antipode(S, x, table, memo, slot)
+
+    monkeypatch.setattr(hopf, "apply_antipode", recorded)
+    fused = _count_calls(monkeypatch, hopf, "multiply_slots")
+    products = _count_calls(monkeypatch, algebra, "_slot_product")
+    _antipode_round(H, {n: -H.gen(n) for n in H.gens.names})
+    assert len(fused) == len(memos) == H.gens.dim
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    assert len(products) == len(memo) - 1

@@ -1,8 +1,9 @@
 """The algebra's slot-wise product (``mul``, ``tensor_mul``) against a
 reference built here from plain ``Series`` arithmetic, with the same
 association: c1 * c2, then the slot-wise outer product of the normal forms'
-coefficients, then times c1 * c2; ``map_slot`` and ``substitute_generators``
-against references built from ``terms`` in the same way; and the key-level
+coefficients, then times c1 * c2; ``map_slot``, ``substitute_generators``
+and ``multiply_slots`` against references built from ``terms`` in the same
+way; and the key-level
 coefficient maps and ``lincomb`` against per-coefficient references."""
 
 import functools
@@ -26,6 +27,7 @@ from hopfc.algebra import (
     monomial_image,
     monomial_of,
     mul,
+    multiply_slots,
     substitute_generators,
     tensor_mul,
     word_of,
@@ -367,6 +369,29 @@ def test_substitute_generators_matches_a_reference_built_from_terms(data):
     agree(lambda: substitute_generators(x, images, target, param_sub),
           lambda: of_rank(rank, target.gens, target.ring,
                           ref_substitute(x, images, target, param_sub)))
+
+
+def ref_multiply_slots(t, table):
+    """{key: Series}: each term c * (u (x) v) of ``t`` gives v' * c for each
+    term v' * m of nf(word(u) + word(v))."""
+    memo, acc = {}, {}
+    for (u, v), c in t.terms.items():
+        for m, v2 in ref_nf(table, word_of(u) + word_of(v), memo).items():
+            acc[(m,)] = acc.get((m,), t.ring.zero()) + v2 * c
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multiply_slots_matches_a_reference_built_from_terms(data):
+    # multi-term coefficients; over an eps table the normal forms' negative
+    # eps powers can bring a product below the floor
+    table = data.draw(tables())
+    t = data.draw(tensors(table, 2, 1))
+    agree(lambda: multiply_slots(t, table),
+          lambda: Element(table.gens, table.ring, ref_multiply_slots(t, table)))
+    with pytest.raises(StructureError, match="rank-2"):
+        multiply_slots(Element(t.gens, t.ring, {}), table)
 
 
 def test_map_slot_raises_at_the_first_bad_pair_of_c_times_v():
