@@ -14,8 +14,9 @@ from .errors import (
     NonTruncatableError,
     UnsupportedArgumentError,
 )
-from .series import (EXACT_ORDER, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
-                     _ring_change, _series, _substitution, _sum, _zero_slicer, taylor_coeffs)
+from .series import (EXACT_ORDER, _add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce,
+                     _rescale, _ring_change, _series, _substitution, _sum, _zero_slicer,
+                     taylor_coeffs)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -256,14 +257,17 @@ def lincomb(start, pairs):
 def _outer(raws, codec):
     """Tensor product of raw forms over ``codec``'s ring: keys concatenate,
     term dicts multiply left to right (``_mul_terms``) and empty products
-    are dropped, over the product of the denominators, not reduced.  The
-    terms come as ``(key, {p: n})`` pairs: of one raw form, its own items."""
+    are dropped, over the product of the denominators, not reduced.  A
+    product with the unit ``{zero: 1}`` is the other dict itself, shared and
+    never changed.  The terms come as ``(key, {p: n})`` pairs: of one raw
+    form, its own items."""
+    unit = {codec.zero: 1}
     d, terms = raws[0]
     terms = terms.items()
     for e, f in raws[1:]:
         d *= e
         terms = [(k + k2, p) for k, c in terms for k2, c2 in f.items()
-                 if (p := _mul_terms(codec, c, c2))]
+                 if (p := c2 if c == unit else c if c2 == unit else _mul_terms(codec, c, c2))]
     return d, terms
 
 
@@ -408,16 +412,19 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     of the normal forms' coefficients, left to right (``_outer``); at each
     of these products terms above the order go and the flag test runs, and
     a sum that cancels is gone before the next.  The last product goes
-    straight into one accumulator over a running denominator (``_mul_add``)."""
+    straight into one accumulator over a running denominator (``_mul_add``).
+    A pair whose every normal form is one monomial with coefficient 1 adds
+    c1 * c2 under the monomials' key with no outer product (``_add_terms``)."""
     x._compatible(y)
     table.check(x)
     table.reset_budget()
     ring, cache, nf, word = x.ring, table._nf_cache, table._nf_word, table._word
     codec = ring.codec
     zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
+    unit = {zero: 1}
     (d1, left), (d2, right) = ((d, [([word(m) for m in ms], t) for ms, t in terms.items()])
                                for d, terms in (x.raw, y.raw))
-    acc = [1, {}]
+    acc, d12 = [1, {}], d1 * d2
     for words1, t1 in left:
         for words2, t2 in right:
             if len(t1) == 1 == len(t2):
@@ -430,9 +437,17 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
                 c = {p: n1 * n2}
             elif not (c := _mul_terms(codec, t1, t2)):
                 continue
-            e, outer = _outer([cache.get(w := w1 + w2) or nf(w)
-                               for w1, w2 in zip(words1, words2)], codec)
-            _mul_add(codec, acc[1], outer, c, _rescale(acc, d1 * d2 * e))
+            nfs = [cache.get(w := w1 + w2) or nf(w) for w1, w2 in zip(words1, words2)]
+            key = ()
+            for e, r in nfs:
+                if e != 1 or len(r) != 1 or unit not in r.values():
+                    e, outer = _outer(nfs, codec)
+                    _mul_add(codec, acc[1], outer, c, _rescale(acc, d12 * e))
+                    break
+                key += next(iter(r))
+            else:
+                # every normal form is one monomial with coefficient 1
+                _add_terms(acc[1], key, c, _rescale(acc, d12))
     return _tensor(x.rank, x.gens, ring, _finish(*acc))
 
 

@@ -4,7 +4,7 @@ antipode synthesis."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -242,12 +242,14 @@ def solve_antipode(H: HopfPresentation):
     Starts from the primitive-coproduct guess S(X) = -X and peels off the
     defect of the left antipode axiom.  A warm start runs one round at each
     lower truncation order of the ring (truncation is a ring map when no
-    exponent is negative), so S enters the full-order loop nearly right;
-    that loop iterates until the defect vanishes at the full order."""
+    exponent is negative), on ``H`` without its Casimir, which no round
+    reads, so S enters the full-order loop nearly right; that loop iterates
+    until the defect vanishes at the full order."""
     names = H.gens.names
     S = {n: -H.gen(n) for n in names}
+    bare = replace(H, casimir=None)
     for ring in H.ring.lower_orders():
-        Sk, _ = _antipode_round(H.to(ring), {n: S[n].to(ring) for n in names})
+        Sk, _ = _antipode_round(bare.to(ring), {n: S[n].to(ring) for n in names})
         S = {n: Sk[n].to(H.ring) for n in names}
     for _ in range(H.ring.order + 2):
         S, done = _antipode_round(H, S)

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import os
 import sys
@@ -15,11 +16,12 @@ from hopfc.algebra import (
     commutator,
     counit_collapse,
     generator_function,
+    lincomb,
     mul,
     substitute_generators,
     tensor_mul,
 )
-from hopfc.hopf import verify_all
+from hopfc.hopf import check_relations_morphism, verify_all
 from hopfc.errors import (
     ConfluenceFailureError,
     NonTruncatableError,
@@ -385,6 +387,63 @@ def test_a_warm_verify_rewrites_no_cached_word_and_builds_each_word_once(monkeyp
     assert entered and not any(entered)
     assert len(built) == sum(t._word.cache_info().currsize for t in tables)
     assert len(set(built)) == max(t._word.cache_info().currsize for t in tables)
+
+
+def test_only_pairs_with_a_non_monomial_normal_form_reach_the_outer_product(monkeypatch):
+    # a kept pair whose normal forms are all one monomial with coefficient 1
+    # adds its coefficient under the monomials' key: only the other pairs
+    # reach _outer
+    H = fresh("gl2.II.standard")
+    unit = {H.ring.codec.zero: 1}
+    outer_raws, monomial_keys = [], []
+    outer, add_terms = algebra._outer, algebra._add_terms
+    slot_product = algebra._slot_product.__code__
+
+    def counted_outer(raws, codec):
+        if sys._getframe(1).f_code is slot_product:
+            outer_raws.append(raws)
+        return outer(raws, codec)
+
+    def counted_add(acc, k, t, f):
+        if sys._getframe(1).f_code is slot_product:
+            monomial_keys.append(k)
+        return add_terms(acc, k, t, f)
+
+    monkeypatch.setattr(algebra, "_outer", counted_outer)
+    monkeypatch.setattr(algebra, "_add_terms", counted_add)
+    assert check_relations_morphism(H).ok
+    assert outer_raws and monomial_keys
+    for raws in outer_raws:
+        assert any(e != 1 or len(r) != 1 or list(r.values()) != [unit] for e, r in raws)
+
+
+def test_shared_term_dicts_are_never_changed():
+    # a product with the unit shares the other factor's term dicts, which
+    # can be a normal form's in the cache or an input's raw form: no later
+    # sum, scaling or product changes them
+    H = fresh("gl2.II.standard")
+    t = H.table
+    cache, raws = copy.deepcopy(t._nf_cache), copy.deepcopy(
+        {n: x.raw for n, x in H.coproduct.items()})
+
+    def unchanged():
+        assert all(t._nf_cache[w] == v for w, v in cache.items())
+        assert {n: x.raw for n, x in H.coproduct.items()} == raws
+
+    verify_all(H)
+    unchanged()
+    cache = copy.deepcopy(t._nf_cache)
+    one = t.one()
+    c = t.ring.term({t.ring.space.symbols[0]: 1}, F(2, 3)) + t.ring.const(F(1, 5))
+    for x in (H.coproduct["Jp"], t.nf_word((t.gens.index("Jm"), t.gens.index("Jp")))):
+        before = copy.deepcopy((one.raw, x.raw))
+        y = TensorElement.outer([one, x])
+        z = TensorElement.outer([x, one])
+        sums = [y + y, y - z.permute((x.rank, *range(x.rank))), y.scale(c),
+                y.scale(F(-7, 2)), lincomb(y, [(c, y), (3, y), (F(1, 4), y)])]
+        assert all(sums[::2]) and not sums[1]
+        assert (one.raw, x.raw) == before
+        unchanged()
 
 
 def test_setting_a_read_rule_empties_the_normal_form_cache():

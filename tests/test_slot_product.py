@@ -512,3 +512,58 @@ def test_tensor_product_makes_no_series_product(monkeypatch):
     got = tensor_mul(H.coproduct["Jp"], H.coproduct["Jm"], cold)
     assert len(got.terms) > 100
     assert not calls
+
+
+def _xyz_table():
+    """X, Y, Z with Y X = X Y + Z / 3 and every other pair commuting, over
+    ``a`` at order 3: nf(X Y) is the monomial X Y with coefficient 1, and
+    nf(Y X) is X Y + Z / 3, over the denominator 3."""
+    ring = Ring(ParamSpace.make("a"), 3)
+    t = RewriteTable.commuting(GeneratorSet.make(["X", "Y", "Z"]), ring)
+    t.set_rule("Y", "X", t.gen("Z", coeff=ring.const(F(1, 3))))
+    return t
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("fast_first", [True, False])
+def test_a_monomial_pair_and_an_outer_pair_cancel_on_one_key(rank, fast_first):
+    # (X - Y) (Y + X), with X in every further slot: the pair X . Y has a
+    # monomial normal form in every slot and adds X Y; the pair Y . X goes
+    # through the outer product and subtracts it, over the denominator 3,
+    # so the key is gone whichever pair comes first
+    t = _xyz_table()
+    x_, y_ = t.gen("X"), t.gen("Y")
+
+    def slots(g):
+        return TensorElement.outer([g] + [x_] * (rank - 1))
+
+    left = [(1, slots(x_)), (-1, slots(y_))]
+    x = lincomb(slots(x_).scale(0), left if fast_first else left[::-1])
+    y = slots(y_) + slots(x_)
+    got = tensor_mul(x, y, t)
+    key = ((1, 1, 0),) + ((2, 0, 0),) * (rank - 1)
+    assert key not in got.raw[1]
+    assert got.terms == ref_product(x, y, t)
+    assert got.terms[((0, 0, 1),) + ((2, 0, 0),) * (rank - 1)] == t.ring.const(F(-1, 3))
+    check_raw_form(got)
+
+
+def test_a_monomial_pair_over_operand_denominators_matches_the_reference():
+    # denominators 6 and 10 on the operands and 3 from nf(Y X): an outer
+    # pair raises the accumulator's denominator before the monomial pairs
+    # X . X and X . Y, which must be brought up to it
+    t = _xyz_table()
+    ring = t.ring
+    x_, y_, z_ = t.gen("X"), t.gen("Y"), t.gen("Z")
+    c1 = ring.const(F(1, 6)) + ring.term({"a": 1}, F(5, 4))
+    c2 = ring.const(F(-3, 10)) + ring.term({"a": 2}, F(2, 7))
+    for rank in (1, 2):
+        def slots(g):
+            return TensorElement.outer([g] + [z_] * (rank - 1))
+
+        x = lincomb(slots(y_).scale(c1), [(F(5, 6), slots(x_))])
+        y = lincomb(slots(x_).scale(c2), [(F(1, 10), slots(y_)), (F(7, 15), slots(z_))])
+        assert x.raw[0] != 1 != y.raw[0]
+        got = tensor_mul(x, y, t)
+        assert got.terms == ref_product(x, y, t)
+        check_raw_form(got)
