@@ -5,7 +5,7 @@ All arithmetic is exact: truncated multivariate formal series over the
 rationals, PBW normal forms, order-by-order Hopf axiom verification.
 """
 
-from .series import ParamSpace, Ring, Series, analytic_series, taylor_coeffs
+from .series import ParamSpace, Ring, Series, analytic_series
 from .algebra import (
     Element,
     GeneratorSet,

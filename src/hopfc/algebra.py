@@ -8,15 +8,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .errors import (
-    ConfluenceFailureError,
-    StructureError,
-    NonTruncatableError,
-    UnsupportedArgumentError,
-)
-from .series import (EXACT_ORDER, _add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce,
-                     _rescale, _ring_change, _series, _substitution, _sum, _zero_slicer,
-                     taylor_coeffs)
+from .errors import ConfluenceFailureError, StructureError, UnsupportedArgumentError
+from .series import (_add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
+                     _ring_change, _series, _substitution, _sum, _zero_slicer, taylor)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -486,28 +480,19 @@ def commutator(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
 
 
 def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
-    """Taylor expansion of the named function at an algebra-element argument.
-
-    The ring must be truncated, the argument must have strictly positive
-    parameter weight in every term (so powers truncate) and its terms must
-    commute pairwise."""
+    """Taylor expansion of the named function at an algebra-element argument
+    (``series.taylor``), whose terms must commute pairwise; a ring or weight
+    that does not truncate is refused first."""
     table.check(arg)
-    if arg.ring.order == EXACT_ORDER:
-        raise NonTruncatableError(f"generator function over the untruncated ring: {arg}")
     terms = arg.terms
-    mw = min((c.min_wdeg() for c in terms.values()), default=None)
-    if mw is not None and mw <= 0:
-        raise NonTruncatableError(f"generator-function argument has weight-{mw} term: {arg}")
+    pairs = taylor(kind, arg, table.one(), partial(mul, table=table),
+                   min((c.min_wdeg() for c in terms.values()), default=None), arg.ring.order)
     parts = [Element(arg.gens, arg.ring, {k: c}) for k, c in terms.items()]
     for ta, tb in combinations(parts, 2):
         if commutator(ta, tb, table):
             raise UnsupportedArgumentError(f"non-commuting terms in analytic argument: "
                                            f"{ta} vs {tb}")
-    kmax = 0 if mw is None else arg.ring.order // mw
-    powers = [table.one()]
-    for _ in range(kmax):
-        powers.append(mul(powers[-1], arg, table))
-    return lincomb(table.zero(), zip(taylor_coeffs(kind, kmax), powers))
+    return lincomb(table.zero(), pairs)
 
 
 def monomial_image(m, gens, images, unit, product, memo):

@@ -26,12 +26,13 @@ class UnsupportedArgumentError(HopfcError):
 
 
 class DivergenceError(HopfcError):
-    """A negative power of the contraction parameter survived the limit."""
+    """A negative power of the sliced symbol ``name`` survived its limit."""
 
-    def __init__(self, terms, context=""):
+    def __init__(self, terms, name, context=""):
         self.terms = terms
+        self.name = name
         self.context = context
-        msg = f"divergent terms under eps -> 0: {terms!r}"
+        msg = f"divergent terms under {name} -> 0: {terms!r}"
         if context:
             msg = f"{context}: {msg}"
         super().__init__(msg)

@@ -8,8 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import TensorElement
-from .errors import LookupError_, StructureError
-from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series, lincomb, taylor_coeffs
+from .errors import LookupError_
+from .series import DEFAULT_FLOOR, ParamSpace, Ring, analytic_series, lincomb, taylor
 
 F = Fraction
 
@@ -95,7 +95,7 @@ def rmat_limit(r4, name):
     space = r4[0][0].space
     if not space.has(name):
         raise LookupError_(name, space.symbols, what="parameter")
-    return [[c.zero_slice(name, context=f"entry ({i},{j}) under {name} -> 0")
+    return [[c.zero_slice(name, context=f"entry ({i},{j})")
              for j, c in enumerate(row)]
             for i, row in enumerate(r4)]
 
@@ -117,25 +117,18 @@ def exp_wedge_rep(r: TensorElement, order):
     """Evaluate a classical r-matrix in rep (x) rep and exponentiate.
 
     Entry (2*i1 + i2, 2*j1 + j2) of rho(r) is the sum over the terms
-    ``c * A (x) B`` of r of ``c * A[i1][j1] * B[i2][j2]``.  Its entries carry
-    parameter weight >= 1, so the exponential series terminates at the
-    truncation order: exp is the sum of the powers times
-    ``taylor_coeffs("exp")``."""
+    ``c * A (x) B`` of r of ``c * A[i1][j1] * B[i2][j2]``.  Its entries must
+    carry parameter weight >= 1, so the exponential series terminates at the
+    truncation order: exp is the sum of ``series.taylor``'s pairs."""
     ring = Ring(r.ring.space, order)
     zero = ring.zero()
     terms = [(c.to(ring), [FUNDAMENTAL_REP[r.gens.names[m.index(1)]] for m in ms])
              for ms, c in r.terms.items()]
     x = [[lincomb(zero, [(c, a[i // 2][j // 2] * b[i % 2][j % 2]) for c, (a, b) in terms])
           for j in range(4)] for i in range(4)]
-    for row in x:
-        for c in row:
-            if c and (c.min_wdeg() or 0) <= 0:
-                raise StructureError("exp argument has a weight-0 entry")
-    powers = [mat_identity(ring, 4)]
-    for _ in range(order):
-        powers.append(mat_mul(powers[-1], x))
-    coeffs = taylor_coeffs("exp", order)
-    return [[lincomb(zero, [(c, p[i][j]) for c, p in zip(coeffs, powers)]) for j in range(4)]
+    mw = min((c.min_wdeg() for row in x for c in row if c), default=None)
+    pairs = list(taylor("exp", x, mat_identity(ring, 4), mat_mul, mw, order))
+    return [[lincomb(zero, [(c, p[i][j]) for c, p in pairs]) for j in range(4)]
             for i in range(4)]
 
 

@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import (
     DivergenceError,
@@ -439,7 +440,7 @@ def _zero_slicer(ring, name, context=""):
         if any(p & mask < zero for p in t):
             s = _series(ring, _reduce((d, t)))
             bad = sorted((e, c) for e, c in s.terms.items() if e[i] < 0)
-            raise DivergenceError([s._render_term(e, c) for e, c in bad], context=context)
+            raise DivergenceError([s._render_term(e, c) for e, c in bad], name, context=context)
         return {p: n for p, n in t.items() if p & mask == zero}
 
     return slice_
@@ -644,60 +645,52 @@ def lincomb(start, pairs):
 # analytic (Taylor) kinds
 # ---------------------------------------------------------------------------
 
-def _divide_coeffs(num, den, n):
-    # power series division mod x^(n+1); den[0] must be 1
-    assert den[0] == 1
-    out = []
-    for k in range(n + 1):
-        c = num[k] - sum(out[i] * den[k - i] for i in range(k))
-        out.append(c)
-    return out
+#: the kinds whose coefficient c_k is 1/(shift + k)! at every ``step``-th k
+#: and 0 elsewhere
+_FACTORIAL_KINDS = {
+    "exp": (0, 1),
+    "cosh": (0, 2),
+    "sinh_over_arg": (1, 2),            # sinh(x)/x
+    "expm1_over_arg": (1, 1),           # (e^x - 1)/x
+    "coshm1_over_argsq": (2, 2),        # (cosh x - 1)/x^2
+}
 
 
 def taylor_coeffs(kind, n):
     """Exact Taylor coefficients c_0..c_n of the named scalar function."""
-    if kind == "exp":
-        return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
-    if kind == "cosh":
-        return [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)]
-    if kind == "cosh_minus_one":
-        c = taylor_coeffs("cosh", n)
-        c[0] = Fraction(0)
-        return c
-    if kind == "sinh_over_arg":
-        # sinh(x)/x
-        return [
-            Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else Fraction(0)
-            for k in range(n + 1)
-        ]
-    if kind == "expm1_over_arg":
-        # (e^x - 1)/x
-        return [Fraction(1, math.factorial(k + 1)) for k in range(n + 1)]
-    if kind == "coshm1_over_argsq":
-        # (cosh x - 1)/x^2
-        return [
-            Fraction(1, math.factorial(k + 2)) if k % 2 == 0 else Fraction(0)
-            for k in range(n + 1)
-        ]
     if kind == "x_over_tanh":
-        # x/tanh(x) = cosh(x) / (sinh(x)/x)
-        return _divide_coeffs(taylor_coeffs("cosh", n), taylor_coeffs("sinh_over_arg", n), n)
-    raise StructureError(f"unknown analytic kind {kind!r}")
+        # x/tanh(x) = cosh(x) / (sinh(x)/x), by power series division; the
+        # divisor's c_0 is 1
+        num, den, out = taylor_coeffs("cosh", n), taylor_coeffs("sinh_over_arg", n), []
+        for k in range(n + 1):
+            out.append(num[k] - sum(out[i] * den[k - i] for i in range(k)))
+        return out
+    if kind not in _FACTORIAL_KINDS:
+        raise StructureError(f"unknown analytic kind {kind!r}")
+    shift, step = _FACTORIAL_KINDS[kind]
+    return [Fraction(1, math.factorial(shift + k)) if k % step == 0 else Fraction(0)
+            for k in range(n + 1)]
+
+
+def taylor(kind, arg, one, times, mw, order):
+    """The pairs ``(c_k, arg^k)`` for ``k <= order // mw`` of the named
+    function's Taylor expansion at ``arg``, whose terms have least weighted
+    degree ``mw`` (``None`` for a zero ``arg``), over a ring truncated at
+    ``order``: ``arg^0`` is ``one`` and ``arg^(k+1)`` is ``times(arg^k,
+    arg)``, built only as the pairs are read.  The untruncated ring and a
+    weight ``<= 0`` term raise ``NonTruncatableError`` here, before any
+    coefficient or power is built."""
+    if order == EXACT_ORDER:
+        raise NonTruncatableError(f"analytic function over the untruncated ring: {arg}")
+    if mw is not None and mw <= 0:
+        raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
+    kmax = 0 if mw is None else order // mw
+    return zip(taylor_coeffs(kind, kmax), accumulate(repeat(arg, kmax), times, initial=one))
 
 
 def analytic_series(kind, arg: Series) -> Series:
-    """Taylor expansion of the named function composed with a scalar series.
-
-    The ring must be truncated, and every term of ``arg`` must have
-    strictly positive weighted degree so the composition truncates."""
+    """Taylor expansion of the named function composed with a scalar series
+    (``taylor``)."""
     ring = arg.ring
-    if ring.order == EXACT_ORDER:
-        raise NonTruncatableError(f"analytic function over the untruncated ring: {arg}")
-    mw = arg.min_wdeg()
-    if mw is not None and mw <= 0:
-        raise NonTruncatableError(f"argument has a weight-{mw} term: {arg}")
-    kmax = 0 if mw is None else ring.order // mw
-    powers = [ring.one()]
-    for _ in range(kmax):
-        powers.append(powers[-1] * arg)
-    return lincomb(ring.zero(), zip(taylor_coeffs(kind, kmax), powers))
+    return lincomb(ring.zero(), taylor(kind, arg, ring.one(), operator.mul, arg.min_wdeg(),
+                                       ring.order))

@@ -148,6 +148,15 @@ def test_generator_function_guards():
         generator_function("exp", arg, t2)
 
 
+def test_the_untruncated_ring_is_refused_before_the_commuting_check():
+    # J3 and Jp do not commute, yet over Ring.exact the ring is what is refused
+    t = catalog.lie_structure("gl2.II.standard")
+    a = t.sym("a")
+    assert commutator(t.gen("J3", coeff=a), t.gen("Jp", coeff=a), t)
+    with pytest.raises(NonTruncatableError):
+        generator_function("exp", t.gen("J3", coeff=a) + t.gen("Jp", coeff=a), t)
+
+
 def test_analytic_functions_refuse_the_untruncated_ring_before_any_coefficient(monkeypatch):
     # over Ring.exact the order is 10^9: asking taylor_coeffs for that many
     # factorials would hang, so a stub that refuses stands in for it, and a
@@ -161,7 +170,6 @@ def test_analytic_functions_refuse_the_untruncated_ring_before_any_coefficient(m
         return taylor_coeffs(kind, n)
 
     monkeypatch.setattr(series, "taylor_coeffs", taylor)
-    monkeypatch.setattr(algebra, "taylor_coeffs", taylor)
     ring = Ring.exact(ParamSpace.make("a"))
     t = RewriteTable.commuting(GeneratorSet.make(["X", "Y"]), ring)
     for arg in (ring.symbol("a"), ring.zero()):

@@ -2,8 +2,9 @@
 over the engine sources (``__init__.py`` re-exports by design and is skipped
 for imports), a rule that every private module-level helper is used
 somewhere in the engine, a rule that only ``series`` and ``algebra`` touch
-the raw forms, a rule against accumulation loops, and a no-floating-point
-rule: hopfc computes exactly."""
+the raw forms, a rule that only ``series`` reads the Taylor coefficients, a
+rule against accumulation loops, and a no-floating-point rule: hopfc
+computes exactly."""
 
 import ast
 from pathlib import Path
@@ -145,6 +146,25 @@ def raw_uses(source):
 RAW_USERS = [p for p in ALL_SRC if p.name not in RAW_OWNERS]
 
 
+def taylor_coeffs_uses(source):
+    """(line, what) for every import and every read, by name or as an
+    attribute, of ``taylor_coeffs``: outside ``series`` a Taylor expansion
+    is ``series.taylor``, which owns the coefficients."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, "import taylor_coeffs") for a in node.names
+                         if a.name == "taylor_coeffs")
+        elif isinstance(node, ast.Name) and node.id == "taylor_coeffs":
+            found.append((node.lineno, "taylor_coeffs"))
+        elif isinstance(node, ast.Attribute) and node.attr == "taylor_coeffs":
+            found.append((node.lineno, ".taylor_coeffs"))
+    return sorted(found)
+
+
+TAYLOR_USERS = [p for p in ALL_SRC if p.name != "series.py"]
+
+
 def _update_of(value, name):
     """``+`` or ``-`` if ``value`` is ``name + ...`` or ``name - ...``."""
     if (isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub))
@@ -203,6 +223,11 @@ def test_only_the_owners_read_raw_forms(path):
     assert raw_uses(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", TAYLOR_USERS, ids=[p.name for p in TAYLOR_USERS])
+def test_only_series_reads_taylor_coeffs(path):
+    assert taylor_coeffs_uses(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
 def test_no_accumulation_loops(path):
     assert accumulations(path.read_text()) == []
@@ -223,6 +248,13 @@ def test_check_flags_a_raw_form_use():
     source = ("from .series import Ring, _reduce\nfrom . import series\n"
               "def f(x):\n    return x.raw, x.terms, series._series, series.Series\n")
     assert raw_uses(source) == [(1, "series._reduce"), (4, ".raw"), (4, "series._series")]
+
+
+def test_check_flags_a_taylor_coeffs_use():
+    source = ("from .series import taylor, taylor_coeffs as tc\nfrom . import series\n"
+              "def f(n):\n    return taylor_coeffs('exp', n), series.taylor_coeffs(n), tc\n")
+    assert taylor_coeffs_uses(source) == [(1, "import taylor_coeffs"), (4, ".taylor_coeffs"),
+                                          (4, "taylor_coeffs")]
 
 
 def test_check_flags_an_unreferenced_private_helper():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfc import catalog, rmatrix
-from hopfc.errors import DivergenceError, LookupError_
+from hopfc.algebra import Element, TensorElement
+from hopfc.errors import DivergenceError, LookupError_, NonTruncatableError
 from hopfc.series import ParamSpace, Ring, Series
 
 NAMES = rmatrix.rmat_names()
@@ -98,6 +99,14 @@ def test_exp_of_r_inverse_pair():
         rmatrix.mat_sub(prod, rmatrix.mat_identity(Ring(sp, 4), 4)))
 
 
+def test_exp_of_r_with_a_weight_zero_coefficient_is_refused():
+    r = catalog.classical_r("gl2.II.nonstandard")
+    j3, i = (Element.generator(r.gens, r.ring, n) for n in ("J3", "I"))
+    w = TensorElement.outer([j3, i]) - TensorElement.outer([i, j3])
+    with pytest.raises(NonTruncatableError):
+        rmatrix.exp_wedge_rep(r + w, 4)
+
+
 def test_exp_of_triangular_r_is_triangular_solution():
     r = catalog.classical_r("gl2.Iplus.nonstandard")
     E = rmatrix.exp_wedge_rep(r, 4)
@@ -139,8 +148,9 @@ def test_b_plus_limit_is_diagonal():
 
 def test_limit_of_inverse_power_diverges():
     R = rmatrix.get_rmat("gl2.II.nonstandard", exact=True)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as info:
         rmatrix.rmat_limit(R, "B")
+    assert str(info.value) == "entry (0,1): divergent terms under B -> 0: ['-1*B^-1*p']"
 
 
 def test_unknown_matrix_name():

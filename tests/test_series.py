@@ -2,12 +2,13 @@ import math
 import operator
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfc import catalog
-from hopfc.algebra import RewriteTable, TensorElement, tensor_mul
+from hopfc import catalog, rmatrix, series
+from hopfc.algebra import GeneratorSet, RewriteTable, TensorElement, mul, tensor_mul
 from hopfc.algebra import lincomb as algebra_lincomb
 from hopfc.errors import (
     DivergenceError,
@@ -81,8 +82,8 @@ def test_taylor_x_over_tanh_oracle():
         assert sum(xot[i] * soa[k - i] for i in range(k + 1)) == cosh[k]
 
 
-TAYLOR_KINDS = ("exp", "cosh", "cosh_minus_one", "sinh_over_arg", "expm1_over_arg",
-                "coshm1_over_argsq", "x_over_tanh")
+TAYLOR_KINDS = ("exp", "cosh", "sinh_over_arg", "expm1_over_arg", "coshm1_over_argsq",
+                "x_over_tanh")
 
 
 @pytest.mark.parametrize("kind", TAYLOR_KINDS)
@@ -92,7 +93,6 @@ def test_taylor_coeffs_against_sympy_series(kind):
     f = {
         "exp": sympy.exp(x),
         "cosh": sympy.cosh(x),
-        "cosh_minus_one": sympy.cosh(x) - 1,
         "sinh_over_arg": sympy.sinh(x) / x,
         "expm1_over_arg": (sympy.exp(x) - 1) / x,
         "coshm1_over_argsq": (sympy.cosh(x) - 1) / x**2,
@@ -103,6 +103,51 @@ def test_taylor_coeffs_against_sympy_series(kind):
     want = [sympy.Rational(poly.coeff(x, k)) for k in range(n + 1)]
     got = taylor_coeffs(kind, n)
     assert [(c.numerator, c.denominator) for c in got] == [(int(c.p), int(c.q)) for c in want]
+
+
+def _taylor_operands(ring):
+    """A weight-2 argument over ``ring`` as a series, an algebra element and
+    a 4x4 matrix, each with its unit and its product."""
+    a2 = ring.symbol("a", power=2)
+    t = RewriteTable.commuting(GeneratorSet.make(["X", "Y"]), ring)
+    m = rmatrix.mat_zero(ring, 4)
+    m[0][1] = m[1][2] = a2
+    return [(a2, ring.one(), operator.mul),
+            (t.gen("X", coeff=a2), t.one(), partial(mul, table=t)),
+            (m, rmatrix.mat_identity(ring, 4), rmatrix.mat_mul)]
+
+
+def _counting(times, calls):
+    def counted(p, x):
+        calls.append(1)
+        return times(p, x)
+    return counted
+
+
+@pytest.mark.parametrize("which", range(3), ids=["series", "element", "matrix"])
+def test_taylor_of_a_weight_two_argument_at_order_five_has_three_pairs(which):
+    ring = Ring(ParamSpace.make("a"), 5)
+    arg, one, times = _taylor_operands(ring)[which]
+    calls = []
+    pairs = series.taylor("exp", arg, one, _counting(times, calls), 2, ring.order)
+    assert calls == []                      # the powers are built as they are read
+    pairs = list(pairs)
+    assert [c for c, _ in pairs] == [1, 1, F(1, 2)]
+    assert [p for _, p in pairs] == [one, arg, times(arg, arg)]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("which", range(3), ids=["series", "element", "matrix"])
+@pytest.mark.parametrize("ring, mw", [(Ring.exact(ParamSpace.make("a")), 2),
+                                      (Ring(ParamSpace.make(("a", 0, False)), 5), 0)],
+                         ids=["exact", "weight0"])
+def test_taylor_refuses_before_any_coefficient_or_power(monkeypatch, which, ring, mw):
+    asked, calls = [], []
+    monkeypatch.setattr(series, "taylor_coeffs", lambda kind, n: asked.append(n))
+    arg, one, times = _taylor_operands(ring)[which]
+    with pytest.raises(NonTruncatableError):
+        series.taylor("exp", arg, one, _counting(times, calls), mw, ring.order)
+    assert asked == [] and calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +752,7 @@ def ref_zero_slice(s, name, context):
     terms = s.terms
     bad = sorted(e for e in terms if e[i] < 0)
     if bad:
-        raise DivergenceError([render(s.space, e, terms[e]) for e in bad], context=context)
+        raise DivergenceError([render(s.space, e, terms[e]) for e in bad], name, context=context)
     return {e: c for e, c in terms.items() if e[i] == 0}
 
 
