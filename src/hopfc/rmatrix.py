@@ -31,13 +31,18 @@ def mat_identity(ring, n):
     return m
 
 
+def mat_lincomb(start, products):
+    """``start + sum(a b)`` over the pairs ``(a, b)`` of square matrices in
+    ``products``, each entry one ``lincomb`` over the pairs of nonzero
+    factors of every product."""
+    cols = [(a, list(zip(*b))) for a, b in products]
+    return [[lincomb(s, [(x, y) for a, bc in cols for x, y in zip(a[i], bc[j]) if x and y])
+             for j, s in enumerate(row)] for i, row in enumerate(start)]
+
+
 def mat_mul(a, b):
-    """The product of two square matrices, each entry one ``lincomb`` over
-    the pairs of nonzero factors."""
-    zero = a[0][0].ring.zero()
-    cols = list(zip(*b))
-    return [[lincomb(zero, [(x, y) for x, y in zip(row, col) if x and y]) for col in cols]
-            for row in a]
+    """The product of two square matrices: ``mat_lincomb`` from zero."""
+    return mat_lincomb(mat_zero(a[0][0].ring, len(a)), [(a, b)])
 
 
 def mat_sub(a, b):
@@ -76,12 +81,22 @@ def place_slots(r4, slots, n):
 
 
 def qybe_residual(r4):
-    """R12 R13 R23 - R23 R13 R12 on the triple tensor product."""
+    """R12 R13 R23 - R23 R13 R12 on the triple tensor product, from three
+    products: R12 T - (P12 T P12) R12 with T = R13 R23, the last two summed
+    by one ``mat_lincomb``, with no pass for the difference.  P12, the swap of
+    slots 0 and 1 (index bits 2 and 1), takes R13 to R23 and back, so
+    R23 R13 = P12 T P12 is T with its entries relabelled, for every R.  The
+    regrouping R12 (R13 R23) of (R12 R13) R23 is exact wherever truncation
+    is a ring map (``Ring.lower_orders``), as on every ring built here: the
+    series rings in (a, a_plus) and (b, b_plus), of weight 1 with no
+    invertible symbol, and the exact rings, which do not truncate (family
+    II's floor -4 covers the B^-3 that the products reach)."""
     r12 = place_slots(r4, (0, 1), 3)
-    r13 = place_slots(r4, (0, 2), 3)
-    r23 = place_slots(r4, (1, 2), 3)
-    return mat_sub(mat_mul(mat_mul(r12, r13), r23),
-                   mat_mul(mat_mul(r23, r13), r12))
+    t = mat_mul(place_slots(r4, (0, 2), 3), place_slots(r4, (1, 2), 3))
+    swap = [i ^ 6 if (i >> 1 ^ i >> 2) & 1 else i for i in range(8)]
+    return mat_lincomb(mat_zero(r4[0][0].ring, 8),
+                       [(r12, t), ([[t[i][j] for j in swap] for i in swap],
+                                   [[-x for x in row] for row in r12])])
 
 
 def triangularity_residual(r4):

@@ -488,19 +488,27 @@ def _mul_terms(codec, t1, t2):
     """The product of two term dicts ``{key: n}`` over ``codec``'s ring,
     with no zero.  Per term pair, one int add gives the key: a pair above
     the order is dropped, and then a kept pair with a field below the floor
-    or too large raises, as ``Codec.pack`` does for its exponents."""
+    or too large raises, as ``Codec.pack`` does for its exponents.  When
+    both sides have more than one term, ``t2`` is walked in key order, and
+    a row stops at its first pair above the order: the weighted degree is
+    the key's top field, so every later pair of the row is above it too."""
     zero, limit, flags, guards = codec.zero, codec.limit, codec.flags, codec.guards
     out = {}
+    multi = len(t1) > 1 < len(t2)
+    inner = sorted(t2.items()) if multi else t2.items()
     for p1, n1 in t1.items():
         q = p1 - zero
-        for p2, n2 in t2.items():
+        for p2, n2 in inner:
             p = q + p2
-            if p < limit:
-                if p & flags != guards:
-                    codec.pack(codec.unpack(p))      # raises
-                out[p] = out.get(p, 0) + n1 * n2
+            if p >= limit:
+                if multi:
+                    break
+                continue
+            if p & flags != guards:
+                codec.pack(codec.unpack(p))      # raises
+            out[p] = out.get(p, 0) + n1 * n2
     # two keys can meet only when both sides have more than one term
-    return {p: n for p, n in out.items() if n} if len(t1) > 1 < len(t2) else out
+    return {p: n for p, n in out.items() if n} if multi else out
 
 
 def _product(ring, r1, r2):

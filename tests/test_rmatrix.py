@@ -82,6 +82,46 @@ def test_mat_mul_matches_a_naive_triple_loop(ab):
     assert all(x.ring is a[0][0].ring for row in got for x in row)
 
 
+def naive_qybe_residual(r4):
+    """(R12 R13) R23 - (R23 R13) R12, every product by ``naive_mat_mul``."""
+    ring = r4[0][0].ring
+
+    def times(a, b):
+        return [[Series(ring, t) for t in row] for row in naive_mat_mul(a, b)]
+
+    r12, r13, r23 = (rmatrix.place_slots(r4, s, 3) for s in ((0, 1), (0, 2), (1, 2)))
+    return rmatrix.mat_sub(times(times(r12, r13), r23), times(times(r23, r13), r12))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("flip", [False, True], ids=["catalog", "flipped"])
+def test_qybe_residual_regrouped_is_exact_in_truncated_rings(name, order, flip):
+    # R12 (R13 R23) and P12 (R13 R23) P12 stand for (R12 R13) R23 and
+    # R23 R13; with R[0][1] sign-flipped the residual is nonzero
+    R = [list(row) for row in rmatrix.get_rmat(name, order)]
+    if flip:
+        R[0][1] = -R[0][1]
+    got = rmatrix.qybe_residual(R)
+    assert [[x.raw for x in row] for row in got] == \
+        [[x.raw for x in row] for row in naive_qybe_residual(R)]
+    assert rmatrix.mat_is_zero(got) != flip
+
+
+def test_qybe_residual_makes_three_matrix_products(monkeypatch):
+    # T = R13 R23, then R12 T and (P12 T P12)(-R12) in one sum
+    products = []
+
+    def counted(start, pairs):
+        products.extend(pairs)
+        return mat_lincomb(start, pairs)
+
+    mat_lincomb = rmatrix.mat_lincomb
+    monkeypatch.setattr(rmatrix, "mat_lincomb", counted)
+    rmatrix.qybe_residual(rmatrix.get_rmat("gl2.II.nonstandard", 4))
+    assert len(products) == 3
+
+
 def test_exp_of_r_reproduces_triangular_matrix():
     r = catalog.classical_r("gl2.II.nonstandard")
     E = rmatrix.exp_wedge_rep(r, 4)

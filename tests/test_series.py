@@ -539,6 +539,78 @@ def test_product_eps_floor_underflow_is_pinned():
         em3 * em3
 
 
+def ref_mul_terms(ring, t1, t2):
+    """``_mul_terms`` pair by pair in insertion order over exponent vectors:
+    a pair above the order is skipped with ``continue``, and a kept one is
+    packed by ``Codec.pack``, which raises for a bad field.  Returns the
+    product and the error types of the kept pairs that raise."""
+    codec = ring.codec
+    out, errors = {}, set()
+    for p1, n1 in t1.items():
+        for p2, n2 in t2.items():
+            e = tuple(map(operator.add, codec.unpack(p1), codec.unpack(p2)))
+            if ring.space.wdeg(e) > ring.order:
+                continue
+            try:
+                p = codec.pack(e)
+            except (FloorUnderflowError, StructureError) as exc:
+                errors.add(type(exc))
+                continue
+            out[p] = out.get(p, 0) + n1 * n2
+    return {p: n for p, n in out.items() if n}, errors
+
+
+@st.composite
+def _term_dict_pairs(draw):
+    """Two term dicts over one SPK or SPN ring, of one to six keys each,
+    inserted in a drawn order, so that a key whose pairs are above the order
+    often comes before a kept one; kappa is sometimes near the top of its
+    field and eps near its floor, so that kept pairs can raise."""
+    space = draw(st.sampled_from([SPK, SPN]))
+    ring = Ring(space, draw(st.integers(0, 5)), draw(st.integers(-4, -1)))
+    near_top = st.integers(WEIGHT0_LIMIT // 2 - 2, WEIGHT0_LIMIT // 2 + 1)
+    ranges = {"kappa": st.one_of(st.integers(0, 3), near_top), "eps": st.integers(ring.floor, 3)}
+    exps = st.tuples(*(ranges.get(s, st.integers(0, 3)) for s in space.symbols))
+
+    def term_dict():
+        keys = draw(st.lists(exps.map(ring.codec.pack).filter(lambda p: p is not None),
+                             min_size=1, max_size=6, unique=True))
+        return {p: draw(st.integers(-5, 5).filter(bool)) for p in draw(st.permutations(keys))}
+
+    return ring, term_dict(), term_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_dict_pairs())
+def test_mul_terms_matches_a_pairwise_loop_in_any_key_order(case):
+    ring, t1, t2 = case
+    want, errors = ref_mul_terms(ring, t1, t2)
+    if errors:
+        with pytest.raises(tuple(errors)):
+            series._mul_terms(ring.codec, t1, t2)
+        return
+    got = series._mul_terms(ring.codec, t1, t2)
+    assert got == want
+    if len(t1) == 1 or len(t2) == 1:
+        # a one-term side: the pairs are met in the order of today's loop
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("bad, error", [({"eps": -4}, FloorUnderflowError),
+                                        ({"kappa": WEIGHT0_LIMIT // 2}, StructureError)])
+def test_mul_terms_tests_a_kept_pair_met_after_one_above_the_order(bad, error):
+    # at order 2, floor -4, the first key of t2 (b, weight 2) takes the row
+    # of a^2 eps^-1 kappa^(2^30) above the order, and the second, met after
+    # it in insertion order, gives a kept pair past a field's range
+    ring = Ring(SPK, 2, -4)
+    pack = ring.codec.pack
+    t1 = {pack((2, WEIGHT0_LIMIT // 2, -1, 0)): 1, ring.codec.zero: 1}
+    t2 = {pack((0, 0, 0, 1)): 1, pack(tuple(bad.get(s, 0) for s in SPK.symbols)): 1}
+    assert ref_mul_terms(ring, t1, t2)[1] == {error}
+    with pytest.raises(error):
+        series._mul_terms(ring.codec, t1, t2)
+
+
 def test_product_of_mismatched_rings_is_refused():
     with pytest.raises(StructureError):
         Ring(SP, 3).symbol("a") * Ring(SP, 4).symbol("a")
