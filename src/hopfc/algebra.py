@@ -4,6 +4,7 @@ analytic functions of generator arguments, and tensor-slot arithmetic."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
@@ -495,46 +496,113 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     return lincomb(table.zero(), pairs)
 
 
-def monomial_image(m, gens, images, unit, product, memo):
+def monomial_image(m, gens, images, unit, product, memo, bound=None, lows=None,
+                   trim=None):
     """Image of the PBW monomial ``m`` under the extension of the generator
     map ``images`` (name -> value): the fold of ``product``, from ``unit``,
     over the generator images in PBW order.  Every Hopf structure map is
     extended to monomials here.
 
-    ``memo`` (monomial -> image) belongs to the caller and must only ever see
-    this one ``images`` map.  The image of ``m`` is that of ``m`` less its
-    last generator, times that generator's image: the fold's own sequence of
-    products, so a memoized image equals an unmemoized one."""
+    ``memo`` (monomial -> (bound, image)) belongs to the caller and must only
+    ever see this one ``images`` map and ``lows``.  The image of ``m`` is
+    that of ``m`` less its last generator, times that generator's image: the
+    fold's own sequence of products, so a memoized image equals an
+    unmemoized one.
+
+    A ``bound`` (None: no bound) asks only for the image's terms whose power
+    of one symbol is at most ``bound``, where ``lows[i]`` is the least power
+    in the image of generator ``i`` and every product keeps each term's
+    power: the image of ``m`` less its last generator ``i`` is then needed
+    only up to ``bound - lows[i]``, and ``trim(image, bound)`` drops what
+    lies above.  A memo entry holds every term of the image up to its bound
+    (that of the shorter image plus ``lows[i]``, or the one trimmed to; None
+    if it is whole), so it serves every bound at or below its own; the terms
+    above that it may carry land above what the caller reads."""
     chain = []
-    while m not in memo:
+    while (hit := memo.get(m)) is None or hit[0] is not None and hit[0] < bound:
         last = next((i for i in range(len(m) - 1, -1, -1) if m[i]), None)
         if last is None:
-            memo[m] = unit
+            hit = memo[m] = None, unit
             break
-        chain.append((m, gens.names[last]))
+        chain.append((m, last, bound))
+        if lows:
+            bound -= lows[last]
         m = m[:last] + (m[last] - 1,) + m[last + 1:]
-    img = memo[m]
-    for m, name in reversed(chain):
-        img = memo[m] = product(img, images[name])
+    got, img = hit
+    for m, last, bound in reversed(chain):
+        img = product(img, images[gens.names[last]])
+        if got is not None:
+            got += lows[last]
+        if trim and (kept := trim(img, bound)) is not img:
+            got, img = bound, kept
+        memo[m] = got, img
     return img
 
 
+def _slice_bounds(gens, images, table, name):
+    """What a substitution of ``images`` (one per name of ``gens``) into
+    ``table`` needs to build monomial images only down to the powers of the
+    symbol ``name`` that its zero slice reads: ``least``, the least power in
+    a term dict, the least power in each generator's image (0 in a zero
+    image), and the ``trim`` of ``monomial_image``, which drops an image's
+    terms above a bound if it has any.  A rule of ``table`` that carries
+    ``name`` raises ``StructureError``: a normal form must keep each term's
+    power."""
+    codec = table.ring.codec
+    i = table.ring.space.index(name)
+    shift, offset = codec.shifts[i], codec.offsets[i]
+    # p & field compares with (e + offset) << shift as the power in key p with e
+    field = codec.masks[i] << shift
+
+    def least(t):
+        return (min(p & field for p in t) >> shift) - offset
+
+    for (a, b), rule in table.rules.items():
+        if rule and any(p & field != offset << shift for t in rule.raw[1].values() for p in t):
+            raise StructureError(f"rule [{table.gens.names[a]},{table.gens.names[b]}] carries "
+                                 f"{name}: a substitution sliced on it needs rules free of it")
+
+    def trim(img, bound):
+        top = (bound + offset) << shift
+        d, t = img.raw
+        if all(p & field <= top for u in t.values() for p in u):
+            return img
+        return img._with(_finish(d, {k: w for k, u in t.items()
+                                     if (w := {p: n for p, n in u.items() if p & field <= top})}))
+
+    lows = tuple(min(map(least, images[n].raw[1].values()), default=0) for n in gens.names)
+    return least, lows, trim
+
+
 def substitute_generators(x: TensorElement, images, table_target: RewriteTable, param_sub=None,
-                          memo=None):
+                          memo=None, slice_symbol=None, context=""):
     """Homomorphic substitution generator -> Element over the target algebra,
     slot by slot, with optional simultaneous parameter substitution on
     coefficients: per term, the outer product of its monomials' images,
     left to right, times the moved or substituted coefficient goes straight
     into one accumulator (``_mul_add``).  ``memo`` may carry monomial images
-    from earlier calls with the same ``images``, made since the target's
-    normal-form cache was last emptied."""
+    from earlier calls with the same ``images`` and ``slice_symbol``, made
+    since the target's normal-form cache was last emptied.
+
+    With ``slice_symbol``, the result is the ``zero_slice`` on it (with
+    ``context`` for a ``DivergenceError``), and each monomial image is built
+    only down to the powers of that symbol which the slice can read.  No
+    rule of the target carries the symbol (``_slice_bounds``), so every term
+    of the image of m has power at least low(m) = sum of m_i * v_i, v_i the
+    least power in the image of generator i.  For a term over monomials
+    (m_1, .., m_r) whose coefficient's least power is q, slot s reaches
+    power <= 0 only through image terms at or below -q - sum over t != s of
+    low(m_t); the other terms land above 0, where the slice drops them."""
     ring = table_target.ring
     unit = table_target.one()
     memo = {} if memo is None else memo
+    least = lows = trim = None
+    if slice_symbol is not None:
+        least, lows, trim = _slice_bounds(x.gens, images, table_target, slice_symbol)
 
-    def image(m):
-        return monomial_image(m, x.gens, images, unit,
-                              lambda a, b: mul(a, b, table_target), memo)
+    def image(m, bound):
+        return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target),
+                              memo, bound, lows, trim)
 
     d, terms = x.raw
     if param_sub is None or not x:
@@ -546,9 +614,15 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     for ms, u in terms.items():
         e, v = coeff(u)
         if v:
-            d2, outer = _outer([image(m).raw for m in ms], ring.codec)
+            bounds = [None] * len(ms)
+            if least:
+                low = [sum(map(operator.mul, m, lows)) for m in ms]
+                top = -least(v) - sum(low)
+                bounds = [top + lo for lo in low]
+            d2, outer = _outer([image(m, b).raw for m, b in zip(ms, bounds)], ring.codec)
             _mul_add(ring.codec, acc[1], outer, v, _rescale(acc, d2 * e))
-    return _tensor(x.rank, table_target.gens, ring, _finish(*acc))
+    res = _tensor(x.rank, table_target.gens, ring, _finish(*acc))
+    return res if slice_symbol is None else res.zero_slice(slice_symbol, context)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def _combo_element(table, combo, sigma):
     return lincomb(table.zero(), zip(coeffs, (table.gen(g) for _, _, g in combo)))
 
 
-def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
+def _transport(H, forward, inverse, table, casimir, param_sub=None, slice_symbol=None):
     """Rewrite the structure maps of ``H`` in new generators: ``forward`` maps
     each new generator to an Element of ``H``, ``inverse`` each old generator
     to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
@@ -204,12 +204,13 @@ def _transport(H, forward, inverse, table, casimir, post, param_sub=None):
     (an Element of ``H`` or None) across.  Every move shares one memo of
     monomial images over ``table``; it is dropped only when a fill empties
     the table's normal-form cache, i.e. replaces a rule that a product
-    read.  ``post(x, context)`` finishes every moved map.  Returns
-    ``(coproduct, casimir)``."""
+    read.  With ``slice_symbol``, every moved map is its zero slice on that
+    symbol (``substitute_generators``), so every rule is free of it.
+    Returns ``(coproduct, casimir)``."""
     memo = {}
 
     def move(x, context):
-        return post(substitute_generators(x, inverse, table, param_sub, memo), context)
+        return substitute_generators(x, inverse, table, param_sub, memo, slice_symbol, context)
 
     names = table.gens.names
     for i in range(len(names)):
@@ -254,8 +255,7 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         casimir = casimir.scale(ws.term({EPS: 2}))
 
     coproduct, casimir = _transport(src_ws, forward_elements, inverse_images, scaffold,
-                                    casimir, lambda x, context: x.zero_slice(EPS, context),
-                                    param_sub=sigma)
+                                    casimir, param_sub=sigma, slice_symbol=EPS)
     contracted = HopfPresentation(
         name=f"{case.source} --({case.name})--> {case.target}",
         table=scaffold,
@@ -323,8 +323,7 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
             raise StructureError(f"basis map not invertible at order {order}: {n}")
 
     new_table = RewriteTable.commuting(gens, H.ring)
-    coproduct, casimir = _transport(H, forward, inverse, new_table, H.casimir,
-                                    lambda x, context: x)
+    coproduct, casimir = _transport(H, forward, inverse, new_table, H.casimir)
     return HopfPresentation(
         name=f"{H.name} [basis change]",
         table=new_table,

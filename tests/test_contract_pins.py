@@ -1,12 +1,14 @@
 """Byte identity of ``hopfc contract`` beyond the benchmark's N=8: the
 reports of the 4 cases and of ``Iplus.standard --then-basis-change``, and
-the divergence message of ``II.standard --force-exponent a=1``, at N=4 and
-N=10, against the sha256 pins in ``contract_pins.json``.
+the divergence message of ``II.standard --force-exponent a=1``, at N=4, 10
+and 16, against the sha256 pins in ``contract_pins.json``.
 
 A report is hashed without its ``timing`` field, as the benchmark does.
 ``python3 tests/test_contract_pins.py`` (with ``src`` on ``PYTHONPATH``)
 prints the pins of the code under test; the file holds those of the code
-before the contraction ran on packed keys."""
+before the contraction ran on packed keys (N=4 and 10) and before monomial
+images were built only down to the eps powers that the slice reads
+(N=16)."""
 
 import hashlib
 import io
@@ -23,7 +25,7 @@ PINS = Path(__file__).resolve().parent / "contract_pins.json"
 
 GRID = {
     f"{' '.join(argv)} --order {n}": list(argv) + ["--order", str(n), "--format", "json"]
-    for n in (4, 10)
+    for n in (4, 10, 16)
     for argv in (("II.standard",), ("II.nonstandard",), ("Iplus.standard",),
                  ("Iplus.nonstandard",), ("Iplus.standard", "--then-basis-change"),
                  ("II.standard", "--force-exponent", "a=1"))

@@ -16,7 +16,7 @@ from hopfc.contraction import (
     match_presentation,
     solve_min_exponents,
 )
-from hopfc.errors import DivergenceError
+from hopfc.errors import DivergenceError, StructureError
 from hopfc.series import EPS, ParamSpace, Ring
 
 CASE_NAMES = sorted(catalog.CASES)
@@ -118,12 +118,15 @@ def test_contract_casimir_value():
     assert contract_hopf(case, 3).casimir == catalog.get(case.target, 3).casimir
 
 
-@pytest.mark.parametrize("name,param", [
+DIVERGENT = [
     ("II.standard", "a"), ("II.standard", "b"),
     ("II.nonstandard", "b"), ("II.nonstandard", "b_plus"),
     ("Iplus.standard", "a"), ("Iplus.standard", "kappa"),
     ("Iplus.nonstandard", "a_plus"),
-])
+]
+
+
+@pytest.mark.parametrize("name,param", DIVERGENT)
 def test_exponent_one_below_minimum_diverges(name, param):
     case = catalog.get_case(name)
     n = case.param_map[param].eps_exp
@@ -288,9 +291,10 @@ def every_fill_clears(monkeypatch):
 @pytest.fixture
 def unshared(monkeypatch):
     """No monomial image outlives one ``substitute_generators`` call in
-    ``contraction``."""
-    def fresh_memo(x, images, table, param_sub=None, memo=None):
-        return substitute_generators(x, images, table, param_sub)
+    ``contraction``; the slice and its context are passed on."""
+    def fresh_memo(x, images, table, param_sub=None, memo=None, slice_symbol=None,
+                   context=""):
+        return substitute_generators(x, images, table, param_sub, None, slice_symbol, context)
 
     return lambda: monkeypatch.setattr(contraction, "substitute_generators", fresh_memo)
 
@@ -341,8 +345,7 @@ def _transport_that_refills_a_read_rule():
     table = RewriteTable.commuting(H.gens, H.ring)
     inverse = {n: table.gen(n) for n in H.gens.names}
     inverse["M"] = inverse["M"] + table.gen("Am")
-    coproduct, casimir = _transport(H, forward, inverse, table, H.casimir,
-                                    lambda x, context: x)
+    coproduct, casimir = _transport(H, forward, inverse, table, H.casimir)
     return table.rules, coproduct, casimir
 
 
@@ -365,8 +368,10 @@ def test_a_fill_that_replaces_a_read_rule_drops_the_memo(monkeypatch, every_fill
 
 
 def test_contraction_work_bound(monkeypatch):
-    # the transport reuses monomial images across rules: 2,911 term pairs
-    # here, against 6,641 with a fresh memo per rule
+    # the transport reuses monomial images across rules, and builds each
+    # only down to the eps powers that the slice reads: 280 term pairs here,
+    # against 2,911 with images in full, and 6,641 in full with a fresh memo
+    # per rule
     case = catalog.get_case("Iplus.standard")
     catalog.get(case.source, 8)
     pairs = []
@@ -378,4 +383,105 @@ def test_contraction_work_bound(monkeypatch):
 
     monkeypatch.setattr(algebra, "_slot_product", counted)
     contract_hopf(case, 8)
-    assert sum(pairs) <= 3000
+    assert sum(pairs) <= 280
+
+
+# ---------------------------------------------------------------------------
+# monomial images only down to the eps powers that the slice reads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def in_full(monkeypatch):
+    """Every substitution in ``contraction`` builds its images in full and
+    takes the zero slice afterwards, as before the bound."""
+    def full_then_slice(x, images, table, param_sub=None, memo=None, slice_symbol=None,
+                        context=""):
+        y = substitute_generators(x, images, table, param_sub, memo)
+        return y if slice_symbol is None else y.zero_slice(slice_symbol, context)
+
+    return lambda: monkeypatch.setattr(contraction, "substitute_generators", full_then_slice)
+
+
+@pytest.mark.parametrize("order", [4, 8, 12])
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_bounded_images_contract_exactly(name, order, in_full):
+    case = catalog.get_case(name)
+    bounded = contract_hopf(case, order)
+    in_full()
+    assert _same_presentation(contract_hopf(case, order), bounded)
+
+
+@pytest.mark.parametrize("name,param", DIVERGENT)
+def test_bounded_images_diverge_with_the_same_message(name, param, in_full):
+    case = catalog.get_case(name)
+    force = {param: case.param_map[param].eps_exp - 1}
+    with pytest.raises(DivergenceError) as bounded:
+        contract_hopf(case, 3, force_exponents=force)
+    in_full()
+    with pytest.raises(DivergenceError) as full:
+        contract_hopf(case, 3, force_exponents=force)
+    assert str(bounded.value) == str(full.value)
+
+
+def test_a_bound_one_too_tight_is_not_exact(monkeypatch, in_full):
+    # every slot bound one lower: the images lose terms that reach eps^0
+    orig = algebra._slice_bounds
+
+    def tighter(*args):
+        least, lows, trim = orig(*args)
+        return (lambda t: least(t) + 1), lows, trim
+
+    case = catalog.get_case("Iplus.standard")
+    monkeypatch.setattr(algebra, "_slice_bounds", tighter)
+    tight = contract_hopf(case, 4)
+    in_full()
+    assert not _same_presentation(contract_hopf(case, 4), tight)
+
+
+def _scaffold_normal_forms(monkeypatch, case, order):
+    """The words normal-formed over the scaffold of ``contract_hopf``: its
+    normal-form cache at the end, plus each cache that a fill emptied."""
+    tables, emptied = [], []
+    commuting, fill = RewriteTable.commuting.__func__, RewriteTable.set_rule_by_index
+
+    def recorded(cls, gens, ring):
+        tables.append(commuting(cls, gens, ring))
+        return tables[-1]
+
+    def counted(table, i, j, rhs):
+        n = len(table._nf_cache)
+        cleared = fill(table, i, j, rhs)
+        emptied.append(n if cleared else 0)
+        return cleared
+
+    monkeypatch.setattr(RewriteTable, "commuting", classmethod(recorded))
+    monkeypatch.setattr(RewriteTable, "set_rule_by_index", counted)
+    contract_hopf(case, order)
+    return sum(emptied) + len(tables[-1]._nf_cache)
+
+
+def test_bounded_images_normal_form_fewer_words(monkeypatch, in_full):
+    # the image of J3p^k, (2N - eps^-2 M + 2 mu Ap)^k, is built only down
+    # to its eps^-2k M^k term
+    case = catalog.get_case("Iplus.standard")
+    catalog.get(case.source, 8)
+    assert _scaffold_normal_forms(monkeypatch, case, 8) == 86
+    in_full()
+    assert _scaffold_normal_forms(monkeypatch, case, 8) == 1772
+
+
+def test_a_sliced_substitution_refuses_a_rule_with_the_slice_symbol(monkeypatch):
+    # plant eps in the first nonzero scaffold rule: normal forms would no
+    # longer keep each term's eps power, so the next substitution refuses
+    fill, planted = RewriteTable.set_rule_by_index, []
+
+    def with_eps(table, i, j, rhs):
+        if rhs and not planted:
+            planted.append((i, j))
+            rhs = rhs + table.gen(table.gens.names[j], coeff=table.sym(EPS))
+        return fill(table, i, j, rhs)
+
+    monkeypatch.setattr(RewriteTable, "set_rule_by_index", with_eps)
+    with pytest.raises(StructureError, match="carries eps"):
+        contract_hopf(catalog.get_case("Iplus.standard"), 4)
+    assert planted
