@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .errors import ConfluenceFailureError, StructureError, UnsupportedArgumentError
 from .series import (_add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
-                     _ring_change, _series, _substitution, _sum, _zero_slicer, taylor)
+                     _ring_change, _series, _sum, _zero_slicer, taylor)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -159,9 +159,7 @@ class TensorElement:
     def to(self, ring, gens=None):
         """Every coefficient's ``Series.to(ring)``, over ``gens`` (by default
         these generators; others rename them position by position)."""
-        move = _ring_change(self.ring, ring)
-        d, t = self.raw
-        return self._with(_finish(d, {k: v for k, u in t.items() if (v := move(u))}), ring, gens)
+        return ring_change(self.ring, ring, gens)(self)
 
     def zero_slice(self, name, context=""):
         """Every coefficient's ``Series.zero_slice``: the first key whose
@@ -226,6 +224,44 @@ def _raw_of(ring, terms):
     d = math.lcm(*[c.raw[0] for c in terms.values()])
     return d, {k: t if e == d else {p: n * (d // e) for p, n in t.items()}
                for k, c in terms.items() if c for e, t in (c.raw,)}
+
+
+def ring_change(src, ring, gens=None):
+    """``TensorElement.to(ring, gens)`` for every tensor over ``src``, its
+    key-level ring change (``series._ring_change``) prepared once."""
+    move = _ring_change(src, ring)
+
+    def to(x):
+        src.check_same(x.ring)
+        d, t = x.raw
+        return x._with(_finish(d, {k: v for k, u in t.items() if (v := move(u))}), ring, gens)
+
+    return to
+
+
+def zero_limit(src, ring, gens=None):
+    """Every symbol of ``src`` to 0, for every tensor over ``src``: each
+    coefficient keeps its one term with every exponent 0, the key ``zero``,
+    moved to ``ring`` (over no symbols) and ``gens``.  A tensor with a
+    negative exponent, possible only on an invertible symbol and found by
+    one mask compare per key and invertible symbol, is sliced symbol by
+    symbol first (``zero_slice``), which raises the ``DivergenceError`` of
+    the first symbol met diverging or keeps what the one lookup keeps."""
+    codec = src.codec
+    zero, move = codec.zero, ring_change(src, ring, gens)
+    below = [(m << s, o << s) for m, s, o, iv in
+             zip(codec.masks, codec.shifts, codec.offsets, src.space.invertible) if iv]
+
+    def limit(x):
+        src.check_same(x.ring)
+        d, t = x.raw
+        if below and any(p & m < z for u in t.values() for p in u for m, z in below):
+            for name in src.space.symbols:
+                x = x.zero_slice(name)
+            return move(x)
+        return move(x._with((d, {k: {zero: u[zero]} for k, u in t.items() if zero in u})))
+
+    return limit
 
 
 def _tensor(rank, gens, ring, raw):
@@ -539,15 +575,30 @@ def monomial_image(m, gens, images, unit, product, memo, bound=None, lows=None,
     return img
 
 
+def _check_free_of(table, name, pairs):
+    """Raise ``StructureError`` if the rule of ``table`` at one of ``pairs``
+    carries the symbol ``name``: a substitution sliced on it reads its
+    bounds (``_slice_bounds``) only while every normal form keeps each
+    term's power."""
+    codec = table.ring.codec
+    i = table.ring.space.index(name)
+    field, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
+    for a, b in pairs:
+        if any(p & field != zero for t in table.rules[a, b].raw[1].values() for p in t):
+            raise StructureError(f"rule [{table.gens.names[a]},{table.gens.names[b]}] carries "
+                                 f"{name}: a substitution sliced on it needs rules free of it")
+
+
 def _slice_bounds(gens, images, table, name):
     """What a substitution of ``images`` (one per name of ``gens``) into
     ``table`` needs to build monomial images only down to the powers of the
     symbol ``name`` that its zero slice reads: ``least``, the least power in
     a term dict, the least power in each generator's image (0 in a zero
     image), and the ``trim`` of ``monomial_image``, which drops an image's
-    terms above a bound if it has any.  A rule of ``table`` that carries
-    ``name`` raises ``StructureError``: a normal form must keep each term's
-    power."""
+    terms above a bound if it has any.  They hold while no rule of
+    ``table`` carries ``name``: every rule is checked here
+    (``_check_free_of``), and a caller that fills rules later checks each
+    as it goes in."""
     codec = table.ring.codec
     i = table.ring.space.index(name)
     shift, offset = codec.shifts[i], codec.offsets[i]
@@ -557,10 +608,7 @@ def _slice_bounds(gens, images, table, name):
     def least(t):
         return (min(p & field for p in t) >> shift) - offset
 
-    for (a, b), rule in table.rules.items():
-        if rule and any(p & field != offset << shift for t in rule.raw[1].values() for p in t):
-            raise StructureError(f"rule [{table.gens.names[a]},{table.gens.names[b]}] carries "
-                                 f"{name}: a substitution sliced on it needs rules free of it")
+    _check_free_of(table, name, table.rules)
 
     def trim(img, bound):
         top = (bound + offset) << shift
@@ -574,52 +622,58 @@ def _slice_bounds(gens, images, table, name):
     return least, lows, trim
 
 
-def substitute_generators(x: TensorElement, images, table_target: RewriteTable, param_sub=None,
-                          memo=None, slice_symbol=None, context=""):
+def substitute_generators(x: TensorElement, images, table_target: RewriteTable, coeffs=None,
+                          memo=None, slice_symbol=None, context="", bounds=None):
     """Homomorphic substitution generator -> Element over the target algebra,
-    slot by slot, with optional simultaneous parameter substitution on
-    coefficients: per term, the outer product of its monomials' images,
-    left to right, times the moved or substituted coefficient goes straight
-    into one accumulator (``_mul_add``).  ``memo`` may carry monomial images
+    slot by slot: per term, the outer product of its monomials' images,
+    left to right, times the coefficient mapped by ``coeffs`` goes straight
+    into one accumulator (``_mul_add``).  ``coeffs`` is a
+    ``series.Substitution`` from the ring of ``x`` to the target's, built
+    once for many calls; without it each coefficient moves to the target's
+    ring (``series._ring_change``).  ``memo`` may carry monomial images
     from earlier calls with the same ``images`` and ``slice_symbol``, made
     since the target's normal-form cache was last emptied.
 
     With ``slice_symbol``, the result is the ``zero_slice`` on it (with
     ``context`` for a ``DivergenceError``), and each monomial image is built
-    only down to the powers of that symbol which the slice can read.  No
-    rule of the target carries the symbol (``_slice_bounds``), so every term
-    of the image of m has power at least low(m) = sum of m_i * v_i, v_i the
-    least power in the image of generator i.  For a term over monomials
-    (m_1, .., m_r) whose coefficient's least power is q, slot s reaches
-    power <= 0 only through image terms at or below -q - sum over t != s of
-    low(m_t); the other terms land above 0, where the slice drops them."""
+    only down to the powers of that symbol which the slice can read, by
+    ``bounds``: ``_slice_bounds`` of these images, built once for many
+    calls by a caller that keeps every rule free of the symbol, else here.
+    So every term of the image of m has power at least low(m) = sum of
+    m_i * v_i, v_i the least power in the image of generator i.  For a term
+    over monomials (m_1, .., m_r) whose coefficient's least power is q,
+    slot s reaches power <= 0 only through image terms at or below -q - sum
+    over t != s of low(m_t); the other terms land above 0, where the slice
+    drops them."""
     ring = table_target.ring
     unit = table_target.one()
     memo = {} if memo is None else memo
     least = lows = trim = None
     if slice_symbol is not None:
-        least, lows, trim = _slice_bounds(x.gens, images, table_target, slice_symbol)
+        least, lows, trim = bounds or _slice_bounds(x.gens, images, table_target, slice_symbol)
 
     def image(m, bound):
         return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target),
                               memo, bound, lows, trim)
 
     d, terms = x.raw
-    if param_sub is None or not x:
+    if coeffs is None:
         move = _ring_change(x.ring, ring)
         coeff = lambda u: (d, move(u))    # noqa: E731
     else:
-        coeff = partial(_substitution(x.ring, param_sub, ring), d)
+        x.ring.check_same(coeffs.src)
+        ring.check_same(coeffs.ring)
+        coeff = partial(coeffs.apply, d)
     acc = [1, {}]
     for ms, u in terms.items():
         e, v = coeff(u)
         if v:
-            bounds = [None] * len(ms)
+            tops = [None] * len(ms)
             if least:
                 low = [sum(map(operator.mul, m, lows)) for m in ms]
                 top = -least(v) - sum(low)
-                bounds = [top + lo for lo in low]
-            d2, outer = _outer([image(m, b).raw for m, b in zip(ms, bounds)], ring.codec)
+                tops = [top + lo for lo in low]
+            d2, outer = _outer([image(m, b).raw for m, b in zip(ms, tops)], ring.codec)
             _mul_add(ring.codec, acc[1], outer, v, _rescale(acc, d2 * e))
     res = _tensor(x.rank, table_target.gens, ring, _finish(*acc))
     return res if slice_symbol is None else res.zero_slice(slice_symbol, context)

@@ -13,15 +13,18 @@ from .algebra import (
     GeneratorSet,
     RewriteTable,
     TensorElement,
+    _check_free_of,
+    _slice_bounds,
     apply_coproduct,
     commutator,
     lincomb,
     substitute_generators,
+    zero_limit,
 )
 from .bialgebra import WedgeTensor
 from .errors import StructureError
 from .hopf import Check, HopfPresentation
-from .series import EPS, ParamSpace, Ring
+from .series import EPS, ParamSpace, Ring, Substitution
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +109,12 @@ def _lie_sigma(ring, param_map, exponents=None):
     return sigma
 
 
-def transform_wedge(w: TensorElement, images, table: RewriteTable, sigma) -> TensorElement:
+def transform_wedge(w: TensorElement, images, table: RewriteTable, sub) -> TensorElement:
     """Push a tensor through the (inverse) generator scaling ``images``
     (old generator -> Element over ``table``) and the parameter substitution
-    ``sigma``; cancellation happens here, before any valuation is read off."""
-    return substitute_generators(w, images, table, param_sub=sigma)
+    ``sub`` (a ``Substitution``); cancellation happens here, before any
+    valuation is read off."""
+    return substitute_generators(w, images, table, sub)
 
 
 def _min_exponents_from(wedges, space, group_syms):
@@ -156,14 +160,15 @@ def solve_min_exponents(case: ContractionCase):
         if tgt:
             group_syms.setdefault(g, set()).add(tgt)
 
-    sigma0 = _lie_sigma(ring, case.lie_param_map,
-                        exponents={p: 0 for p in case.lie_param_map})
+    # one substitution for r and every cocommutator, whose ring is r's
+    sub0 = Substitution(r.ring, _lie_sigma(ring, case.lie_param_map,
+                                           exponents={p: 0 for p in case.lie_param_map}), ring)
 
-    r_t = transform_wedge(r, images, table, sigma0)
+    r_t = transform_wedge(r, images, table, sub0)
     r_min = _min_exponents_from([r_t], space, group_syms)
 
     delta = bialgebra.cocommutator_from_r(catalog.lie_structure(case.lie_r_name), r)
-    moved = {x: transform_wedge(d, images, table, sigma0) for x, d in delta.items()}
+    moved = {x: transform_wedge(d, images, table, sub0) for x, d in delta.items()}
     d_new = [lincomb(TensorElement(2, new_gens, ring, {}),
                      ((ring.term(mono, f), moved[x]) for f, mono, x in combo))
              for combo in scaling.forward.values()]
@@ -174,8 +179,8 @@ def solve_min_exponents(case: ContractionCase):
     for old, g in case.lie_groups.items():
         if r_min.get(g) is not None:
             exps[old] = r_min[g]
-    sigma = _lie_sigma(ring, case.lie_param_map, exponents=exps)
-    r_lim = transform_wedge(r, images, table, sigma)
+    sub = Substitution(r.ring, _lie_sigma(ring, case.lie_param_map, exponents=exps), ring)
+    r_lim = transform_wedge(r, images, table, sub)
     r_contracted = WedgeTensor(r_lim.zero_slice(EPS, context="contracted r").to(
         replace(ring, space=space.without(EPS))))
 
@@ -186,31 +191,38 @@ def solve_min_exponents(case: ContractionCase):
 # quantum contraction
 # ---------------------------------------------------------------------------
 
-def _combo_element(table, combo, sigma):
+def _combo_element(table, combo, sub):
     """Linear combination [(Fraction, coeff-monomial, gen name)] -> Element,
-    with the parameter substitution applied to the coefficients."""
+    with the parameter substitution ``sub`` (a ``Substitution``) applied to
+    the coefficients."""
     ring = table.ring
     coeffs = (ring.term(mono, f) for f, mono, _ in combo)
-    if sigma:
-        coeffs = (c.substitute(sigma, ring) for c in coeffs)
+    if sub:
+        coeffs = map(sub, coeffs)
     return lincomb(table.zero(), zip(coeffs, (table.gen(g) for _, _, g in combo)))
 
 
-def _transport(H, forward, inverse, table, casimir, param_sub=None, slice_symbol=None):
+def _transport(H, forward, inverse, table, casimir, sub=None, slice_symbol=None):
     """Rewrite the structure maps of ``H`` in new generators: ``forward`` maps
     each new generator to an Element of ``H``, ``inverse`` each old generator
     to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
     each before it is first needed, then moves the coproducts and ``casimir``
-    (an Element of ``H`` or None) across.  Every move shares one memo of
-    monomial images over ``table``; it is dropped only when a fill empties
-    the table's normal-form cache, i.e. replaces a rule that a product
-    read.  With ``slice_symbol``, every moved map is its zero slice on that
-    symbol (``substitute_generators``), so every rule is free of it.
-    Returns ``(coproduct, casimir)``."""
+    (an Element of ``H`` or None) across, each coefficient through ``sub``
+    (a ``Substitution`` from the ring of ``H`` to that of ``table``; None:
+    a ring change).  Every move shares one memo of monomial images over
+    ``table``; it is dropped only when a fill empties the table's
+    normal-form cache, i.e. replaces a rule that a product read.  With
+    ``slice_symbol``, every moved map is its zero slice on that symbol
+    (``substitute_generators``), whose monomial images are bounded once,
+    here (``_slice_bounds``); every rule is checked free of the symbol as
+    it goes in.  Returns ``(coproduct, casimir)``."""
     memo = {}
+    bounds = None
+    if slice_symbol is not None:
+        bounds = _slice_bounds(H.gens, inverse, table, slice_symbol)
 
     def move(x, context):
-        return substitute_generators(x, inverse, table, param_sub, memo, slice_symbol, context)
+        return substitute_generators(x, inverse, table, sub, memo, slice_symbol, context, bounds)
 
     names = table.gens.names
     for i in range(len(names)):
@@ -218,6 +230,8 @@ def _transport(H, forward, inverse, table, casimir, param_sub=None, slice_symbol
             com = commutator(forward[names[i]], forward[names[j]], H.table)
             if table.set_rule_by_index(i, j, move(com, f"[{names[i]},{names[j]}]")):
                 memo.clear()
+            if bounds:
+                _check_free_of(table, slice_symbol, [(i, j)])
     coproduct = {y: move(apply_coproduct(forward[y], H.coproduct, H.table), f"Delta({y})")
                  for y in names}
     return coproduct, None if casimir is None else move(casimir, "casimir limit")
@@ -232,18 +246,18 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
     src = catalog.get(case.source, order)
     tgt_space = case.target_space()
     ws = Ring.exact(src.ring.space.union(tgt_space).union(ParamSpace.make(EPS)))
-    sigma = _lie_sigma(ws, case.param_map, force_exponents)
+    sub = Substitution(ws, _lie_sigma(ws, case.param_map, force_exponents), ws)
     src_ws = src.to(ws)
 
     new_gens = case.scaling.new_gens
     scaffold = RewriteTable.commuting(new_gens, ws)
 
     inverse_images = {
-        old: _combo_element(scaffold, combo, sigma)
+        old: _combo_element(scaffold, combo, sub)
         for old, combo in case.scaling.inverse.items()
     }
     forward_elements = {
-        new: _combo_element(src_ws.table, combo, sigma)
+        new: _combo_element(src_ws.table, combo, sub)
         for new, combo in case.scaling.forward.items()
     }
 
@@ -255,7 +269,7 @@ def contract_hopf(case: ContractionCase, order=4, force_exponents=None) -> HopfP
         casimir = casimir.scale(ws.term({EPS: 2}))
 
     coproduct, casimir = _transport(src_ws, forward_elements, inverse_images, scaffold,
-                                    casimir, param_sub=sigma, slice_symbol=EPS)
+                                    casimir, sub, EPS)
     contracted = HopfPresentation(
         name=f"{case.source} --({case.name})--> {case.target}",
         table=scaffold,
@@ -278,8 +292,9 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation) -> Check:
     if names != want.gens.names:
         return Check.of("match", [("generator mismatch: ", f"{names} vs {want.gens.names}")],
                         listed=True)
-    ring = Ring.exact(got.ring.space.union(want.ring.space))
-    got, want = got.to(ring), want.to(ring)
+    if got.ring != want.ring:
+        ring = Ring.exact(got.ring.space.union(want.ring.space))
+        got, want = got.to(ring), want.to(ring)
 
     pairs = [(f"rule [{names[i]},{names[j]}]: ", got.table.rules[i, j] - want.table.rules[i, j])
              for i, j in sorted(got.table.rules)]
@@ -334,16 +349,11 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
 
 
 def classical_limit(H: HopfPresentation, rename=None) -> HopfPresentation:
-    """All deformation parameters -> 0, optionally renaming generators."""
+    """All deformation parameters -> 0, optionally renaming generators: one
+    lookup per coefficient (``zero_limit``)."""
     names = tuple(rename.get(n, n) if rename else n for n in H.gens.names)
     ring = replace(H.ring, space=ParamSpace.make())
     gens = GeneratorSet(names, H.gens.central)
-
-    def limit(x):
-        for s in H.ring.space.symbols:
-            x = x.zero_slice(s)
-        return x.to(ring, gens)
-
-    lim = H.map_tensors(limit, ring, gens)
+    lim = H.map_tensors(zero_limit(H.ring, ring, gens), ring, gens)
     lim.name = f"{H.name} [classical limit]"
     return lim

@@ -20,6 +20,7 @@ from .algebra import (
     map_slot,
     mul,
     multiply_slots,
+    ring_change,
     tensor_mul,
 )
 from .errors import StructureError, SynthesisFailureError
@@ -73,8 +74,8 @@ class HopfPresentation:
 
     def to(self, ring) -> HopfPresentation:
         """This presentation with every coefficient moved to ``ring``
-        (``TensorElement.to``)."""
-        return self.map_tensors(lambda x: x.to(ring), ring)
+        (``TensorElement.to``), the ring change prepared once."""
+        return self.map_tensors(ring_change(self.ring, ring), ring)
 
 
 #: residual lines shown per check in a text report (and in an R-matrix check)
@@ -249,8 +250,9 @@ def solve_antipode(H: HopfPresentation):
     S = {n: -H.gen(n) for n in names}
     bare = replace(H, casimir=None)
     for ring in H.ring.lower_orders():
-        Sk, _ = _antipode_round(bare.to(ring), {n: S[n].to(ring) for n in names})
-        S = {n: Sk[n].to(H.ring) for n in names}
+        down, up = ring_change(H.ring, ring), ring_change(ring, H.ring)
+        Sk, _ = _antipode_round(bare.to(ring), {n: down(S[n]) for n in names})
+        S = {n: up(Sk[n]) for n in names}
     for _ in range(H.ring.order + 2):
         S, done = _antipode_round(H, S)
         if done:

@@ -181,12 +181,13 @@ class Codec:
 
     Field i holds ``e_i - lo_i`` (``lo_i`` is the floor on an invertible
     symbol, else 0) in ``b_i`` value bits under an overflow bit and a set
-    guard bit; the top field, unbounded, holds the weighted degree less its
-    least value ``wlo``.  A field is wide enough for every exponent of a term
-    at or below the order, and, for a weight-0 symbol, for every exponent
-    below ``WEIGHT0_LIMIT``: its bound, ``tops[i] = caps[i] + lows[i]``, is
-    that limit on a symbol that is not invertible and ``2^32 + lo_i`` on an
-    invertible one with a floor from -2^31 to -1.  Then ``pack(e1) +
+    guard bit; the top field, from bit ``top`` up and unbounded, holds the
+    weighted degree less its least value ``wlo``.  A field is wide enough
+    for every exponent of a term at or below the order, and, for a weight-0
+    symbol, for every exponent below ``WEIGHT0_LIMIT``: its bound,
+    ``tops[i] = caps[i] + lows[i]``, is that limit on a symbol that is not
+    invertible and ``2^32 + lo_i`` on an invertible one with a floor from
+    -2^31 to -1.  Then ``pack(e1) +
     pack(e2) - zero`` is ``pack(e1 + e2)`` without a borrow or carry between
     fields, the order test is ``p >= limit``, and a field below its floor or
     past its width shows as ``p & flags != guards``."""
@@ -211,6 +212,7 @@ class Codec:
             self.guards |= guard << shift
             shift += b + 2
         self.zero -= wlo << shift
+        self.top = shift
         self.limit = (span + 1) << shift
         # pack(e) = zero + sum(e_i * steps_i): one unit in field i and w_i in the top
         self.steps = tuple((1 << s) + (w << shift) for s, w in zip(self.shifts, space.weights))
@@ -362,7 +364,7 @@ class Series:
         that of the images (they must agree) unless given explicitly."""
         if ring is None:
             ring = next((img.ring for img in sigma.values()), self.ring)
-        return _series(ring, _substitution(self.ring, sigma, ring)(*self.raw))
+        return Substitution(self.ring, sigma, ring)(self)
 
     def zero_slice(self, name, context=""):
         """Set ``name`` to zero, keeping the ring: positive powers vanish,
@@ -404,27 +406,65 @@ def _series(ring, raw):
 
 def _ring_change(src, ring):
     """``Series.to`` on term dicts, prepared once per pair of rings: the map
-    of a term dict over ``src`` to one over ``ring`` (the identity if they
-    are equal) that unpacks, checks and packs each key again."""
+    of a term dict over ``src`` to one over ``ring``, its keys in input
+    order (the identity if the rings are equal).  A key with a nonzero
+    exponent on a symbol that ``ring`` lacks raises ``StructureError``
+    first.
+
+    Where no floor or field error can arise (each kept symbol keeps its
+    weight, no kept field's floor rises and no weight-0 field narrows), the
+    plan works per field: one mask compare for the dropped symbols, the
+    order test on the key's top field (the weighted degree, which the kept
+    symbols carry whole), and the target key as a linear form of the kept
+    fields.  Otherwise each key is unpacked and packed again with
+    ``Codec.pack``, which raises its floor, order and field errors in its
+    own order."""
     if ring == src:
         return lambda t: t
     have, want = src.space._index, ring.space._index
+    a, b = src.codec, ring.codec
     dropped = [i for s, i in have.items() if s not in want]
+    # p & drop compares with gone exactly when every dropped exponent of key p is 0
+    drop = sum(a.masks[i] << a.shifts[i] for i in dropped)
+    gone = sum(a.offsets[i] << a.shifts[i] for i in dropped)
     take = [have.get(s, -1) for s in ring.space.symbols]    # -1: a 0 appended to e
-    unpack, pack = src.codec.unpack, ring.codec.pack
+    kept = [(i, j) for j, i in enumerate(take) if i >= 0]
+    wa, wb = src.space.weights, ring.space.weights
 
-    def move(t):
+    def refuse(p):
+        raise StructureError(f"term {a.unpack(p)} carries symbols outside {ring.space.symbols}")
+
+    if all(wa[i] == wb[j] and b.lows[j] <= a.lows[i] and (wb[j] or b.tops[j] >= a.tops[i])
+           for i, j in kept):
+        # the key's top field is its weighted degree less wlo: kept at or below ring.order
+        cut = a.limit + ((ring.order - src.order) << a.top)
+        # e_i = field_i - offset_i, and the target key is zero + sum of e_i * steps_j
+        fields = [(a.shifts[i], a.masks[i], b.steps[j]) for i, j in kept]
+        base = b.zero - sum(a.offsets[i] * b.steps[j] for i, j in kept)
+
+        def move(t):
+            out = {}
+            for p, n in t.items():
+                if p & drop != gone:
+                    refuse(p)
+                if p < cut:
+                    out[base + sum([(p >> s & m) * st for s, m, st in fields])] = n
+            return out
+
+        return move
+    unpack, pack = a.unpack, b.pack
+
+    def repack(t):
         out = {}
         for p, n in t.items():
+            if p & drop != gone:
+                refuse(p)
             e = unpack(p) + (0,)
-            if any([e[i] for i in dropped]):
-                raise StructureError(f"term {e[:-1]} carries symbols outside "
-                                     f"{ring.space.symbols}")
             if (q := pack(tuple([e[i] for i in take]))) is not None:
                 out[q] = n
         return out
 
-    return move
+    return repack
 
 
 def _zero_slicer(ring, name, context=""):
@@ -446,32 +486,101 @@ def _zero_slicer(ring, name, context=""):
     return slice_
 
 
-def _substitution(src, sigma, ring):
-    """``Series.substitute`` on raw forms over ``src``, prepared once for
-    many: the map of ``d, t`` (not necessarily in lowest terms) to a raw
-    form over ``ring``.  The images move to ``ring`` here, and each power of
-    one is computed once, on first use.  Per term, the constant is
-    multiplied by the powers of the images in symbol order."""
-    images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in src.space.symbols]
-    powers = {}
-    one = ring.codec.zero
-    unpack = src.codec.unpack
+class Substitution:
+    """``Series.substitute(sigma, ring)`` prepared once for every series over
+    ``src``: calling it maps a ``Series`` over ``src`` to one over ``ring``,
+    and ``apply`` maps a raw form ``d, t`` over ``src`` (not necessarily in
+    lowest terms) to one over ``ring`` in lowest terms.  Symbols absent from
+    ``sigma`` map to themselves.  The images move to ``ring`` here, and each
+    power of one is computed once, on first use.
 
-    def apply(d, t):
-        acc = [1, {}]
-        for p, n in t.items():
-            term = d, {one: n}
+    Per term, the constant is multiplied by the powers of the images in
+    symbol order.  When every image has at most one term (``c * eps^n * t``
+    in every contraction), so has every power, and a key maps to one term,
+    found once per key: its key is the zero key plus each power's key less
+    the zero key, in symbol order, a partial sum above the order dropping
+    the term and one with a field out of range raising, as a product of two
+    one-term dicts does (``_mul_terms``); its coefficient is the product of
+    the powers' numerators over the product of their denominators."""
+
+    __slots__ = ("src", "ring", "apply")
+
+    def __init__(self, src, sigma, ring):
+        self.src, self.ring = src, ring
+        images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in src.space.symbols]
+        powers = {}
+        codec = ring.codec
+        one = codec.zero
+        unpack = src.codec.unpack
+
+        def factors(p):
+            """The raw power of each image that key ``p`` raises to a
+            nonzero exponent, in symbol order."""
             for i, e in enumerate(unpack(p)):
                 if e:
                     if (pw := powers.get((i, e))) is None:
                         pw = powers[i, e] = (images[i] ** e).raw
-                    term = term and _product(ring, term, pw)
-            if term:
-                _add_terms(acc[1], (), term[1], _rescale(acc, term[0]))
-        d, t = _finish(*acc)
-        return d, t.get((), {})
+                    yield pw
 
-    return apply
+        def products(d, t):
+            acc = [1, {}]
+            for p, n in t.items():
+                term = d, {one: n}
+                for pw in factors(p):
+                    term = term and _product(ring, term, pw)
+                if term:
+                    _add_terms(acc[1], (), term[1], _rescale(acc, term[0]))
+            d, t = _finish(*acc)
+            return d, t.get((), {})
+
+        if any(len(img.raw[1]) > 1 for img in images):
+            self.apply = products
+            return
+        limit, flags, guards = codec.limit, codec.flags, codec.guards
+        keys = {}
+
+        def image(p):
+            """(key, numerator, denominator) of the term 1 * p, numerator 0
+            if it is dropped; every power is still taken, as ``products``
+            takes it."""
+            q, n, m = one, 1, 1
+            for pd, pt in factors(p):
+                if not (n and pt):
+                    n = 0
+                    continue
+                ((k, c),) = pt.items()
+                q += k - one
+                if q >= limit:
+                    n = 0
+                    continue
+                if q & flags != guards:
+                    codec.pack(codec.unpack(q))      # raises
+                n, m = n * c, m * pd
+            return q, n, m
+
+        def monomials(d, t):
+            D, out = 1, {}
+            for p, n in t.items():
+                if (im := keys.get(p)) is None:
+                    im = keys[p] = image(p)
+                q, c, m = im
+                if c:
+                    if D % m:
+                        g = math.lcm(D, m) // D
+                        for k in out:
+                            out[k] *= g
+                        D *= g
+                    if v := out.get(q, 0) + n * c * (D // m):
+                        out[q] = v
+                    else:
+                        del out[q]
+            return _reduce((D * d, out))
+
+        self.apply = monomials
+
+    def __call__(self, s):
+        self.src.check_same(s.ring)
+        return _series(self.ring, self.apply(*s.raw))
 
 
 def _reduce(r):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfc import algebra, catalog, contraction
-from hopfc.algebra import RewriteTable, mul, substitute_generators
+from hopfc.algebra import GeneratorSet, RewriteTable, TensorElement, mul, substitute_generators
 from hopfc.contraction import (
     ContractionCase,
     ParamImage,
@@ -17,6 +17,7 @@ from hopfc.contraction import (
     solve_min_exponents,
 )
 from hopfc.errors import DivergenceError, StructureError
+from hopfc.hopf import HopfPresentation
 from hopfc.series import EPS, ParamSpace, Ring
 
 CASE_NAMES = sorted(catalog.CASES)
@@ -291,10 +292,11 @@ def every_fill_clears(monkeypatch):
 @pytest.fixture
 def unshared(monkeypatch):
     """No monomial image outlives one ``substitute_generators`` call in
-    ``contraction``; the slice and its context are passed on."""
-    def fresh_memo(x, images, table, param_sub=None, memo=None, slice_symbol=None,
-                   context=""):
-        return substitute_generators(x, images, table, param_sub, None, slice_symbol, context)
+    ``contraction``, and each sliced call bounds its images afresh; the
+    substitution, the slice and its context are passed on."""
+    def fresh_memo(x, images, table, sub=None, memo=None, slice_symbol=None, context="",
+                   bounds=None):
+        return substitute_generators(x, images, table, sub, None, slice_symbol, context)
 
     return lambda: monkeypatch.setattr(contraction, "substitute_generators", fresh_memo)
 
@@ -394,9 +396,9 @@ def test_contraction_work_bound(monkeypatch):
 def in_full(monkeypatch):
     """Every substitution in ``contraction`` builds its images in full and
     takes the zero slice afterwards, as before the bound."""
-    def full_then_slice(x, images, table, param_sub=None, memo=None, slice_symbol=None,
-                        context=""):
-        y = substitute_generators(x, images, table, param_sub, memo)
+    def full_then_slice(x, images, table, sub=None, memo=None, slice_symbol=None, context="",
+                        bounds=None):
+        y = substitute_generators(x, images, table, sub, memo)
         return y if slice_symbol is None else y.zero_slice(slice_symbol, context)
 
     return lambda: monkeypatch.setattr(contraction, "substitute_generators", full_then_slice)
@@ -432,7 +434,7 @@ def test_a_bound_one_too_tight_is_not_exact(monkeypatch, in_full):
         return (lambda t: least(t) + 1), lows, trim
 
     case = catalog.get_case("Iplus.standard")
-    monkeypatch.setattr(algebra, "_slice_bounds", tighter)
+    monkeypatch.setattr(contraction, "_slice_bounds", tighter)
     tight = contract_hopf(case, 4)
     in_full()
     assert not _same_presentation(contract_hopf(case, 4), tight)
@@ -485,3 +487,117 @@ def test_a_sliced_substitution_refuses_a_rule_with_the_slice_symbol(monkeypatch)
     with pytest.raises(StructureError, match="carries eps"):
         contract_hopf(catalog.get_case("Iplus.standard"), 4)
     assert planted
+
+
+# ---------------------------------------------------------------------------
+# coefficient maps prepared once: no move on equal rings, one lookup per
+# coefficient in the classical limit, slice bounds once per transport
+# ---------------------------------------------------------------------------
+
+#: every deformed presentation and the classical one its limit matches
+CLASSICAL = [(n, "gl2.classical" if n.startswith("gl2.") else "h4.classical")
+             for n in catalog.names() if not n.endswith(".classical")]
+
+
+def test_match_presentation_moves_neither_side_when_the_rings_agree(monkeypatch):
+    # the 4 contractions and the 9 classical limits at N=8, as the
+    # benchmark matches them: every pair shares one ring
+    cases = [catalog.get_case(n) for n in CASE_NAMES]
+    pairs = [(contract_hopf(c, 8), catalog.get(c.target, 8)) for c in cases]
+    pairs += [(classical_limit(catalog.get(n, 8), rename={"J3p": "J3"}), catalog.get(t, 8))
+              for n, t in CLASSICAL]
+    assert len(pairs) == 13
+    moved, to = [], HopfPresentation.to
+    monkeypatch.setattr(HopfPresentation, "to",
+                        lambda H, ring: moved.append(H.name) or to(H, ring))
+    for got, want in pairs:
+        assert got.ring == want.ring
+        m = match_presentation(got, want)
+        assert m.match, m.residuals
+    assert moved == []
+
+
+@pytest.mark.parametrize("name", ["gl2.II.standard", "gl2.Iplus.standard", "h4.xi.theta"])
+def test_a_mismatch_on_equal_rings_renders_as_on_the_union_ring(name):
+    # one coproduct term, the one with the longest coefficient, flips sign
+    bad, good = catalog._BUILDERS[name](8), catalog.get(name, 8)
+    g = max(bad.gens.names,
+            key=lambda n: max(len(str(c)) for c in bad.coproduct[n].terms.values()))
+    d = bad.coproduct[g]
+    terms = d.terms
+    k = max(terms, key=lambda k: len(str(terms[k])))
+    terms[k] = -terms[k]
+    bad.coproduct[g] = TensorElement(2, d.gens, d.ring, terms)
+    m = match_presentation(bad, good)
+    ring = Ring.exact(bad.ring.space.union(good.ring.space))
+    union = match_presentation(bad.to(ring), good.to(ring))
+    assert m.match is False
+    assert [str(r) for r in m.residuals] == [str(r) for r in union.residuals]
+    assert m.to_json() == union.to_json()
+
+
+def symbol_by_symbol_limit(H, rename=None):
+    """The classical limit as a slice per parameter, then a move to the
+    parameterless ring."""
+    names = tuple(rename.get(n, n) if rename else n for n in H.gens.names)
+    ring = dataclasses.replace(H.ring, space=ParamSpace.make())
+    gens = GeneratorSet(names, H.gens.central)
+
+    def limit(x):
+        for s in H.ring.space.symbols:
+            x = x.zero_slice(s)
+        return x.to(ring, gens)
+
+    return H.map_tensors(limit, ring, gens)
+
+
+@pytest.mark.parametrize("name,classical", CLASSICAL)
+def test_classical_limit_keeps_what_the_symbol_by_symbol_slice_keeps(name, classical):
+    H = catalog.get(name, 8)
+    got = classical_limit(H, rename={"J3p": "J3"})
+    want = symbol_by_symbol_limit(H, rename={"J3p": "J3"})
+    assert got.table.rules == want.table.rules and got.casimir == want.casimir
+    assert got.coproduct == want.coproduct and got.ring == want.ring
+    assert [list(x.raw[1]) for x in got.coproduct.values()] == \
+        [list(x.raw[1]) for x in want.coproduct.values()]
+
+
+def _with_eps(name, scale):
+    """``name`` at order 4 over its space and an invertible eps, each
+    coproduct times the monomial ``scale`` (exponents by symbol)."""
+    H = catalog.get(name, 4)
+    ring = Ring(H.ring.space.union(ParamSpace.make(EPS)), 4)
+    H = H.to(ring)
+    H.coproduct = {n: d.scale(ring.term(scale)) for n, d in H.coproduct.items()}
+    return H
+
+
+@pytest.mark.parametrize("scale", [{EPS: -1}, {"a": 1, EPS: -1}, {EPS: 1}, {"b": 1, EPS: -2}])
+def test_classical_limit_with_a_negative_power_slices_symbol_by_symbol(scale):
+    # a negative eps power raises the DivergenceError of the symbol-by-symbol
+    # slice, naming eps; one under a positive power of a symbol sliced
+    # before it is dropped, as there
+    H = _with_eps("gl2.II.standard", scale)
+    try:
+        want = symbol_by_symbol_limit(H)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            classical_limit(H)
+        assert str(got.value) == str(exc) and "eps" in str(exc)
+        return
+    got = classical_limit(H)
+    assert got.coproduct == want.coproduct and got.table.rules == want.table.rules
+
+
+def test_a_standalone_sliced_substitution_checks_every_rule():
+    # without bounds from a transport, substitute_generators builds them
+    # and refuses a rule that carries the slice symbol
+    ring = Ring.exact(ParamSpace.make("a", EPS))
+    gens = GeneratorSet.make(["X", "Y"])
+    table = RewriteTable.commuting(gens, ring)
+    images = {n: table.gen(n) for n in gens.names}
+    x = mul(table.gen("Y"), table.gen("X"), table)
+    assert substitute_generators(x, images, table, slice_symbol=EPS) == x
+    table.set_rule("Y", "X", table.gen("X", coeff=table.sym(EPS)))
+    with pytest.raises(StructureError, match="carries eps"):
+        substitute_generators(x, images, table, slice_symbol=EPS)

@@ -23,6 +23,7 @@ from hopfc.series import (
     ParamSpace,
     Ring,
     Series,
+    Substitution,
     analytic_series,
     lincomb,
     taylor_coeffs,
@@ -976,3 +977,199 @@ def test_ring_change_and_slice_work_on_keys(monkeypatch):
     calls.clear()
     # the counters see a term-level read
     assert len(s.terms) == 50 and calls == ["unpack"] * 50
+
+
+# ---------------------------------------------------------------------------
+# the prepared coefficient maps: the per-field ring change and the monomial
+# substitution, against the term-level references
+# ---------------------------------------------------------------------------
+
+def count_codec_calls(monkeypatch):
+    """The names of the ``Codec.pack`` and ``Codec.unpack`` calls made from
+    here on."""
+    calls = []
+    for name in ("pack", "unpack"):
+        def counted(self, arg, _op=getattr(Codec, name), _name=name):
+            calls.append(_name)
+            return _op(self, arg)
+        monkeypatch.setattr(Codec, name, counted)
+    return calls
+
+
+def per_field(src, dst):
+    """Whether a ring change from ``src`` to ``dst`` can raise no floor or
+    field error: each kept symbol keeps its weight, its floor does not rise
+    and a weight-0 field does not narrow."""
+    a, b = src.codec, dst.codec
+    for j, name in enumerate(dst.space.symbols):
+        if src.space.has(name):
+            i = src.space.index(name)
+            w = src.space.weights[i]
+            if (w != dst.space.weights[j] or b.lows[j] > a.lows[i]
+                    or not w and b.tops[j] < a.tops[i]):
+                return False
+    return True
+
+
+@st.composite
+def _ring_pairs(draw):
+    """A ring and one to move to: wider (a symbol added), narrower (one
+    dropped), of a lower or higher order, with a floor moved either way,
+    the untruncated ring, or any other."""
+    src = draw(_rings())
+    space, kind = src.space, draw(st.sampled_from(
+        ["widen", "narrow", "order", "floor", "exact", "any"]))
+    if kind == "widen" and len(space.symbols) < len(POOL):
+        new = draw(st.sampled_from(sorted(set(POOL) - set(space.symbols))))
+        at = draw(st.integers(0, space.dim))
+        names = list(space.symbols)
+        names.insert(at, new)
+        space = ParamSpace.make(*(POOL[n] for n in names))
+    elif kind == "narrow" and space.dim > 1:
+        space = space.without(draw(st.sampled_from(space.symbols)))
+    elif kind == "any":
+        return src, draw(_rings())
+    order = draw(st.integers(0, 6)) if kind == "order" else src.order
+    floor = draw(st.integers(-6, -1)) if kind == "floor" else src.floor
+    if kind == "exact":
+        return src, Ring.exact(space)
+    return src, Ring(space, order, floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_change_plans_match_the_term_level_reference(data):
+    # both plans give the reference's terms, keys in input order, and
+    # raise its errors: a nonzero dropped symbol, a power below the floor,
+    # a weight-0 exponent past its field; the per-field plan packs no key
+    src, dst = data.draw(_ring_pairs())
+    s = data.draw(_series_over(src))
+    agree(lambda: s.to(dst), lambda: ref_to(s, dst), dst)
+    try:
+        want = Series(dst, ref_to(s, dst)).raw
+    except (FloorUnderflowError, StructureError):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_codec_calls(mp)
+        got = s.to(dst).raw
+    assert list(got[1]) == list(want[1])
+    assert ("pack" in calls) == (s.ring != dst and bool(s) and not per_field(src, dst))
+
+
+def test_ring_change_plans_raise_each_error(monkeypatch):
+    # the per-field plan: a nonzero exponent of a dropped symbol, unpacked
+    # only for the message
+    src = Ring(SPK, 6)
+    s = src.term({"eps": 1})
+    assert per_field(src, Ring(SPN, 6))
+    calls = count_codec_calls(monkeypatch)
+    with pytest.raises(StructureError, match="outside"):
+        s.to(Ring(SPN, 6))
+    assert calls == ["unpack"]
+    # a floor that rises: a power below it
+    assert not per_field(src, Ring(SPK, 6, floor=-2))
+    with pytest.raises(FloorUnderflowError):
+        src.term({"eps": -3}).to(Ring(SPK, 6, floor=-2))
+    # a weight-0 field that narrows: an exponent past it
+    b0 = Ring(ParamSpace.make(("B", 0, True)), 4)
+    wide = b0.term({"B": 2**32 - 8})
+    assert not per_field(b0, Ring.exact(b0.space))
+    with pytest.raises(StructureError, match="too large"):
+        wide.to(Ring.exact(b0.space))
+
+
+def one_term_images(draw, src, dst):
+    """A substitution of single-term images over ``dst`` for some symbols of
+    ``src``: ``c * eps^n * t`` with n of either sign, a constant, a symbol
+    mapped to itself."""
+    sigma = {}
+    for n in draw(st.lists(st.sampled_from(src.space.symbols), unique=True)):
+        kind = draw(st.sampled_from(["monomial", "constant", "itself"]))
+        if kind == "itself" and dst.space.has(n):
+            sigma[n] = dst.symbol(n)
+            continue
+        c = draw(st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 4)))
+        mono = {}
+        if kind == "monomial":
+            for m in draw(st.lists(st.sampled_from(dst.space.symbols), max_size=2, unique=True)):
+                lo = max(dst.floor, -2) if dst.space.invertible[dst.space.index(m)] else 0
+                mono[m] = draw(st.integers(lo, 2).filter(bool))
+        sigma[n] = dst.term(mono, c)
+    return sigma
+
+
+def product_calls(monkeypatch, fn):
+    """The number of ``series._product`` calls that ``fn()`` makes."""
+    calls = []
+    orig = series._product
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(series, "_product", counted)
+    fn()
+    monkeypatch.setattr(series, "_product", orig)
+    return len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_substitution_matches_the_term_level_reference(data):
+    # single-term images over the untruncated ring, the source's own or any
+    # other: the reference's terms and errors; a second application makes
+    # no kernel product (each key's image is kept), and with an unused
+    # multi-term image added the product path gives the same raw form, keys
+    # in the same order
+    src = data.draw(_rings())
+    dst = data.draw(st.sampled_from([Ring.exact(src.space), src, data.draw(_rings())]))
+    x = data.draw(_series_over(src, small=True))
+    sigma = one_term_images(data.draw, src, dst)
+    agree(lambda: x.substitute(sigma, dst), lambda: ref_substitute(x, sigma, dst), dst)
+    try:
+        sub = Substitution(src, sigma, dst)
+        want = sub(x)
+    except (FloorUnderflowError, StructureError):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        assert product_calls(mp, lambda: sub(x)) == 0
+    unused = [n for i, n in enumerate(src.space.symbols) if not any(e[i] for e in x.terms)]
+    kept = [dst.symbol(n, -1 if iv else 1) for n, w, iv in
+            zip(dst.space.symbols, dst.space.weights, dst.space.invertible)
+            if iv or w <= dst.order]
+    if unused and kept:
+        multi = dict(sigma, **{unused[0]: dst.one() + kept[0]})
+        got = Substitution(src, multi, dst)(x)
+        assert got == want and list(got.raw[1]) == list(want.raw[1])
+
+
+def test_monomial_substitution_cancels_terms_and_takes_negative_powers():
+    # a -> eps^-1 xi and b -> xi: a eps + ... meets -b in one key and cancels
+    src = Ring(ParamSpace.make("a", "b", "eps", "xi"), 6)
+    dst = Ring.exact(src.space)
+    x = src.term({"a": 1, "eps": 1}, 3) - src.term({"b": 1}, 3) + src.term({"a": 2}, F(1, 2))
+    sigma = {"a": dst.term({"eps": -1, "xi": 1}), "b": dst.symbol("xi"), "eps": dst.symbol("eps")}
+    got = x.substitute(sigma, dst)
+    assert got == Series(dst, ref_substitute(x, sigma, dst))
+    assert got.terms == {(0, 0, -2, 2): F(1, 2)}
+
+
+def test_monomial_substitution_drops_a_term_whose_partial_product_is_above_the_order():
+    # as the product path: at order 2, a^2 b eps^-2 has weighted degree 1,
+    # but its partial product a^2 b, of degree 3, is dropped first
+    ring = Ring(ParamSpace.make("a", "b", "eps"), 2)
+    x = ring.term({"a": 2, "b": 1, "eps": -2}) + ring.symbol("b")
+    sigma = {"a": ring.symbol("a", coeff=2)}
+    assert x.substitute(sigma) == ring.symbol("b")
+    agree(lambda: x.substitute(sigma), lambda: ref_substitute(x, sigma, ring), ring)
+
+
+def test_monomial_substitution_takes_every_power_of_a_dropped_term():
+    # as the product path: at order 2, a^3 is zero, and the inverse of the
+    # zero image of eps is still asked for, and refused
+    ring = Ring(SPE, 2)
+    x = ring.term({"a": 3, "eps": -1}) + ring.symbol("a")
+    with pytest.raises(StructureError, match="single-term"):
+        x.substitute({"eps": ring.zero()})
+    agree(lambda: x.substitute({"eps": ring.zero()}),
+          lambda: ref_substitute(x, {"eps": ring.zero()}, ring), ring)
