@@ -249,8 +249,7 @@ def zero_limit(src, ring, gens=None):
     the first symbol met diverging or keeps what the one lookup keeps."""
     codec = src.codec
     zero, move = codec.zero, ring_change(src, ring, gens)
-    below = [(m << s, o << s) for m, s, o, iv in
-             zip(codec.masks, codec.shifts, codec.offsets, src.space.invertible) if iv]
+    below = [codec.field(i)[:2] for i, iv in enumerate(src.space.invertible) if iv]
 
     def limit(x):
         src.check_same(x.ring)
@@ -580,9 +579,7 @@ def _check_free_of(table, name, pairs):
     carries the symbol ``name``: a substitution sliced on it reads its
     bounds (``_slice_bounds``) only while every normal form keeps each
     term's power."""
-    codec = table.ring.codec
-    i = table.ring.space.index(name)
-    field, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
+    field, zero, _ = table.ring.codec.field(table.ring.space.index(name))
     for a, b in pairs:
         if any(p & field != zero for t in table.rules[a, b].raw[1].values() for p in t):
             raise StructureError(f"rule [{table.gens.names[a]},{table.gens.names[b]}] carries "
@@ -591,27 +588,24 @@ def _check_free_of(table, name, pairs):
 
 def _slice_bounds(gens, images, table, name):
     """What a substitution of ``images`` (one per name of ``gens``) into
-    ``table`` needs to build monomial images only down to the powers of the
-    symbol ``name`` that its zero slice reads: ``least``, the least power in
-    a term dict, the least power in each generator's image (0 in a zero
-    image), and the ``trim`` of ``monomial_image``, which drops an image's
-    terms above a bound if it has any.  They hold while no rule of
+    ``table`` needs to take its zero slice on the symbol ``name``, building
+    monomial images only down to the powers of ``name`` that the slice
+    reads: ``(name, least, lows, trim)``, with ``least`` the least power in
+    a term dict, ``lows`` the least power in each generator's image (0 in a
+    zero image), and ``trim`` that of ``monomial_image``, which drops an
+    image's terms above a bound if it has any.  They hold while no rule of
     ``table`` carries ``name``: every rule is checked here
     (``_check_free_of``), and a caller that fills rules later checks each
     as it goes in."""
-    codec = table.ring.codec
-    i = table.ring.space.index(name)
-    shift, offset = codec.shifts[i], codec.offsets[i]
-    # p & field compares with (e + offset) << shift as the power in key p with e
-    field = codec.masks[i] << shift
+    field, zero, unit = table.ring.codec.field(table.ring.space.index(name))
 
     def least(t):
-        return (min(p & field for p in t) >> shift) - offset
+        return (min(p & field for p in t) - zero) // unit
 
     _check_free_of(table, name, table.rules)
 
     def trim(img, bound):
-        top = (bound + offset) << shift
+        top = zero + bound * unit
         d, t = img.raw
         if all(p & field <= top for u in t.values() for p in u):
             return img
@@ -619,11 +613,11 @@ def _slice_bounds(gens, images, table, name):
                                      if (w := {p: n for p, n in u.items() if p & field <= top})}))
 
     lows = tuple(min(map(least, images[n].raw[1].values()), default=0) for n in gens.names)
-    return least, lows, trim
+    return name, least, lows, trim
 
 
 def substitute_generators(x: TensorElement, images, table_target: RewriteTable, coeffs=None,
-                          memo=None, slice_symbol=None, context="", bounds=None):
+                          memo=None, bounds=None, context=""):
     """Homomorphic substitution generator -> Element over the target algebra,
     slot by slot: per term, the outer product of its monomials' images,
     left to right, times the coefficient mapped by ``coeffs`` goes straight
@@ -631,26 +625,22 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     ``series.Substitution`` from the ring of ``x`` to the target's, built
     once for many calls; without it each coefficient moves to the target's
     ring (``series._ring_change``).  ``memo`` may carry monomial images
-    from earlier calls with the same ``images`` and ``slice_symbol``, made
-    since the target's normal-form cache was last emptied.
+    from earlier calls with the same ``images`` and ``bounds``, made since
+    the target's normal-form cache was last emptied.
 
-    With ``slice_symbol``, the result is the ``zero_slice`` on it (with
-    ``context`` for a ``DivergenceError``), and each monomial image is built
-    only down to the powers of that symbol which the slice can read, by
-    ``bounds``: ``_slice_bounds`` of these images, built once for many
-    calls by a caller that keeps every rule free of the symbol, else here.
-    So every term of the image of m has power at least low(m) = sum of
-    m_i * v_i, v_i the least power in the image of generator i.  For a term
-    over monomials (m_1, .., m_r) whose coefficient's least power is q,
-    slot s reaches power <= 0 only through image terms at or below -q - sum
-    over t != s of low(m_t); the other terms land above 0, where the slice
-    drops them."""
+    With ``bounds``, the ``_slice_bounds`` of these images on a symbol, the
+    result is the ``zero_slice`` on that symbol (with ``context`` for a
+    ``DivergenceError``), and each monomial image is built only down to the
+    powers of the symbol which the slice can read.  So every term of the
+    image of m has power at least low(m) = sum of m_i * v_i, v_i the least
+    power in the image of generator i.  For a term over monomials (m_1, ..,
+    m_r) whose coefficient's least power is q, slot s reaches power <= 0
+    only through image terms at or below -q - sum over t != s of low(m_t);
+    the other terms land above 0, where the slice drops them."""
     ring = table_target.ring
     unit = table_target.one()
     memo = {} if memo is None else memo
-    least = lows = trim = None
-    if slice_symbol is not None:
-        least, lows, trim = bounds or _slice_bounds(x.gens, images, table_target, slice_symbol)
+    name, least, lows, trim = bounds or (None,) * 4
 
     def image(m, bound):
         return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target),
@@ -676,7 +666,7 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
             d2, outer = _outer([image(m, b).raw for m, b in zip(ms, tops)], ring.codec)
             _mul_add(ring.codec, acc[1], outer, v, _rescale(acc, d2 * e))
     res = _tensor(x.rank, table_target.gens, ring, _finish(*acc))
-    return res if slice_symbol is None else res.zero_slice(slice_symbol, context)
+    return res if name is None else res.zero_slice(name, context)
 
 
 # ---------------------------------------------------------------------------

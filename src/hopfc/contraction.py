@@ -217,12 +217,10 @@ def _transport(H, forward, inverse, table, casimir, sub=None, slice_symbol=None)
     here (``_slice_bounds``); every rule is checked free of the symbol as
     it goes in.  Returns ``(coproduct, casimir)``."""
     memo = {}
-    bounds = None
-    if slice_symbol is not None:
-        bounds = _slice_bounds(H.gens, inverse, table, slice_symbol)
+    bounds = None if slice_symbol is None else _slice_bounds(H.gens, inverse, table, slice_symbol)
 
     def move(x, context):
-        return substitute_generators(x, inverse, table, sub, memo, slice_symbol, context, bounds)
+        return substitute_generators(x, inverse, table, sub, memo, bounds, context)
 
     names = table.gens.names
     for i in range(len(names)):

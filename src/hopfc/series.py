@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -242,6 +242,12 @@ class Codec:
         raise StructureError(f"exponent vector {exps} is too large: the field "
                              f"of {name} holds exponents below {top}")
 
+    def field(self, i):
+        """Field i of a key as ``(mask, zero, unit)``: ``p & mask`` is ``zero
+        + e * unit`` for the exponent e of symbol i in the key ``p``."""
+        s = self.shifts[i]
+        return self.masks[i] << s, self.offsets[i] << s, 1 << s
+
     def unpack(self, p):
         """The exponent vector of a key, also of a product key with a field
         below its floor or too large."""
@@ -324,26 +330,41 @@ class Series:
         return lincomb(self, [(-1, other)])
 
     def __mul__(self, other):
+        """The product (``_mul_terms``), reduced by one gcd."""
         ring = self.ring
-        return _series(ring, _product(ring, self.raw, _raw(ring, other)) or (1, {}))
+        (d1, t1), (d2, t2) = self.raw, _raw(ring, other)
+        return _series(ring, _reduce((d1 * d2, _mul_terms(ring.codec, t1, t2))))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.invert_monomial(-n)
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def invert_monomial(self, n: int = 1):
-        """Inverse power, defined only for single-term series."""
-        if len(self.terms) != 1:
-            raise StructureError("can only invert single-term series")
-        ((e, c),) = self.terms.items()
-        inv = tuple(-x * n for x in e)
-        return Series(self.ring, {inv: Fraction(1) / c**n})
+        """The left fold of ``n`` truncated products from 1, or for ``n < 0``
+        the inverse of a single term to the power ``-n``.  One term is raised
+        in one step to what the fold gives: the floor or field error
+        (``Codec.pack``) of its first power out of range at or below the
+        order, else zero past the order."""
+        ring = self.ring
+        d, t = self.raw
+        if len(t) != 1:
+            if n < 0:
+                raise StructureError("can only invert single-term series")
+            return reduce(operator.mul, repeat(self, n), ring.one())
+        ((p, c),) = t.items()
+        codec = ring.codec
+        e = codec.unpack(p)
+        if n > 0:
+            w = ring.space.wdeg(e)
+            last = min(n, ring.order // w) if w > 0 else n      # the last power kept
+            first = min([lo // x + 1 if x < 0 else -(-top // x)
+                         for x, lo, top in zip(e, codec.lows, codec.tops) if x], default=n + 1)
+            if first <= last:
+                codec.pack(tuple(first * x for x in e))      # raises
+            if last < n:
+                return ring.zero()
+        if (q := codec.pack(tuple(n * x for x in e))) is None:
+            return ring.zero()
+        f = Fraction(c, d) ** n
+        return _series(ring, (f.denominator, {q: f.numerator}))
 
     # -- structural operations --------------------------------------------
 
@@ -425,8 +446,8 @@ def _ring_change(src, ring):
     a, b = src.codec, ring.codec
     dropped = [i for s, i in have.items() if s not in want]
     # p & drop compares with gone exactly when every dropped exponent of key p is 0
-    drop = sum(a.masks[i] << a.shifts[i] for i in dropped)
-    gone = sum(a.offsets[i] << a.shifts[i] for i in dropped)
+    drop = sum(a.field(i)[0] for i in dropped)
+    gone = sum(a.field(i)[1] for i in dropped)
     take = [have.get(s, -1) for s in ring.space.symbols]    # -1: a 0 appended to e
     kept = [(i, j) for j, i in enumerate(take) if i >= 0]
     wa, wb = src.space.weights, ring.space.weights
@@ -472,9 +493,8 @@ def _zero_slicer(ring, name, context=""):
     to the terms of ``t`` with exponent 0 on ``name``, one mask compare per
     key; a negative exponent raises the ``DivergenceError`` of ``(d, t)``."""
     i = ring.space.index(name)
-    codec = ring.codec
     # p & mask compares with zero as exponent i of the key p compares with 0
-    mask, zero = codec.masks[i] << codec.shifts[i], codec.offsets[i] << codec.shifts[i]
+    mask, zero, _ = ring.codec.field(i)
 
     def slice_(d, t):
         if any(p & mask < zero for p in t):
@@ -491,92 +511,48 @@ class Substitution:
     ``src``: calling it maps a ``Series`` over ``src`` to one over ``ring``,
     and ``apply`` maps a raw form ``d, t`` over ``src`` (not necessarily in
     lowest terms) to one over ``ring`` in lowest terms.  Symbols absent from
-    ``sigma`` map to themselves.  The images move to ``ring`` here, and each
-    power of one is computed once, on first use.
+    ``sigma`` map to themselves.  The images move to ``ring`` here.
 
-    Per term, the constant is multiplied by the powers of the images in
-    symbol order.  When every image has at most one term (``c * eps^n * t``
-    in every contraction), so has every power, and a key maps to one term,
-    found once per key: its key is the zero key plus each power's key less
-    the zero key, in symbol order, a partial sum above the order dropping
-    the term and one with a field out of range raising, as a product of two
-    one-term dicts does (``_mul_terms``); its coefficient is the product of
-    the powers' numerators over the product of their denominators."""
+    The image of a key, built on first use and kept, is the product
+    (``_mul_terms``) of the powers of the images that the key raises, in
+    symbol order, each power computed once and still taken after the
+    product is zero, reduced once.  ``apply`` sums each numerator times its
+    key's image over one running denominator."""
 
     __slots__ = ("src", "ring", "apply")
 
     def __init__(self, src, sigma, ring):
         self.src, self.ring = src, ring
         images = [sigma[s].to(ring) if s in sigma else ring.symbol(s) for s in src.space.symbols]
-        powers = {}
-        codec = ring.codec
-        one = codec.zero
-        unpack = src.codec.unpack
+        codec, unpack = ring.codec, src.codec.unpack
+        unit = {codec.zero: 1}
+        powers, keys = {}, {}
 
-        def factors(p):
-            """The raw power of each image that key ``p`` raises to a
-            nonzero exponent, in symbol order."""
+        def image(p):
+            d, t = 1, unit
             for i, e in enumerate(unpack(p)):
                 if e:
                     if (pw := powers.get((i, e))) is None:
                         pw = powers[i, e] = (images[i] ** e).raw
-                    yield pw
+                    d, t = d * pw[0], pw[1] if t is unit else t and _mul_terms(codec, t, pw[1])
+            return _reduce((d, t))
 
-        def products(d, t):
-            acc = [1, {}]
-            for p, n in t.items():
-                term = d, {one: n}
-                for pw in factors(p):
-                    term = term and _product(ring, term, pw)
-                if term:
-                    _add_terms(acc[1], (), term[1], _rescale(acc, term[0]))
-            d, t = _finish(*acc)
-            return d, t.get((), {})
-
-        if any(len(img.raw[1]) > 1 for img in images):
-            self.apply = products
-            return
-        limit, flags, guards = codec.limit, codec.flags, codec.guards
-        keys = {}
-
-        def image(p):
-            """(key, numerator, denominator) of the term 1 * p, numerator 0
-            if it is dropped; every power is still taken, as ``products``
-            takes it."""
-            q, n, m = one, 1, 1
-            for pd, pt in factors(p):
-                if not (n and pt):
-                    n = 0
-                    continue
-                ((k, c),) = pt.items()
-                q += k - one
-                if q >= limit:
-                    n = 0
-                    continue
-                if q & flags != guards:
-                    codec.pack(codec.unpack(q))      # raises
-                n, m = n * c, m * pd
-            return q, n, m
-
-        def monomials(d, t):
-            D, out = 1, {}
+        def apply(d, t):
+            out = {}
+            acc = [1, {(): out}]
             for p, n in t.items():
                 if (im := keys.get(p)) is None:
                     im = keys[p] = image(p)
-                q, c, m = im
-                if c:
-                    if D % m:
-                        g = math.lcm(D, m) // D
-                        for k in out:
-                            out[k] *= g
-                        D *= g
-                    if v := out.get(q, 0) + n * c * (D // m):
+                m, u = im
+                n *= _rescale(acc, m)
+                for q, c in u.items():
+                    if v := out.get(q, 0) + n * c:
                         out[q] = v
                     else:
                         del out[q]
-            return _reduce((D * d, out))
+            return _reduce((acc[0] * d, out))
 
-        self.apply = monomials
+        self.apply = apply
 
     def __call__(self, s):
         self.src.check_same(s.ring)
@@ -618,14 +594,6 @@ def _mul_terms(codec, t1, t2):
             out[p] = out.get(p, 0) + n1 * n2
     # two keys can meet only when both sides have more than one term
     return {p: n for p, n in out.items() if n} if multi else out
-
-
-def _product(ring, r1, r2):
-    """The product of two raw forms over ``ring``, in lowest terms, or None
-    if it is zero (``_mul_terms``)."""
-    (d1, t1), (d2, t2) = r1, r2
-    t = _mul_terms(ring.codec, t1, t2)
-    return _reduce((d1 * d2, t)) if t else None
 
 
 def _raw(ring, v):

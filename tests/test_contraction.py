@@ -294,9 +294,9 @@ def unshared(monkeypatch):
     """No monomial image outlives one ``substitute_generators`` call in
     ``contraction``, and each sliced call bounds its images afresh; the
     substitution, the slice and its context are passed on."""
-    def fresh_memo(x, images, table, sub=None, memo=None, slice_symbol=None, context="",
-                   bounds=None):
-        return substitute_generators(x, images, table, sub, None, slice_symbol, context)
+    def fresh_memo(x, images, table, sub=None, memo=None, bounds=None, context=""):
+        fresh = bounds and algebra._slice_bounds(x.gens, images, table, bounds[0])
+        return substitute_generators(x, images, table, sub, None, fresh, context)
 
     return lambda: monkeypatch.setattr(contraction, "substitute_generators", fresh_memo)
 
@@ -396,10 +396,9 @@ def test_contraction_work_bound(monkeypatch):
 def in_full(monkeypatch):
     """Every substitution in ``contraction`` builds its images in full and
     takes the zero slice afterwards, as before the bound."""
-    def full_then_slice(x, images, table, sub=None, memo=None, slice_symbol=None, context="",
-                        bounds=None):
+    def full_then_slice(x, images, table, sub=None, memo=None, bounds=None, context=""):
         y = substitute_generators(x, images, table, sub, memo)
-        return y if slice_symbol is None else y.zero_slice(slice_symbol, context)
+        return y if bounds is None else y.zero_slice(bounds[0], context)
 
     return lambda: monkeypatch.setattr(contraction, "substitute_generators", full_then_slice)
 
@@ -430,8 +429,8 @@ def test_a_bound_one_too_tight_is_not_exact(monkeypatch, in_full):
     orig = algebra._slice_bounds
 
     def tighter(*args):
-        least, lows, trim = orig(*args)
-        return (lambda t: least(t) + 1), lows, trim
+        name, least, lows, trim = orig(*args)
+        return name, (lambda t: least(t) + 1), lows, trim
 
     case = catalog.get_case("Iplus.standard")
     monkeypatch.setattr(contraction, "_slice_bounds", tighter)
@@ -590,14 +589,15 @@ def test_classical_limit_with_a_negative_power_slices_symbol_by_symbol(scale):
 
 
 def test_a_standalone_sliced_substitution_checks_every_rule():
-    # without bounds from a transport, substitute_generators builds them
-    # and refuses a rule that carries the slice symbol
+    # a standalone caller builds the slice's bounds itself, and building
+    # them refuses a rule that carries the slice symbol
     ring = Ring.exact(ParamSpace.make("a", EPS))
     gens = GeneratorSet.make(["X", "Y"])
     table = RewriteTable.commuting(gens, ring)
     images = {n: table.gen(n) for n in gens.names}
     x = mul(table.gen("Y"), table.gen("X"), table)
-    assert substitute_generators(x, images, table, slice_symbol=EPS) == x
+    bounds = algebra._slice_bounds(gens, images, table, EPS)
+    assert substitute_generators(x, images, table, bounds=bounds) == x
     table.set_rule("Y", "X", table.gen("X", coeff=table.sym(EPS)))
     with pytest.raises(StructureError, match="carries eps"):
-        substitute_generators(x, images, table, slice_symbol=EPS)
+        algebra._slice_bounds(gens, images, table, EPS)

@@ -3,8 +3,9 @@ over the engine sources (``__init__.py`` re-exports by design and is skipped
 for imports), a rule that every private module-level helper is used
 somewhere in the engine, a rule that only ``series`` and ``algebra`` touch
 the raw forms, a rule that only ``series`` reads the Taylor coefficients, a
-rule against accumulation loops, and a no-floating-point rule: hopfc
-computes exactly."""
+rule that only ``series`` reads the key layout of a ``Codec``, a rule
+against accumulation loops, and a no-floating-point rule: hopfc computes
+exactly."""
 
 import ast
 from pathlib import Path
@@ -162,7 +163,18 @@ def taylor_coeffs_uses(source):
     return sorted(found)
 
 
-TAYLOR_USERS = [p for p in ALL_SRC if p.name != "series.py"]
+OUTSIDE_SERIES = [p for p in ALL_SRC if p.name != "series.py"]
+
+
+#: the ``Codec`` attributes that lay out the fields of a key: outside
+#: ``series`` a field is read through ``Codec.field``
+KEY_LAYOUT = {"masks", "shifts", "offsets", "steps", "lows", "tops", "top"}
+
+
+def key_layout_uses(source):
+    """(line, what) for every read of a ``KEY_LAYOUT`` attribute."""
+    return sorted((node.lineno, f".{node.attr}") for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in KEY_LAYOUT)
 
 
 def _update_of(value, name):
@@ -223,9 +235,14 @@ def test_only_the_owners_read_raw_forms(path):
     assert raw_uses(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", TAYLOR_USERS, ids=[p.name for p in TAYLOR_USERS])
+@pytest.mark.parametrize("path", OUTSIDE_SERIES, ids=[p.name for p in OUTSIDE_SERIES])
 def test_only_series_reads_taylor_coeffs(path):
     assert taylor_coeffs_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SERIES, ids=[p.name for p in OUTSIDE_SERIES])
+def test_only_series_reads_the_key_layout(path):
+    assert key_layout_uses(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
@@ -248,6 +265,12 @@ def test_check_flags_a_raw_form_use():
     source = ("from .series import Ring, _reduce\nfrom . import series\n"
               "def f(x):\n    return x.raw, x.terms, series._series, series.Series\n")
     assert raw_uses(source) == [(1, "series._reduce"), (4, ".raw"), (4, "series._series")]
+
+
+def test_check_flags_a_key_layout_use():
+    source = ("def f(codec, a):\n    mask, zero, unit = codec.field(0)\n"
+              "    return codec.masks[0] << codec.shifts[0], a.top, a.topmost, codec.zero\n")
+    assert key_layout_uses(source) == [(3, ".masks"), (3, ".shifts"), (3, ".top")]
 
 
 def test_check_flags_a_taylor_coeffs_use():

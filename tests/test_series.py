@@ -953,6 +953,63 @@ def test_substitute_takes_every_power_of_a_term():
     agree(lambda: x.substitute(sigma), lambda: ref_substitute(x, sigma, ring), ring)
 
 
+def fold_power(x, n):
+    """``x ** n`` as ``n`` left-fold truncated products from 1."""
+    result = x.ring.one()
+    for _ in range(n):
+        result = result * x
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_is_the_fold_of_products(data):
+    # over rings with eps: the terms and errors of n repeated products, for
+    # a single-term series in one step; a negative power inverts a single
+    # term, and only a single term
+    ring = data.draw(_rings().filter(lambda r: r.space.has("eps")))
+    x = data.draw(_series_over(ring, small=True))
+    n = data.draw(st.integers(-3, 7))
+    if n >= 0:
+        agree(lambda: x ** n, lambda: fold_power(x, n).terms, ring)
+    elif len(x.terms) != 1:
+        with pytest.raises(StructureError, match="single-term"):
+            x ** n
+    else:
+        ((e, c),) = x.terms.items()
+        agree(lambda: x ** n, lambda: Series(ring, {tuple(n * v for v in e): c ** n}).terms,
+              ring)
+
+
+@pytest.mark.parametrize("order,n", [(4, 3), (4, 5), (2, 3), (2, 5)])
+def test_power_checks_the_order_before_the_floor_at_each_step(order, n):
+    # (eps^-2 a^3)^k has eps^-2k at weighted degree k: at order 4 the third
+    # power is kept and below the floor -4, at order 2 it is above the order
+    ring = Ring(SPE, order, -4)
+    x = ring.term({"a": 3, "eps": -2}, F(2, 3))
+    agree(lambda: x ** n, lambda: fold_power(x, n).terms, ring)
+    if order == 2:
+        assert not x ** n
+
+
+def test_a_huge_power_of_one_term_is_one_step(monkeypatch):
+    # kappa (weight 0) to 10^5 and to the last exponent its field holds, and
+    # a power past that or past the order, with no kernel product
+    ring = Ring(ParamSpace.make("a", ("kappa", 0, False), "eps"), 4)
+    kappa = ring.symbol("kappa", coeff=-1)
+    with pytest.MonkeyPatch.context() as mp:
+        assert kernel_calls(mp, lambda: kappa ** 10**5) == 0
+    assert kappa ** 10**5 == ring.term({"kappa": 10**5})
+    assert kappa ** (2**31 - 1) == ring.term({"kappa": 2**31 - 1}, -1)
+    with pytest.raises(StructureError, match="too large"):
+        kappa ** 2**31
+    assert not (ring.symbol("a") * kappa) ** (2**31 - 1)
+    with pytest.raises(FloorUnderflowError):
+        ring.symbol("eps") ** -(2**31 - 1)
+    with pytest.raises(FloorUnderflowError):
+        (kappa * ring.term({"eps": -1})) ** (2**31 - 1)
+
+
 def test_ring_change_and_slice_work_on_keys(monkeypatch):
     # zero_slice of a 50-term series tests int keys: not one exponent vector
     # is unpacked or packed; to repacks each key and matches the term-level
@@ -1098,49 +1155,58 @@ def one_term_images(draw, src, dst):
     return sigma
 
 
-def product_calls(monkeypatch, fn):
-    """The number of ``series._product`` calls that ``fn()`` makes."""
+def kernel_calls(monkeypatch, fn):
+    """The number of ``series._mul_terms`` calls that ``fn()`` makes."""
     calls = []
-    orig = series._product
+    orig = series._mul_terms
 
     def counted(*args):
         calls.append(1)
         return orig(*args)
 
-    monkeypatch.setattr(series, "_product", counted)
+    monkeypatch.setattr(series, "_mul_terms", counted)
     fn()
-    monkeypatch.setattr(series, "_product", orig)
+    monkeypatch.setattr(series, "_mul_terms", orig)
     return len(calls)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_monomial_substitution_matches_the_term_level_reference(data):
-    # single-term images over the untruncated ring, the source's own or any
-    # other: the reference's terms and errors; a second application makes
-    # no kernel product (each key's image is kept), and with an unused
-    # multi-term image added the product path gives the same raw form, keys
-    # in the same order
+    # images of one term, some of them replaced by any small series, over
+    # the untruncated ring, the source's own or any other: the reference's
+    # terms and errors; a second application makes no kernel call (each
+    # key's image is kept)
     src = data.draw(_rings())
     dst = data.draw(st.sampled_from([Ring.exact(src.space), src, data.draw(_rings())]))
     x = data.draw(_series_over(src, small=True))
     sigma = one_term_images(data.draw, src, dst)
+    for n in data.draw(st.lists(st.sampled_from(src.space.symbols), unique=True, max_size=2)):
+        sigma[n] = data.draw(_series_over(dst, small=True))
     agree(lambda: x.substitute(sigma, dst), lambda: ref_substitute(x, sigma, dst), dst)
     try:
         sub = Substitution(src, sigma, dst)
-        want = sub(x)
+        sub(x)
     except (FloorUnderflowError, StructureError):
         return
     with pytest.MonkeyPatch.context() as mp:
-        assert product_calls(mp, lambda: sub(x)) == 0
-    unused = [n for i, n in enumerate(src.space.symbols) if not any(e[i] for e in x.terms)]
-    kept = [dst.symbol(n, -1 if iv else 1) for n, w, iv in
-            zip(dst.space.symbols, dst.space.weights, dst.space.invertible)
-            if iv or w <= dst.order]
-    if unused and kept:
-        multi = dict(sigma, **{unused[0]: dst.one() + kept[0]})
-        got = Substitution(src, multi, dst)(x)
-        assert got == want and list(got.raw[1]) == list(want.raw[1])
+        assert kernel_calls(mp, lambda: sub(x)) == 0
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_a_substitution_multiplies_once_per_key(multi):
+    # two keys that each raise a and b: one product of the powers per key on
+    # the first application, none on the second; a one-term power is one
+    # step, and a multi-term one the fold of its products (a^2 two, a one)
+    ring = Ring(ParamSpace.make("a", "b", "eps"), 6)
+    image = ring.term({"eps": -1, "b": 1}, 2) + (ring.symbol("a") if multi else ring.zero())
+    sigma = {"a": image, "b": ring.symbol("b", coeff=3)}
+    x = ring.term({"a": 2, "b": 1}) + ring.term({"a": 1, "b": 2}, F(1, 2))
+    sub = Substitution(ring, sigma, ring)
+    with pytest.MonkeyPatch.context() as mp:
+        assert kernel_calls(mp, lambda: sub(x)) == (5 if multi else 2)
+        assert kernel_calls(mp, lambda: sub(x)) == 0
+    assert sub(x) == Series(ring, ref_substitute(x, sigma, ring))
 
 
 def test_monomial_substitution_cancels_terms_and_takes_negative_powers():
