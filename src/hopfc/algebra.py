@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
 
-from .errors import ConfluenceFailureError, StructureError, UnsupportedArgumentError
+from .errors import (ConfluenceFailureError, DivergenceError, StructureError,
+                     UnsupportedArgumentError)
 from .series import (_add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
                      _ring_change, _series, _sum, _zero_slicer, taylor)
 
@@ -162,11 +163,15 @@ class TensorElement:
         return ring_change(self.ring, ring, gens)(self)
 
     def zero_slice(self, name, context=""):
-        """Every coefficient's ``Series.zero_slice``: the first key whose
-        coefficient diverges raises as that ``Series`` does."""
+        """Every coefficient's ``Series.zero_slice``: the least key, in sorted
+        order, whose coefficient diverges raises as that ``Series`` does."""
         slice_ = _zero_slicer(self.ring, name, context)
         d, t = self.raw
-        return self._with(_finish(d, {k: v for k, u in t.items() if (v := slice_(d, u))}))
+        try:
+            return self._with(_finish(d, {k: v for k, u in t.items() if (v := slice_(d, u))}))
+        except DivergenceError:
+            for k in sorted(t):
+                slice_(d, t[k])
 
     def _render_key(self, ms, full):
         slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
@@ -241,24 +246,21 @@ def ring_change(src, ring, gens=None):
 
 def zero_limit(src, ring, gens=None):
     """Every symbol of ``src`` to 0, for every tensor over ``src``: each
-    coefficient keeps its one term with every exponent 0, the key ``zero``,
-    moved to ``ring`` (over no symbols) and ``gens``.  A tensor with a
-    negative exponent, possible only on an invertible symbol and found by
-    one mask compare per key and invertible symbol, is sliced symbol by
-    symbol first (``zero_slice``), which raises the ``DivergenceError`` of
-    the first symbol met diverging or keeps what the one lookup keeps."""
-    codec = src.codec
-    zero, move = codec.zero, ring_change(src, ring, gens)
-    below = [codec.field(i)[:2] for i, iv in enumerate(src.space.invertible) if iv]
+    coefficient keeps its term with every exponent 0, written under the
+    zero key of ``ring`` (over no symbols) and ``gens``.  Where a symbol is
+    invertible, and so a term can diverge, every symbol is sliced first, in
+    symbol order (``zero_slice``), which raises the ``DivergenceError`` of
+    the first symbol met diverging."""
+    names = src.space.symbols if any(src.space.invertible) else ()
+    zero, target = src.codec.zero, ring.codec.zero
 
     def limit(x):
         src.check_same(x.ring)
+        for name in names:
+            x = x.zero_slice(name)
         d, t = x.raw
-        if below and any(p & m < z for u in t.values() for p in u for m, z in below):
-            for name in src.space.symbols:
-                x = x.zero_slice(name)
-            return move(x)
-        return move(x._with((d, {k: {zero: u[zero]} for k, u in t.items() if zero in u})))
+        return x._with(_finish(d, {k: {target: u[zero]} for k, u in t.items() if zero in u}),
+                       ring, gens)
 
     return limit
 
@@ -531,45 +533,39 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     return lincomb(table.zero(), pairs)
 
 
-def monomial_image(m, gens, images, unit, product, memo, bound=None, lows=None,
-                   trim=None):
+def monomial_image(m, gens, images, unit, product, memo, slack=None, trim=None):
     """Image of the PBW monomial ``m`` under the extension of the generator
     map ``images`` (name -> value): the fold of ``product``, from ``unit``,
     over the generator images in PBW order.  Every Hopf structure map is
     extended to monomials here.
 
-    ``memo`` (monomial -> (bound, image)) belongs to the caller and must only
-    ever see this one ``images`` map and ``lows``.  The image of ``m`` is
+    ``memo`` (monomial -> (slack, image)) belongs to the caller and must only
+    ever see this one ``images`` map and ``trim``.  The image of ``m`` is
     that of ``m`` less its last generator, times that generator's image: the
     fold's own sequence of products, so a memoized image equals an
     unmemoized one.
 
-    A ``bound`` (None: no bound) asks only for the image's terms whose power
-    of one symbol is at most ``bound``, where ``lows[i]`` is the least power
-    in the image of generator ``i`` and every product keeps each term's
-    power: the image of ``m`` less its last generator ``i`` is then needed
-    only up to ``bound - lows[i]``, and ``trim(image, bound)`` drops what
-    lies above.  A memo entry holds every term of the image up to its bound
-    (that of the shorter image plus ``lows[i]``, or the one trimmed to; None
-    if it is whole), so it serves every bound at or below its own; the terms
-    above that it may carry land above what the caller reads."""
+    A ``slack`` (None: none) asks only for the image's terms whose power of
+    one symbol is at most low(m) + ``slack``, low(m) being the least power
+    the image of ``m`` can have, and ``trim(image, m, slack)`` drops what
+    lies above.  Every product keeps each term's power, so powers and least
+    powers both add along the fold, and the shorter image is needed at the
+    same slack.  A memo entry holds every term of the image up to its slack
+    (None if it is whole), so it serves every slack at or below its own; the
+    terms above that it may carry land above what the caller reads."""
     chain = []
-    while (hit := memo.get(m)) is None or hit[0] is not None and hit[0] < bound:
+    while (hit := memo.get(m)) is None or hit[0] is not None and hit[0] < slack:
         last = next((i for i in range(len(m) - 1, -1, -1) if m[i]), None)
         if last is None:
             hit = memo[m] = None, unit
             break
-        chain.append((m, last, bound))
-        if lows:
-            bound -= lows[last]
+        chain.append((m, last))
         m = m[:last] + (m[last] - 1,) + m[last + 1:]
     got, img = hit
-    for m, last, bound in reversed(chain):
+    for m, last in reversed(chain):
         img = product(img, images[gens.names[last]])
-        if got is not None:
-            got += lows[last]
-        if trim and (kept := trim(img, bound)) is not img:
-            got, img = bound, kept
+        if trim and (kept := trim(img, m, slack)) is not img:
+            got, img = slack, kept
         memo[m] = got, img
     return img
 
@@ -590,10 +586,12 @@ def _slice_bounds(gens, images, table, name):
     """What a substitution of ``images`` (one per name of ``gens``) into
     ``table`` needs to take its zero slice on the symbol ``name``, building
     monomial images only down to the powers of ``name`` that the slice
-    reads: ``(name, least, lows, trim)``, with ``least`` the least power in
-    a term dict, ``lows`` the least power in each generator's image (0 in a
-    zero image), and ``trim`` that of ``monomial_image``, which drops an
-    image's terms above a bound if it has any.  They hold while no rule of
+    reads: ``(name, slack, trim)``.  ``slack(t, ms)`` is that of a term over
+    the monomials ``ms`` with coefficient term dict ``t``: -q - sum of
+    low(m) over ``ms``, q the least power in ``t``, low(m) = sum of m_i *
+    v_i and v_i the least power in the image of generator i (0 in a zero
+    image).  ``trim`` is that of ``monomial_image``, which drops an image's
+    terms above low(m) + slack if it has any.  They hold while no rule of
     ``table`` carries ``name``: every rule is checked here
     (``_check_free_of``), and a caller that fills rules later checks each
     as it goes in."""
@@ -603,17 +601,23 @@ def _slice_bounds(gens, images, table, name):
         return (min(p & field for p in t) - zero) // unit
 
     _check_free_of(table, name, table.rules)
+    lows = [min(map(least, images[n].raw[1].values()), default=0) for n in gens.names]
 
-    def trim(img, bound):
-        top = zero + bound * unit
+    def low(m):
+        return sum(map(operator.mul, m, lows))
+
+    def slack(t, ms):
+        return -least(t) - sum(map(low, ms))
+
+    def trim(img, m, s):
+        top = zero + (low(m) + s) * unit
         d, t = img.raw
         if all(p & field <= top for u in t.values() for p in u):
             return img
         return img._with(_finish(d, {k: w for k, u in t.items()
                                      if (w := {p: n for p, n in u.items() if p & field <= top})}))
 
-    lows = tuple(min(map(least, images[n].raw[1].values()), default=0) for n in gens.names)
-    return name, least, lows, trim
+    return name, slack, trim
 
 
 def substitute_generators(x: TensorElement, images, table_target: RewriteTable, coeffs=None,
@@ -632,20 +636,15 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     result is the ``zero_slice`` on that symbol (with ``context`` for a
     ``DivergenceError``), and each monomial image is built only down to the
     powers of the symbol which the slice can read.  So every term of the
-    image of m has power at least low(m) = sum of m_i * v_i, v_i the least
-    power in the image of generator i.  For a term over monomials (m_1, ..,
-    m_r) whose coefficient's least power is q, slot s reaches power <= 0
-    only through image terms at or below -q - sum over t != s of low(m_t);
-    the other terms land above 0, where the slice drops them."""
+    image of m has power at least low(m).  For a term over monomials (m_1,
+    .., m_r) whose coefficient's least power is q, slot s reaches power <= 0
+    only through image terms at or below low(m_s) + slack, where the slack
+    -q - sum of low(m_t) is one number for every slot; the other terms land
+    above 0, where the slice drops them."""
     ring = table_target.ring
-    unit = table_target.one()
+    unit, product = table_target.one(), partial(mul, table=table_target)
     memo = {} if memo is None else memo
-    name, least, lows, trim = bounds or (None,) * 4
-
-    def image(m, bound):
-        return monomial_image(m, x.gens, images, unit, lambda a, b: mul(a, b, table_target),
-                              memo, bound, lows, trim)
-
+    name, slack, trim = bounds or (None,) * 3
     d, terms = x.raw
     if coeffs is None:
         move = _ring_change(x.ring, ring)
@@ -658,12 +657,9 @@ def substitute_generators(x: TensorElement, images, table_target: RewriteTable, 
     for ms, u in terms.items():
         e, v = coeff(u)
         if v:
-            tops = [None] * len(ms)
-            if least:
-                low = [sum(map(operator.mul, m, lows)) for m in ms]
-                top = -least(v) - sum(low)
-                tops = [top + lo for lo in low]
-            d2, outer = _outer([image(m, b).raw for m, b in zip(ms, tops)], ring.codec)
+            s = slack and slack(v, ms)
+            d2, outer = _outer([monomial_image(m, x.gens, images, unit, product, memo, s,
+                                               trim).raw for m in ms], ring.codec)
             _mul_add(ring.codec, acc[1], outer, v, _rescale(acc, d2 * e))
     res = _tensor(x.rank, table_target.gens, ring, _finish(*acc))
     return res if name is None else res.zero_slice(name, context)

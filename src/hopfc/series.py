@@ -342,13 +342,22 @@ class Series:
         the inverse of a single term to the power ``-n``.  One term is raised
         in one step to what the fold gives: the floor or field error
         (``Codec.pack``) of its first power out of range at or below the
-        order, else zero past the order."""
+        order, else zero past the order.  More terms square and multiply in
+        about 2 log n products where that gives the fold's terms and errors
+        (``_squaring_is_exact``), else they fold."""
         ring = self.ring
         d, t = self.raw
         if len(t) != 1:
             if n < 0:
                 raise StructureError("can only invert single-term series")
-            return reduce(operator.mul, repeat(self, n), ring.one())
+            if not _squaring_is_exact(ring, t, n):
+                return reduce(operator.mul, repeat(self, n), ring.one())
+            out = ring.one()
+            for bit in bin(n)[2:]:
+                out *= out
+                if bit == "1":
+                    out *= self
+            return out
         ((p, c),) = t.items()
         codec = ring.codec
         e = codec.unpack(p)
@@ -423,6 +432,32 @@ def _series(ring, raw):
     s = object.__new__(Series)
     s.ring, s.raw = ring, raw
     return s
+
+
+def _squaring_is_exact(ring, t, n):
+    """Whether square-and-multiply gives the left fold's ``n``-th power of
+    the term dict ``t`` over ``ring``, terms and errors.  It does where no
+    symbol is both invertible and of positive weight, as truncation is then
+    a ring map and association does not matter, and where no product of up
+    to ``n`` terms at or below the order has a weight-0 exponent outside
+    its field, so that neither raises: at most order // d of its factors
+    have positive degree, d the least positive degree of a term, and the
+    rest degree 0.  Elsewhere the terms that the fold's own intermediate
+    powers keep decide its error."""
+    codec, space = ring.codec, ring.space
+    if any(w and iv for w, iv in zip(space.weights, space.invertible)):
+        return False
+    exps = [codec.unpack(p) for p in t]
+    degs = [space.wdeg(e) for e in exps]
+    j = min(n, ring.order // min(g for g in degs if g)) if any(degs) else 0
+    for i, w in enumerate(space.weights):
+        if not w:
+            flat = [e[i] for e, g in zip(exps, degs) if not g] + [0]
+            rest = [e[i] for e, g in zip(exps, degs) if g] + [0]
+            if (n * min(flat) + j * min(rest) < codec.lows[i]
+                    or n * max(flat) + j * max(rest) >= codec.tops[i]):
+                return False
+    return True
 
 
 def _ring_change(src, ring):

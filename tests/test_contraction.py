@@ -2,9 +2,11 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfc import algebra, catalog, contraction
-from hopfc.algebra import GeneratorSet, RewriteTable, TensorElement, mul, substitute_generators
+from hopfc.algebra import (GeneratorSet, RewriteTable, TensorElement, monomial_image, mul,
+                           substitute_generators)
 from hopfc.contraction import (
     ContractionCase,
     ParamImage,
@@ -424,19 +426,81 @@ def test_bounded_images_diverge_with_the_same_message(name, param, in_full):
     assert str(bounded.value) == str(full.value)
 
 
+@pytest.mark.parametrize("name,param", DIVERGENT)
+def test_a_divergence_message_does_not_depend_on_key_order(name, param, monkeypatch):
+    # every raw dict reversed before each slice: the same term is named
+    case = catalog.get_case(name)
+    force = {param: case.param_map[param].eps_exp - 1}
+    with pytest.raises(DivergenceError) as kept:
+        contract_hopf(case, 3, force_exponents=force)
+    orig = TensorElement.zero_slice
+
+    def reversed_first(x, symbol, context=""):
+        d, t = x.raw
+        flipped = {k: dict(reversed(u.items())) for k, u in reversed(t.items())}
+        return orig(x._with((d, flipped)), symbol, context)
+
+    monkeypatch.setattr(TensorElement, "zero_slice", reversed_first)
+    with pytest.raises(DivergenceError) as reordered:
+        contract_hopf(case, 3, force_exponents=force)
+    assert str(reordered.value) == str(kept.value)
+
+
 def test_a_bound_one_too_tight_is_not_exact(monkeypatch, in_full):
-    # every slot bound one lower: the images lose terms that reach eps^0
+    # every term's slack one lower: the images lose terms that reach eps^0
     orig = algebra._slice_bounds
 
     def tighter(*args):
-        name, least, lows, trim = orig(*args)
-        return name, (lambda t: least(t) + 1), lows, trim
+        name, slack, trim = orig(*args)
+        return name, (lambda t, ms: slack(t, ms) - 1), trim
 
     case = catalog.get_case("Iplus.standard")
     monkeypatch.setattr(contraction, "_slice_bounds", tighter)
     tight = contract_hopf(case, 4)
     in_full()
     assert not _same_presentation(contract_hopf(case, 4), tight)
+
+
+@pytest.fixture(scope="module")
+def iplus_transport():
+    """The source generators, inverse images and filled scaffold of the
+    ``Iplus.standard`` contraction at order 4, and their slice bounds."""
+    seen, orig = [], contraction._slice_bounds
+
+    def recorded(gens, images, table, name):
+        seen.append((gens, images, table))
+        return orig(gens, images, table, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "_slice_bounds", recorded)
+        contract_hopf(catalog.get_case("Iplus.standard"), 4)
+    gens, images, table = seen[-1]
+    return gens, images, table, algebra._slice_bounds(gens, images, table, EPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.tuples(*[st.integers(0, 2)] * 4).filter(lambda m: sum(m) <= 4),
+       slack=st.integers(0, 4), lower=st.integers(0, 5))
+def test_an_image_at_a_slack_is_the_whole_image_trimmed(iplus_transport, m, slack, lower):
+    # built at slack s, the image of m is the whole image cut at eps power
+    # low(m) + s (nothing lies below low(m)), and its memo entry serves
+    # every slack at or below s with no further product
+    gens, images, table, (_, _, trim) = iplus_transport
+    products = []
+
+    def product(a, b):
+        products.append(1)
+        return mul(a, b, table)
+
+    def image(memo, s):
+        return monomial_image(m, gens, images, table.one(), product, memo, s, trim)
+
+    whole, memo = monomial_image(m, gens, images, table.one(), product, {}), {}
+    assert not trim(whole, m, -1)
+    assert image(memo, slack) == trim(whole, m, slack)
+    products.clear()
+    assert trim(image(memo, slack - lower), m, slack - lower) == trim(whole, m, slack - lower)
+    assert products == []
 
 
 def _scaffold_normal_forms(monkeypatch, case, order):

@@ -1,11 +1,12 @@
 import math
 import operator
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfc import catalog, rmatrix, series
 from hopfc.algebra import GeneratorSet, RewriteTable, TensorElement, mul, tensor_mul
@@ -979,6 +980,42 @@ def test_power_is_the_fold_of_products(data):
         ((e, c),) = x.terms.items()
         agree(lambda: x ** n, lambda: Series(ring, {tuple(n * v for v in e): c ** n}).terms,
               ring)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_power_of_more_terms_is_the_fold_on_any_ring(data):
+    # square and multiply where truncation is a ring map, the fold elsewhere:
+    # the fold's terms, or an error of its type
+    ring = data.draw(_rings())
+    x = data.draw(_series_over(ring, small=data.draw(st.booleans())))
+    assume(len(x.raw[1]) > 1)
+    n = data.draw(st.integers(0, 12))
+    agree(lambda: x ** n, lambda: fold_power(x, n).terms, ring)
+
+
+@pytest.mark.parametrize("names,terms", [
+    (("B", "xi"), [{"B": 1}, {"xi": 1, "B": -1}]),
+    (("a", "kappa", "b"), [{"b": 1}, {"a": 1, "kappa": 2**29 + 1}]),
+], ids=["floor", "field"])
+def test_a_power_raises_where_an_intermediate_fold_power_does(names, terms):
+    # the fold's x^4 holds xi^4 B^-4 (below the floor -3) or a^4 kappa^(4M)
+    # (past the field), which x^3 * x^3 never forms under the order 4
+    ring = Ring(ParamSpace.make(*(POOL[n] for n in names)), 4, -3)
+    x = ring.term(terms[0]) + ring.term(terms[1])
+    agree(lambda: x ** 6, lambda: fold_power(x, 6).terms, ring)
+    with pytest.raises((FloorUnderflowError, StructureError)):
+        x ** 6
+
+
+def test_a_huge_power_of_more_terms_is_square_and_multiply():
+    # (1 + a)^e for e = 2^31 - 1 at order 4, a weight-0 kappa substituted
+    ring = Ring(ParamSpace.make("a", ("kappa", 0, False)), 4)
+    a, e = ring.symbol("a"), 2**31 - 1
+    start = time.process_time()
+    got = ring.term({"kappa": e}).substitute({"kappa": 1 + a})
+    assert time.process_time() - start < 1
+    assert got == Series(ring, {(k, 0): math.comb(e, k) for k in range(5)})
 
 
 @pytest.mark.parametrize("order,n", [(4, 3), (4, 5), (2, 3), (2, 5)])

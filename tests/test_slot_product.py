@@ -259,8 +259,9 @@ def test_coefficient_maps_and_lincomb_match_per_coefficient_references(data):
     dst = data.draw(targets(ring))
     agree(lambda: x.to(dst), lambda: per_coefficient(lambda c: c.to(dst), x, dst))
     name = data.draw(st.sampled_from(ring.space.symbols))
+    in_key_order = of_rank(rank, x.gens, ring, dict(sorted(x.terms.items())))
     agree(lambda: x.zero_slice(name, "ctx"),
-          lambda: per_coefficient(lambda c: c.zero_slice(name, "ctx"), x, ring))
+          lambda: per_coefficient(lambda c: c.zero_slice(name, "ctx"), in_key_order, ring))
 
     scalars = st.one_of(coefficients(ring), st.integers(-3, 3),
                         st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
@@ -437,14 +438,17 @@ def test_a_cancelled_outer_sum_is_gone_before_the_product_with_c():
 
 
 def test_a_tensor_slice_names_the_first_divergent_key():
-    # both keys diverge: the error is that of the first key's coefficient
+    # both keys diverge: the error is that of the key first in sorted order,
+    # Jm's, whatever the order of the raw dict
     t = eps_table(3, -4)
     ring = t.ring
     x = (t.gen("Jp", coeff=ring.term({"eps": -1}, F(1, 6)) + ring.one())
          + t.gen("Jm", coeff=ring.term({"a": 1, "eps": -2}, 3)))
-    with pytest.raises(DivergenceError) as info:
-        x.zero_slice("eps", "[Jp,Jm]")
-    assert str(info.value) == "[Jp,Jm]: divergent terms under eps -> 0: ['1/6*eps^-1']"
+    d, u = x.raw
+    for y in (x, x._with((d, dict(reversed(u.items()))))):
+        with pytest.raises(DivergenceError) as info:
+            y.zero_slice("eps", "[Jp,Jm]")
+        assert str(info.value) == "[Jp,Jm]: divergent terms under eps -> 0: ['3*a*eps^-2']"
 
 
 def test_floor_underflow_in_the_normal_form_is_kept():
