@@ -19,6 +19,7 @@ the offending terms.
 """
 
 from hopfc import catalog
+from hopfc.bialgebra import wedge_str
 from hopfc.contraction import contract_hopf, match_presentation, solve_min_exponents
 from hopfc.errors import DivergenceError
 
@@ -29,7 +30,7 @@ sol = solve_min_exponents(case)
 print("minimal exponents from r:    ", sol.r_min)
 print("minimal exponents from delta:", sol.delta_min)
 print("coboundary after contraction:", sol.coboundary)
-print("contracted classical r:      ", sol.r_contracted)
+print("contracted classical r:      ", wedge_str(sol.r_contracted))
 print()
 
 got = contract_hopf(case, order=4)

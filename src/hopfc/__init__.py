@@ -7,7 +7,6 @@ rationals, PBW normal forms, order-by-order Hopf axiom verification.
 
 from .series import ParamSpace, Ring, Series, analytic_series
 from .algebra import (
-    Element,
     GeneratorSet,
     RewriteTable,
     TensorElement,
@@ -16,7 +15,7 @@ from .algebra import (
     mul,
 )
 from .hopf import Check, HopfPresentation, VerificationReport, solve_antipode, verify_all
-from .bialgebra import WedgeTensor, cocommutator_from_r
+from .bialgebra import cocommutator_from_r
 from .contraction import (
     ContractionCase,
     change_of_basis,

@@ -11,8 +11,8 @@ from itertools import combinations
 
 from .errors import (ConfluenceFailureError, DivergenceError, StructureError,
                      UnsupportedArgumentError)
-from .series import (_add_terms, _finish, _mul_add, _mul_terms, _raw, _reduce, _rescale,
-                     _ring_change, _series, _sum, _zero_slicer, taylor)
+from .series import (_add_terms, _finish, _mono_str, _mul_add, _mul_terms, _raw, _reduce,
+                     _rescale, _ring_change, _series, _sum, _zero_slicer, taylor)
 
 #: rewrite steps allowed in one top-level product, read at call time
 STEP_BUDGET = 10**6
@@ -62,17 +62,11 @@ def monomial_of(word, dim):
     return tuple(m)
 
 
-def _mono_str(names, m, full):
-    """Render a monomial; ``full`` writes every exponent (the JSON key form)."""
-    return "*".join(
-        f"{n}^{e}" if full or e != 1 else n for n, e in zip(names, m) if e
-    ) or "1"
-
-
 class TensorElement:
     """Finite linear combination over one generator set and one coefficient
     ``Ring``.  A key holds one PBW monomial (exponent tuple) per slot, and
-    ``rank`` is the number of slots.  Rank 1 is ``Element``.
+    ``rank`` is the number of slots: an algebra element is the rank-1
+    tensor, keyed ``(m,)`` by a PBW monomial ``m``.
 
     Its one stored form is ``raw``, ``(d, {key: {p: n}})``: int numerators
     ``n`` over one denominator ``d > 0`` in lowest terms, none zero and no
@@ -98,14 +92,20 @@ class TensorElement:
         d, t = self.raw
         return {k: _series(self.ring, _reduce((d, u))) for k, u in t.items()}
 
+    @staticmethod
+    def monomial(gens, ring, exps_by_name, coeff=None):
+        """The rank-1 tensor ``coeff`` (by default 1) times the PBW monomial
+        with the exponents ``exps_by_name``."""
+        m = [0] * gens.dim
+        for name, e in exps_by_name.items():
+            m[gens.index(name)] = e
+        return TensorElement(1, gens, ring, {(tuple(m),): ring.one() if coeff is None else coeff})
+
     def _with(self, raw, ring=None, gens=None):
-        """Same class and rank over ``raw``, a raw form over ``ring`` and
+        """The tensor of this rank over ``raw``, a raw form over ``ring`` and
         ``gens`` (by default this one's)."""
-        new = object.__new__(type(self))
-        new.rank, new.raw = self.rank, raw
-        new.ring = self.ring if ring is None else ring
-        new.gens = self.gens if gens is None else gens
-        return new
+        return _tensor(self.rank, self.gens if gens is None else gens,
+                       self.ring if ring is None else ring, raw)
 
     @staticmethod
     def outer(factors):
@@ -136,10 +136,11 @@ class TensorElement:
         return bool(self.raw[1])
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, TensorElement):
             return NotImplemented
         return (
-            self.gens.names == other.gens.names
+            self.rank == other.rank
+            and self.gens.names == other.gens.names
             and self.ring == other.ring
             and self.raw == other.raw
         )
@@ -175,7 +176,7 @@ class TensorElement:
 
     def _render_key(self, ms, full):
         slots = " (x) ".join(_mono_str(self.gens.names, m, full) for m in ms)
-        return slots if full else f"[{slots}]"
+        return slots if full or self.rank == 1 else f"[{slots}]"
 
     def __str__(self):
         if not self:
@@ -188,36 +189,6 @@ class TensorElement:
 
     def to_json(self):
         return {self._render_key(k, True): c.to_json() for k, c in sorted(self.terms.items())}
-
-
-class Element(TensorElement):
-    """An algebra element: the rank-1 tensor, keyed ``(m,)`` by a PBW
-    monomial ``m``, rendered without brackets."""
-
-    __slots__ = ()
-
-    def __init__(self, gens, ring, terms):
-        super().__init__(1, gens, ring, terms)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, gens, ring):
-        return cls(gens, ring, {})
-
-    @classmethod
-    def generator(cls, gens, ring, name, coeff=None):
-        return cls.monomial(gens, ring, {name: 1}, coeff)
-
-    @classmethod
-    def monomial(cls, gens, ring, exps_by_name, coeff=None):
-        m = [0] * gens.dim
-        for name, e in exps_by_name.items():
-            m[gens.index(name)] = e
-        return cls(gens, ring, {(tuple(m),): ring.one() if coeff is None else coeff})
-
-    def _render_key(self, ms, full):
-        return _mono_str(self.gens.names, ms[0], full)
 
 
 def _raw_of(ring, terms):
@@ -266,18 +237,17 @@ def zero_limit(src, ring, gens=None):
 
 
 def _tensor(rank, gens, ring, raw):
-    """The rank-``rank`` tensor (an ``Element`` at rank 1) over the raw form
-    ``raw``."""
-    new = object.__new__(Element if rank == 1 else TensorElement)
+    """The rank-``rank`` tensor over the raw form ``raw``."""
+    new = object.__new__(TensorElement)
     new.rank, new.gens, new.ring, new.raw = rank, gens, ring, raw
     return new
 
 
 def lincomb(start, pairs):
-    """``start + sum(c * x for c, x in pairs)``, one ``series._sum``, of the
-    class of ``start``: each ``c`` a ``Series`` over its ring, a
-    ``Fraction`` or an int (else ``TypeError``), each ``x`` of the rank,
-    generators and ring of ``start``."""
+    """``start + sum(c * x for c, x in pairs)``, one ``series._sum``: each
+    ``c`` a ``Series`` over its ring, a ``Fraction`` or an int (else
+    ``TypeError``), each ``x`` of the rank, generators and ring of
+    ``start``."""
     ring = start.ring
     args = []
     for c, x in pairs:
@@ -309,7 +279,7 @@ class RewriteTable:
     def __init__(self, gens, ring, rules):
         self.gens = gens
         self.ring = ring
-        self.rules = dict(rules)  # (i, j) with i > j -> Element
+        self.rules = dict(rules)  # (i, j) with i > j -> rank-1 tensor
         for i in range(gens.dim):
             for j in range(i):
                 if gens.central[i] or gens.central[j]:
@@ -326,7 +296,7 @@ class RewriteTable:
     @classmethod
     def commuting(cls, gens, ring):
         """A table with every rule zero, to be filled in with ``set_rule``."""
-        zero = Element.zero(gens, ring)
+        zero = TensorElement(1, gens, ring, {})
         return cls(gens, ring, {(i, j): zero for i in range(gens.dim) for j in range(i)})
 
     def reset_budget(self):
@@ -334,13 +304,13 @@ class RewriteTable:
         self._steps = 0
 
     def zero(self):
-        return Element.zero(self.gens, self.ring)
+        return TensorElement(1, self.gens, self.ring, {})
 
     def one(self, coeff=1):
-        return Element(self.gens, self.ring, {((0,) * self.gens.dim,): self.ring.const(coeff)})
+        return TensorElement.monomial(self.gens, self.ring, {}, self.ring.const(coeff))
 
     def gen(self, name, coeff=None):
-        return Element.generator(self.gens, self.ring, name, coeff)
+        return TensorElement.monomial(self.gens, self.ring, {name: 1}, coeff)
 
     def scalar(self, c):
         return self.ring.const(c)
@@ -348,7 +318,7 @@ class RewriteTable:
     def sym(self, name, power=1, coeff=1):
         return self.ring.symbol(name, power, coeff)
 
-    def set_rule_by_index(self, i, j, rhs: Element):
+    def set_rule_by_index(self, i, j, rhs: TensorElement):
         """Install/replace the rule for positions i > j (two-phase table
         construction).  The normal-form cache is emptied only if a normal
         form read this pair since it was last emptied, since no other normal
@@ -430,7 +400,7 @@ class RewriteTable:
         res = _tensor(1, self.gens, self.ring, self._nf_word(tuple(word)))
         return res if coeff is None else res.scale(coeff)
 
-    def check(self, x: Element):
+    def check(self, x: TensorElement):
         if x.gens.names != self.gens.names:
             raise StructureError("element does not belong to this table's algebra")
         self.ring.check_same(x.ring)
@@ -483,7 +453,7 @@ def _slot_product(x: TensorElement, y: TensorElement, table: RewriteTable):
     return _tensor(x.rank, x.gens, ring, _finish(*acc))
 
 
-def multiply_slots(t: TensorElement, table: RewriteTable) -> Element:
+def multiply_slots(t: TensorElement, table: RewriteTable) -> TensorElement:
     """The product m of a rank-2 tensor's two slots: each key (u, v) becomes
     nf(word(u) + word(v)), a cached normal form read without entering
     ``_nf_word``, times the key's coefficient, summed straight into one
@@ -502,7 +472,7 @@ def multiply_slots(t: TensorElement, table: RewriteTable) -> Element:
     return _tensor(1, t.gens, t.ring, _finish(*acc))
 
 
-def mul(x: Element, y: Element, table: RewriteTable) -> Element:
+def mul(x: TensorElement, y: TensorElement, table: RewriteTable) -> TensorElement:
     """Product in the algebra: concatenate words, then normal-form."""
     return _slot_product(x, y, table)
 
@@ -517,7 +487,7 @@ def commutator(x: TensorElement, y: TensorElement, table: RewriteTable) -> Tenso
     return mul(x, y, table) - mul(y, x, table)
 
 
-def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
+def generator_function(kind, arg: TensorElement, table: RewriteTable) -> TensorElement:
     """Taylor expansion of the named function at an algebra-element argument
     (``series.taylor``), whose terms must commute pairwise; a ring or weight
     that does not truncate is refused first."""
@@ -525,7 +495,7 @@ def generator_function(kind, arg: Element, table: RewriteTable) -> Element:
     terms = arg.terms
     pairs = taylor(kind, arg, table.one(), partial(mul, table=table),
                    min((c.min_wdeg() for c in terms.values()), default=None), arg.ring.order)
-    parts = [Element(arg.gens, arg.ring, {k: c}) for k, c in terms.items()]
+    parts = [TensorElement(1, arg.gens, arg.ring, {k: c}) for k, c in terms.items()]
     for ta, tb in combinations(parts, 2):
         if commutator(ta, tb, table):
             raise UnsupportedArgumentError(f"non-commuting terms in analytic argument: "
@@ -622,7 +592,7 @@ def _slice_bounds(gens, images, table, name):
 
 def substitute_generators(x: TensorElement, images, table_target: RewriteTable, coeffs=None,
                           memo=None, bounds=None, context=""):
-    """Homomorphic substitution generator -> Element over the target algebra,
+    """Homomorphic substitution generator -> algebra element of the target,
     slot by slot: per term, the outer product of its monomials' images,
     left to right, times the coefficient mapped by ``coeffs`` goes straight
     into one accumulator (``_mul_add``).  ``coeffs`` is a
@@ -688,8 +658,9 @@ def map_slot(t: TensorElement, slot, images, unit, product, memo=None) -> Tensor
     return _tensor(t.rank - 1 + unit.rank, t.gens, t.ring, _finish(*acc))
 
 
-def apply_coproduct(x: Element, delta, table: RewriteTable) -> TensorElement:
-    """Extend a generator coproduct table multiplicatively to an Element."""
+def apply_coproduct(x: TensorElement, delta, table: RewriteTable) -> TensorElement:
+    """Extend a generator coproduct table multiplicatively to an algebra
+    element."""
     return coproduct_on_slot(x, 0, delta, table)
 
 

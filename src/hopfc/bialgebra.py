@@ -4,9 +4,10 @@ layer's types; the cocycle and co-Jacobi checks return a ``hopf.Check``.
 
 The Lie algebra is a classical ``RewriteTable`` (``catalog.lie_structure``):
 the commutator of two generators is their bracket.  A Lie vector is a
-degree-1 ``Element``.  r, delta(X) and the Schouten bracket are
+degree-1 rank-1 ``TensorElement``.  r, delta(X) and the Schouten bracket are
 ``TensorElement``s with one generator per slot; r and delta(X) are written
-out in full, c * (X (x) Y - Y (x) X) for the wedge c * X ^ Y."""
+out in full, c * (X (x) Y - Y (x) X) for the wedge c * X ^ Y, which
+``wedge_str`` prints."""
 
 from __future__ import annotations
 
@@ -16,26 +17,17 @@ from .algebra import RewriteTable, TensorElement, commutator, coproduct_on_slot,
 from .hopf import Check
 
 
-class WedgeTensor(TensorElement):
-    """Wedge rendering of an antisymmetric rank-2 tensor with one generator
-    per slot: its X_i (x) X_j terms with i < j, printed X_i^X_j."""
-
-    __slots__ = ()
-
-    def __init__(self, t: TensorElement):
-        super().__init__(2, t.gens, t.ring, t.terms)
-
-    def __str__(self):
-        names = self.gens.names
-        half = {}
-        for ms, c in self.terms.items():
-            i, j = (m.index(1) for m in ms)
-            if i < j:
-                half[i, j] = c
-        return " + ".join(
-            f"({c})*{names[i]}^{names[j]}" for (i, j), c in sorted(half.items())) or "0"
-
-    __repr__ = __str__
+def wedge_str(t: TensorElement):
+    """An antisymmetric rank-2 tensor with one generator per slot, printed
+    by its X_i (x) X_j terms with i < j as X_i^X_j."""
+    names = t.gens.names
+    half = {}
+    for ms, c in t.terms.items():
+        i, j = (m.index(1) for m in ms)
+        if i < j:
+            half[i, j] = c
+    return " + ".join(
+        f"({c})*{names[i]}^{names[j]}" for (i, j), c in sorted(half.items())) or "0"
 
 
 def _ad(table: RewriteTable, x, t: TensorElement) -> TensorElement:

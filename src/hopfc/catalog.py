@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    Element,
     GeneratorSet,
     RewriteTable,
     TensorElement,
@@ -404,7 +403,7 @@ def classical_r(name) -> TensorElement:
         raise LookupError_(name, sorted(_R_SPECS))
     syms, terms = _R_SPECS[name]
     ring = Ring.exact(ParamSpace.make(*syms))
-    g = {n: Element.generator(GL2, ring, n) for n in GL2.names}
+    g = {n: TensorElement.monomial(GL2, ring, {n: 1}) for n in GL2.names}
     return lincomb(TensorElement(2, GL2, ring, {}), (
         (ring.symbol(sym, coeff=c), _outer(g[x], g[y]) - _outer(g[y], g[x]))
         for c, sym, x, y in terms))

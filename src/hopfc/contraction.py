@@ -21,7 +21,7 @@ from .algebra import (
     substitute_generators,
     zero_limit,
 )
-from .bialgebra import WedgeTensor
+from .bialgebra import wedge_str
 from .errors import StructureError
 from .hopf import Check, HopfPresentation
 from .series import EPS, ParamSpace, Ring, Substitution
@@ -63,7 +63,7 @@ class ContractionCase:
     lie_param_map: dict        # original paper parameters -> ParamImage
     lie_groups: dict           # original parameter -> group key for the solver
     target_params: tuple       # specs for the contracted ParamSpace
-    casimir_counterterm: object = None   # callable(table) -> Element over source gens
+    casimir_counterterm: object = None   # callable(table) -> element over source gens
     expected_exponents: dict = field(default_factory=dict)
 
     def target_space(self):
@@ -74,7 +74,7 @@ class ContractionCase:
 class ExponentSolution:
     r_min: dict
     delta_min: dict
-    r_contracted: WedgeTensor = None
+    r_contracted: TensorElement = None
 
     @property
     def coboundary(self):
@@ -87,7 +87,7 @@ class ExponentSolution:
             "r_min": {k: v for k, v in sorted(self.r_min.items())},
             "delta_min": {k: v for k, v in sorted(self.delta_min.items())},
             "coboundary": self.coboundary,
-            "r_contracted": str(self.r_contracted) if self.r_contracted else None,
+            "r_contracted": wedge_str(self.r_contracted) if self.r_contracted else None,
         }
 
 
@@ -111,7 +111,7 @@ def _lie_sigma(ring, param_map, exponents=None):
 
 def transform_wedge(w: TensorElement, images, table: RewriteTable, sub) -> TensorElement:
     """Push a tensor through the (inverse) generator scaling ``images``
-    (old generator -> Element over ``table``) and the parameter substitution
+    (old generator -> element over ``table``) and the parameter substitution
     ``sub`` (a ``Substitution``); cancellation happens here, before any
     valuation is read off."""
     return substitute_generators(w, images, table, sub)
@@ -181,8 +181,8 @@ def solve_min_exponents(case: ContractionCase):
             exps[old] = r_min[g]
     sub = Substitution(r.ring, _lie_sigma(ring, case.lie_param_map, exponents=exps), ring)
     r_lim = transform_wedge(r, images, table, sub)
-    r_contracted = WedgeTensor(r_lim.zero_slice(EPS, context="contracted r").to(
-        replace(ring, space=space.without(EPS))))
+    r_contracted = r_lim.zero_slice(EPS, context="contracted r").to(
+        replace(ring, space=space.without(EPS)))
 
     return ExponentSolution(r_min, d_min, r_contracted)
 
@@ -192,7 +192,7 @@ def solve_min_exponents(case: ContractionCase):
 # ---------------------------------------------------------------------------
 
 def _combo_element(table, combo, sub):
-    """Linear combination [(Fraction, coeff-monomial, gen name)] -> Element,
+    """Linear combination [(Fraction, coeff-monomial, gen name)] -> element,
     with the parameter substitution ``sub`` (a ``Substitution``) applied to
     the coefficients."""
     ring = table.ring
@@ -204,10 +204,10 @@ def _combo_element(table, combo, sub):
 
 def _transport(H, forward, inverse, table, casimir, sub=None, slice_symbol=None):
     """Rewrite the structure maps of ``H`` in new generators: ``forward`` maps
-    each new generator to an Element of ``H``, ``inverse`` each old generator
-    to an Element over ``table``.  Fills the rules of ``table`` pair by pair,
+    each new generator to an element of ``H``, ``inverse`` each old generator
+    to an element over ``table``.  Fills the rules of ``table`` pair by pair,
     each before it is first needed, then moves the coproducts and ``casimir``
-    (an Element of ``H`` or None) across, each coefficient through ``sub``
+    (an element of ``H`` or None) across, each coefficient through ``sub``
     (a ``Substitution`` from the ring of ``H`` to that of ``table``; None:
     a ring change).  Every move shares one memo of monomial images over
     ``table``; it is dropped only when a fill empties the table's
@@ -309,7 +309,7 @@ def match_presentation(got: HopfPresentation, want: HopfPresentation) -> Check:
 
 def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
     """Rewrite all structure maps in a new PBW basis given by
-    ``forward``: generator name -> Element (new basis element in old basis).
+    ``forward``: generator name -> element (new basis element in old basis).
 
     The map must be unitriangular: forward(X) = X + terms of positive
     parameter weight."""
@@ -317,7 +317,7 @@ def change_of_basis(H: HopfPresentation, forward: dict) -> HopfPresentation:
     gens = H.gens
     order = H.ring.order
 
-    # invert order-by-order: old generator as Element over the primed basis,
+    # invert order-by-order: old generator as element over the primed basis,
     # with one memo of monomial images per ``inverse`` map (each round, the check)
     inverse = {n: table.gen(n) for n in gens.names}
     for _ in range(order + 2):

@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
-    Element,
     RewriteTable,
     TensorElement,
     apply_coproduct,
@@ -35,7 +34,7 @@ class HopfPresentation:
     table: RewriteTable
     coproduct: dict            # generator name -> rank-2 TensorElement
     counit: dict               # generator name -> Fraction (constant term)
-    casimir: Element = None
+    casimir: TensorElement = None
 
     def __post_init__(self):
         for n in self.gens.names:
@@ -55,7 +54,7 @@ class HopfPresentation:
     def gen(self, name):
         return self.table.gen(name)
 
-    def delta(self, x: Element) -> TensorElement:
+    def delta(self, x: TensorElement) -> TensorElement:
         return apply_coproduct(x, self.coproduct, self.table)
 
     def map_tensors(self, fn, ring, gens=None) -> HopfPresentation:
@@ -211,14 +210,14 @@ def check_casimir_central(H: HopfPresentation) -> Check:
 
 def apply_antipode(S, x: TensorElement, table: RewriteTable, memo=None, slot=0) -> TensorElement:
     """Extend generator images anti-multiplicatively and apply the result to
-    slot ``slot`` of a tensor of any rank (an ``Element`` by default).
+    slot ``slot`` of a tensor of any rank (an algebra element by default).
     ``memo`` may carry images of monomials from earlier calls with the same
     ``S``."""
     table.check(x)
     return map_slot(x, slot, S, table.one(), lambda a, b: mul(b, a, table), memo)
 
 
-def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> Element:
+def antipode_defect(H: HopfPresentation, S, name, side="left", memo=None) -> TensorElement:
     """m(S x id)Delta(X) - eps(X) 1  (or the id x S variant): the antipode
     on one slot of the whole coproduct, then one ``multiply_slots``.  Each
     c * S(a) is truncated before its product with b, which gives the sum of

@@ -405,10 +405,7 @@ class Series:
     # -- rendering ---------------------------------------------------------
 
     def _render_term(self, e, c):
-        mono = "*".join(
-            f"{s}^{v}" if v != 1 else s for s, v in zip(self.space.symbols, e) if v
-        )
-        return f"{c}" if not mono else f"{c}*{mono}"
+        return f"{c}*{_mono_str(self.space.symbols, e, False)}" if any(e) else f"{c}"
 
     def __str__(self):
         if not self:
@@ -419,11 +416,16 @@ class Series:
 
     def to_json(self):
         """{exponent-vector: "num/den"} with a stable key order."""
-        out = {}
-        for e, c in sorted(self.terms.items()):
-            key = "*".join(f"{s}^{v}" for s, v in zip(self.space.symbols, e) if v) or "1"
-            out[key] = f"{c.numerator}/{c.denominator}"
-        return out
+        return {_mono_str(self.space.symbols, e, True): f"{c.numerator}/{c.denominator}"
+                for e, c in sorted(self.terms.items())}
+
+
+def _mono_str(names, m, full):
+    """Render a monomial of parameters or generators, ``names`` with the
+    exponents ``m``; ``full`` writes every exponent (the JSON key form)."""
+    return "*".join(
+        f"{n}^{e}" if full or e != 1 else n for n, e in zip(names, m) if e
+    ) or "1"
 
 
 def _series(ring, raw):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from hopfc import algebra, catalog, series
 from hopfc.algebra import (
-    Element,
     GeneratorSet,
     RewriteTable,
     TensorElement,
@@ -42,7 +41,7 @@ def fresh(name, order=4):
 def test_classical_jm_jp():
     t = fresh("gl2.classical").table
     got = t.nf_word((t.gens.index("Jm"), t.gens.index("Jp")))
-    want = Element.monomial(t.gens, t.ring, {"Jp": 1, "Jm": 1}) \
+    want = TensorElement.monomial(t.gens, t.ring, {"Jp": 1, "Jm": 1}) \
         - t.gen("J3")
     assert got == want
 
@@ -50,7 +49,7 @@ def test_classical_jm_jp():
 def test_classical_j3_jp():
     t = fresh("gl2.classical").table
     got = t.nf_word((t.gens.index("J3"), t.gens.index("Jp")))
-    want = Element.monomial(t.gens, t.ring, {"Jp": 1, "J3": 1}) \
+    want = TensorElement.monomial(t.gens, t.ring, {"Jp": 1, "J3": 1}) \
         + t.gen("Jp", coeff=t.scalar(2))
     assert got == want
 
@@ -59,10 +58,10 @@ def test_sinh_deformed_jm_jp_at_order_3():
     # Taylor oracle: [Jp, Jm] = sinh(a J3)/a = J3 + a^2 J3^3/6 at N=3
     t = fresh("gl2.II.standard", 3).table
     got = t.nf_word((t.gens.index("Jm"), t.gens.index("Jp")))
-    want = (Element.monomial(t.gens, Ring(t.ring.space, 3), {"Jp": 1, "Jm": 1})
+    want = (TensorElement.monomial(t.gens, Ring(t.ring.space, 3), {"Jp": 1, "Jm": 1})
             - t.gen("J3")
-            - Element.monomial(t.gens, Ring(t.ring.space, 3), {"J3": 3},
-                               coeff=Ring(t.ring.space, 3).term({"a": 2}, F(1, 6))))
+            - TensorElement.monomial(t.gens, Ring(t.ring.space, 3), {"J3": 3},
+                                     coeff=Ring(t.ring.space, 3).term({"a": 2}, F(1, 6))))
     assert got == want
 
 
@@ -77,7 +76,7 @@ def test_oscillator_deformed_commutator():
     # A- A+ - A+ A- = sinh(xi M)/xi = M + xi^2 M^3/6 at N=3
     t = fresh("h4.xi", 3).table
     got = mul(t.gen("Am"), t.gen("Ap"), t) - mul(t.gen("Ap"), t.gen("Am"), t)
-    want = t.gen("M") + Element.monomial(
+    want = t.gen("M") + TensorElement.monomial(
         t.gens, Ring(t.ring.space, 3), {"M": 3},
         coeff=Ring(t.ring.space, 3).term({"xi": 2}, F(1, 6)))
     assert got == want
@@ -113,8 +112,8 @@ def test_exp_of_generator():
     t = fresh("gl2.Iplus.nonstandard", 2).table
     got = generator_function("exp", t.gen("Jp", coeff=t.sym("a_plus")), t)
     want = (t.one() + t.gen("Jp", coeff=t.sym("a_plus"))
-            + Element.monomial(t.gens, Ring(t.ring.space, 2), {"Jp": 2},
-                               coeff=Ring(t.ring.space, 2).term({"a_plus": 2}, F(1, 2))))
+            + TensorElement.monomial(t.gens, Ring(t.ring.space, 2), {"Jp": 2},
+                                     coeff=Ring(t.ring.space, 2).term({"a_plus": 2}, F(1, 2))))
     assert got == want
 
 
@@ -124,7 +123,7 @@ def test_expm1_over_arg_of_generator():
     got = mul(t.gen("Jp"),
               generator_function("expm1_over_arg", t.gen("Jp", coeff=t.sym("a_plus")), t),
               t)
-    want = t.gen("Jp") + Element.monomial(
+    want = t.gen("Jp") + TensorElement.monomial(
         t.gens, Ring(t.ring.space, 1), {"Jp": 2},
         coeff=Ring(t.ring.space, 1).symbol("a_plus", coeff=F(1, 2)))
     assert got == want
@@ -193,7 +192,7 @@ def _scaled_images():
     h4 = catalog.H4
     t = RewriteTable(
         h4, Ring.exact(space),
-        {(i, j): Element.zero(h4, Ring.exact(space))
+        {(i, j): TensorElement(1, h4, Ring.exact(space), {})
          for i in range(4) for j in range(i)},
     )
     t.set_rule("N", "Ap", t.gen("Ap"))
@@ -212,10 +211,10 @@ def test_substitute_i_squared():
     t, images = _scaled_images()
     gl2 = catalog.GL2
     space = ParamSpace.make("eps")
-    x = Element.monomial(gl2, Ring.exact(space), {"I": 2})
+    x = TensorElement.monomial(gl2, Ring.exact(space), {"I": 2})
     got = substitute_generators(x, images, t)
-    want = Element.monomial(t.gens, Ring.exact(space), {"M": 2},
-                            coeff=Ring.exact(space).term({"eps": -4}, 1))
+    want = TensorElement.monomial(t.gens, Ring.exact(space), {"M": 2},
+                                  coeff=Ring.exact(space).term({"eps": -4}, 1))
     assert got == want
 
 
@@ -223,8 +222,8 @@ def test_substitute_j3_plus_i():
     t, images = _scaled_images()
     gl2 = catalog.GL2
     space = ParamSpace.make("eps")
-    x = (Element.generator(gl2, Ring.exact(space), "J3")
-         + Element.generator(gl2, Ring.exact(space), "I"))
+    x = (TensorElement.monomial(gl2, Ring.exact(space), {"J3": 1})
+         + TensorElement.monomial(gl2, Ring.exact(space), {"I": 1}))
     got = substitute_generators(x, images, t)
     assert got == t.gen("N", coeff=t.scalar(2))
 
@@ -275,10 +274,10 @@ def test_counit_collapse_with_a_nonzero_counit_value():
     t2 = TensorElement(2, gens, ring, {key({"I": 2}, {"Jp": 1}): c1,
                                        key({"Jp": 1}, {"I": 1}): c2,
                                        key({"I": 1}, {}): c3})
-    assert counit_collapse(t2, 0, counit) == Element(
-        gens, ring, {key({"Jp": 1}): c1 * 4, key({}): c3 * 2})
-    assert counit_collapse(t2, 1, counit) == Element(
-        gens, ring, {key({"Jp": 1}): c2 * 2, key({"I": 1}): c3})
+    assert counit_collapse(t2, 0, counit) == TensorElement(
+        1, gens, ring, {key({"Jp": 1}): c1 * 4, key({}): c3 * 2})
+    assert counit_collapse(t2, 1, counit) == TensorElement(
+        1, gens, ring, {key({"Jp": 1}): c2 * 2, key({"I": 1}): c3})
 
     t3 = TensorElement(3, gens, ring, {key({"I": 1}, {"J3": 1}, {"I": 3}): c1,
                                        key({"J3": 1}, {"I": 1}, {}): c2,

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfc import algebra, catalog, hopf
-from hopfc.algebra import Element, lincomb, mul
+from hopfc.algebra import TensorElement, lincomb, mul
 from hopfc.hopf import (_antipode_round, antipode_defect, check_coassociativity,
                         solve_antipode, verify_all)
 from hopfc.series import ParamSpace, Ring
@@ -105,10 +105,13 @@ def ref_image(S, m, H):
 def ref_defect(H, S, name, side):
     """-eps(X) 1 + sum of c S(a) b (or c a S(b) on the right) over the terms
     c a (x) b of Delta(X): one product per term."""
+    def monomial(m):
+        return TensorElement(1, H.gens, H.ring, {(m,): H.ring.one()})
+
     def term(a, b):
         if side == "left":
-            return mul(ref_image(S, a, H), Element(H.gens, H.ring, {(b,): H.ring.one()}), H.table)
-        return mul(Element(H.gens, H.ring, {(a,): H.ring.one()}), ref_image(S, b, H), H.table)
+            return mul(ref_image(S, a, H), monomial(b), H.table)
+        return mul(monomial(a), ref_image(S, b, H), H.table)
 
     return lincomb(H.table.one(-F(H.counit[name])),
                    [(c, term(a, b)) for (a, b), c in H.coproduct[name].terms.items()])

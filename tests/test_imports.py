@@ -4,8 +4,9 @@ for imports), a rule that every private module-level helper is used
 somewhere in the engine, a rule that only ``series`` and ``algebra`` touch
 the raw forms, a rule that only ``series`` reads the Taylor coefficients, a
 rule that only ``series`` reads the key layout of a ``Codec``, a rule
-against accumulation loops, and a no-floating-point rule: hopfc computes
-exactly."""
+against accumulation loops, a rule that no module subclasses
+``TensorElement``, the one tensor class at every rank, and a
+no-floating-point rule: hopfc computes exactly."""
 
 import ast
 from pathlib import Path
@@ -211,6 +212,26 @@ def accumulations(source):
     return sorted(found)
 
 
+def tensor_subclasses(source):
+    """(line, class name) for every class with ``TensorElement`` among its
+    bases, by name, by an import alias or as an attribute, or with such a
+    class of the same source among them.  A tensor of any rank is a
+    ``TensorElement``, equal by rank and value: a subclass would make ``==``
+    and the class of a sum depend on the operand order."""
+    tree = ast.parse(source)
+    bases = {"TensorElement"} | {a.asname for node in ast.walk(tree)
+                                 if isinstance(node, ast.ImportFrom)
+                                 for a in node.names if a.name == "TensorElement" and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                (b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) in bases
+                for b in node.bases):
+            bases.add(node.name)
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -248,6 +269,19 @@ def test_only_series_reads_the_key_layout(path):
 @pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
 def test_no_accumulation_loops(path):
     assert accumulations(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", ALL_SRC, ids=[p.name for p in ALL_SRC])
+def test_no_tensor_subclasses(path):
+    assert tensor_subclasses(path.read_text()) == []
+
+
+def test_check_flags_a_tensor_subclass():
+    source = ("from .algebra import TensorElement as T\nfrom . import algebra\n"
+              "class TensorElement:\n    pass\nclass W(TensorElement):\n    pass\n"
+              "class A(algebra.TensorElement):\n    pass\nclass B(object, T):\n    pass\n"
+              "class C(W):\n    pass\nclass D(algebra.Ring):\n    pass\n")
+    assert tensor_subclasses(source) == [(5, "W"), (7, "A"), (9, "B"), (11, "C")]
 
 
 def test_check_flags_an_accumulation_loop():

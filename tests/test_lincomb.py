@@ -8,9 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from hopfc import catalog
-from hopfc.algebra import coproduct_on_slot, mul
-from hopfc.bialgebra import WedgeTensor, cocommutator_from_r
-from hopfc.contraction import match_presentation
+from hopfc.algebra import TensorElement, coproduct_on_slot, mul
+from hopfc.bialgebra import cocommutator_from_r, wedge_str
+from hopfc.contraction import match_presentation, solve_min_exponents
 from hopfc.errors import StructureError
 from hopfc.series import ParamSpace, Ring
 
@@ -57,10 +57,43 @@ def test_rank3_tensor_rendering():
 def test_wedge_rendering():
     L = catalog.lie_structure("gl2.Iplus.standard")
     r = catalog.classical_r("gl2.Iplus.standard")
-    assert str(WedgeTensor(r)) == "(-1/2*a_plus)*Jp^J3 + (-1*a)*Jp^Jm"
+    assert wedge_str(r) == "(-1/2*a_plus)*Jp^J3 + (-1*a)*Jp^Jm"
     delta = cocommutator_from_r(L, r)
-    assert str(WedgeTensor(delta["Jm"])) == "(-1*a_plus)*Jp^Jm + (1*a)*J3^Jm"
-    assert str(WedgeTensor(delta["I"])) == "0"
+    assert wedge_str(delta["Jm"]) == "(-1*a_plus)*Jp^Jm + (1*a)*J3^Jm"
+    assert wedge_str(delta["I"]) == "0"
+
+
+@pytest.mark.parametrize("case, want", [
+    ("II.standard", "(-1*theta)*M^N + (1*xi)*Ap^Am"),
+    ("II.nonstandard", "(-1*beta_plus)*M^Ap + (-1*theta)*M^N"),
+    ("Iplus.standard", "(-1*beta_plus)*M^Ap + (1*xi)*Ap^Am"),
+    ("Iplus.nonstandard", "(-1*alpha_plus)*Ap^N"),
+])
+def test_contracted_r_wedge_rendering(case, want):
+    # the string the contract report prints as r_contracted
+    sol = solve_min_exponents(catalog.get_case(case))
+    assert wedge_str(sol.r_contracted) == want
+    assert sol.to_json()["r_contracted"] == want
+
+
+def test_tensors_of_different_rank_are_unequal():
+    # the coassociativity defect of Jp is the zero of rank 3, not of rank 2
+    H = catalog.get("gl2.II.standard", 2)
+    defect = (coproduct_on_slot(H.coproduct["Jp"], 0, H.coproduct, H.table)
+              - coproduct_on_slot(H.coproduct["Jp"], 1, H.coproduct, H.table))
+    assert defect.rank == 3 and not defect
+    assert defect == TensorElement(3, H.gens, H.ring, {})
+    zero2 = TensorElement(2, H.gens, H.ring, {})
+    assert defect != zero2 and zero2 != defect
+
+
+def test_a_rank_1_tensor_is_an_algebra_element():
+    t = catalog.get("gl2.II.standard", 2).table
+    x = TensorElement(1, t.gens, t.ring, t.gen("Jp").terms)
+    assert x == t.gen("Jp") and t.gen("Jp") == x
+    assert str(x) == "(1)*Jp"
+    with pytest.raises(StructureError, match="unknown generator 'K'"):
+        TensorElement.monomial(t.gens, t.ring, {"Jp": 1, "K": 2})
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfc import catalog, rmatrix
-from hopfc.algebra import Element, TensorElement
+from hopfc.algebra import TensorElement
 from hopfc.errors import DivergenceError, LookupError_, NonTruncatableError
 from hopfc.series import ParamSpace, Ring, Series
 
@@ -141,7 +141,7 @@ def test_exp_of_r_inverse_pair():
 
 def test_exp_of_r_with_a_weight_zero_coefficient_is_refused():
     r = catalog.classical_r("gl2.II.nonstandard")
-    j3, i = (Element.generator(r.gens, r.ring, n) for n in ("J3", "I"))
+    j3, i = (TensorElement.monomial(r.gens, r.ring, {n: 1}) for n in ("J3", "I"))
     w = TensorElement.outer([j3, i]) - TensorElement.outer([i, j3])
     with pytest.raises(NonTruncatableError):
         rmatrix.exp_wedge_rep(r + w, 4)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from hopfc import catalog
 from hopfc.algebra import (
-    Element,
     GeneratorSet,
     RewriteTable,
     TensorElement,
@@ -87,7 +86,7 @@ def eps_table(order, floor):
     weight that can go down, and can fall below the floor."""
     ring = Ring(ParamSpace.make("a", "eps"), order, floor)
     t = catalog._gl2_table_classical(ring)
-    cube = Element.monomial(t.gens, ring, {"J3": 3}, ring.term({"a": 2, "eps": -1}, F(1, 6)))
+    cube = TensorElement.monomial(t.gens, ring, {"J3": 3}, ring.term({"a": 2, "eps": -1}, F(1, 6)))
     t.set_rule("Jp", "Jm", t.gen("J3") + cube)
     return t
 
@@ -129,11 +128,8 @@ def flipped(draw, x):
 
 
 def check_against_reference(x, y, table):
-    if x.rank == 1:
-        x, y = (Element(t.gens, t.ring, t.terms) for t in (x, y))
-        got = outcome(lambda: mul(x, y, table))
-    else:
-        got = outcome(lambda: tensor_mul(x, y, table))
+    product = mul if x.rank == 1 else tensor_mul
+    got = outcome(lambda: product(x, y, table))
     want = outcome(lambda: ref_product(x, y, table))
     if want == "floor underflow":
         assert got == want
@@ -176,10 +172,8 @@ def check_raw_form(x):
 
 
 def like(x, ring, terms):
-    """The tensor of the class, rank and generators of ``x`` over ``ring``
-    with the given terms."""
-    if isinstance(x, Element):
-        return Element(x.gens, ring, terms)
+    """The tensor of the rank and generators of ``x`` over ``ring`` with the
+    given terms."""
     return TensorElement(x.rank, x.gens, ring, terms)
 
 
@@ -190,11 +184,8 @@ def test_every_tensor_operation_keeps_the_raw_form(data):
     ring = table.ring
     rank = data.draw(st.sampled_from([1, 2]))
     x, y = data.draw(tensors(table, rank)), data.draw(tensors(table, rank))
-    if rank == 1:
-        x, y = (Element(t.gens, t.ring, t.terms) for t in (x, y))
     c = data.draw(coefficients(ring))
-    images = {n: Element(table.gens, ring, data.draw(tensors(table, 1)).terms)
-              for n in table.gens.names}
+    images = {n: data.draw(tensors(table, 1)) for n in table.gens.names}
     sym = ring.space.symbols[0]
     word = tuple(data.draw(st.lists(st.integers(0, table.gens.dim - 1), max_size=4)))
     lower = Ring(ring.space, max(ring.order - 1, 1), ring.floor)
@@ -221,7 +212,7 @@ def per_coefficient(fn, x, ring):
 
 def agree(got_fn, want_fn):
     """Both raise an error of one type and text, or both give one tensor, of
-    one class and in its raw form."""
+    one rank and in its raw form."""
     try:
         want = want_fn()
     except HopfcError as exc:
@@ -230,7 +221,7 @@ def agree(got_fn, want_fn):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         return
     got = got_fn()
-    assert type(got) is type(want) and got.terms == want.terms and got == want
+    assert got.rank == want.rank and got.terms == want.terms and got == want
     check_raw_form(got)
 
 
@@ -254,19 +245,16 @@ def test_coefficient_maps_and_lincomb_match_per_coefficient_references(data):
     ring = table.ring
     rank = data.draw(st.sampled_from([1, 2]))
     x = data.draw(tensors(table, rank))
-    if rank == 1:
-        x = Element(x.gens, ring, x.terms)
     dst = data.draw(targets(ring))
     agree(lambda: x.to(dst), lambda: per_coefficient(lambda c: c.to(dst), x, dst))
     name = data.draw(st.sampled_from(ring.space.symbols))
-    in_key_order = of_rank(rank, x.gens, ring, dict(sorted(x.terms.items())))
+    in_key_order = like(x, ring, dict(sorted(x.terms.items())))
     agree(lambda: x.zero_slice(name, "ctx"),
           lambda: per_coefficient(lambda c: c.zero_slice(name, "ctx"), in_key_order, ring))
 
     scalars = st.one_of(coefficients(ring), st.integers(-3, 3),
                         st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
     pairs = data.draw(st.lists(st.tuples(scalars, tensors(table, rank)), max_size=4))
-    pairs = [(c, Element(y.gens, ring, y.terms) if rank == 1 else y) for c, y in pairs]
 
     def by_terms():
         acc = dict(x.terms)
@@ -278,13 +266,6 @@ def test_coefficient_maps_and_lincomb_match_per_coefficient_references(data):
     agree(lambda: lincomb(x, pairs), by_terms)
     agree(lambda: lincomb(x, pairs),
           lambda: functools.reduce(lambda acc, p: acc + p[1].scale(p[0]), pairs, x))
-
-
-def of_rank(rank, gens, ring, terms):
-    """The tensor of ``rank`` with the given terms: an ``Element`` at rank 1."""
-    if rank == 1:
-        return Element(gens, ring, terms)
-    return TensorElement(rank, gens, ring, terms)
 
 
 def ref_map_slot(t, slot, images, unit, product):
@@ -332,7 +313,6 @@ def test_map_slot_matches_a_reference_built_from_terms(data):
     ring = table.ring
     rank = data.draw(st.sampled_from([1, 2]))
     t = data.draw(tensors(table, rank, 1))
-    t = of_rank(rank, t.gens, ring, t.terms)
     slot = data.draw(st.integers(0, rank - 1))
     image_rank = data.draw(st.sampled_from([0, 1, 2]))
     if image_rank == 0:
@@ -341,14 +321,12 @@ def test_map_slot_matches_a_reference_built_from_terms(data):
         unit = TensorElement(0, table.gens, ring, {(): ring.one()})
         product = lambda a, b: TensorElement.outer([a, b])     # noqa: E731
     else:
-        images = {n: of_rank(image_rank, table.gens, ring,
-                             data.draw(tensors(table, image_rank, 1)).terms)
-                  for n in table.gens.names}
+        images = {n: data.draw(tensors(table, image_rank, 1)) for n in table.gens.names}
         unit = TensorElement.outer([table.one()] * image_rank)
         product = lambda a, b: tensor_mul(a, b, table)     # noqa: E731
     agree(lambda: map_slot(t, slot, images, unit, product),
-          lambda: of_rank(rank - 1 + image_rank, table.gens, ring,
-                          ref_map_slot(t, slot, images, unit, product)))
+          lambda: TensorElement(rank - 1 + image_rank, table.gens, ring,
+                                ref_map_slot(t, slot, images, unit, product)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,9 +338,7 @@ def test_substitute_generators_matches_a_reference_built_from_terms(data):
     source, target = data.draw(tables()), data.draw(tables())
     rank = data.draw(st.sampled_from([1, 2]))
     x = data.draw(tensors(source, rank, 1))
-    x = of_rank(rank, x.gens, x.ring, x.terms)
-    images = {n: Element(target.gens, target.ring, data.draw(tensors(target, 1, 1)).terms)
-              for n in target.gens.names}
+    images = {n: data.draw(tensors(target, 1, 1)) for n in target.gens.names}
     param_sub = None
     if data.draw(st.booleans()):
         param_sub = {data.draw(st.sampled_from(source.ring.space.symbols)):
@@ -371,8 +347,8 @@ def test_substitute_generators_matches_a_reference_built_from_terms(data):
     agree(lambda: substitute_generators(
               x, images, target,
               Substitution(x.ring, param_sub, target.ring) if param_sub and x else None),
-          lambda: of_rank(rank, target.gens, target.ring,
-                          ref_substitute(x, images, target, param_sub)))
+          lambda: TensorElement(rank, target.gens, target.ring,
+                                ref_substitute(x, images, target, param_sub)))
 
 
 def ref_multiply_slots(t, table):
@@ -393,9 +369,9 @@ def test_multiply_slots_matches_a_reference_built_from_terms(data):
     table = data.draw(tables())
     t = data.draw(tensors(table, 2, 1))
     agree(lambda: multiply_slots(t, table),
-          lambda: Element(table.gens, table.ring, ref_multiply_slots(t, table)))
+          lambda: TensorElement(1, table.gens, table.ring, ref_multiply_slots(t, table)))
     with pytest.raises(StructureError, match="rank-2"):
-        multiply_slots(Element(t.gens, t.ring, {}), table)
+        multiply_slots(TensorElement(1, t.gens, t.ring, {}), table)
 
 
 def test_map_slot_raises_at_the_first_bad_pair_of_c_times_v():
@@ -413,7 +389,7 @@ def test_map_slot_raises_at_the_first_bad_pair_of_c_times_v():
         map_slot(x, 0, images, t.one(), product)
     assert info.value.terms == [(3, -3)]
     agree(lambda: map_slot(x, 0, images, t.one(), product),
-          lambda: Element(t.gens, ring, ref_map_slot(x, 0, images, t.one(), product)))
+          lambda: TensorElement(1, t.gens, ring, ref_map_slot(x, 0, images, t.one(), product)))
 
 
 def test_a_cancelled_outer_sum_is_gone_before_the_product_with_c():
